@@ -44,6 +44,8 @@ GRID_AUDIT_TOL = 1e-3
 CONTRACTION_TOL = 1e-3
 # iterated pullbacks multiply sample counts by the degree; cap the source side
 MAX_PULLBACK_SOURCES = 2048
+# bytes of complex128 power table per stacked root solve in pullback
+_STACK_BYTES = 16 * 2**20
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -91,7 +93,10 @@ def side_from_set(e: CompactSetModel) -> GreenSide:
 def side_from_map(poly, n_atoms: int = 1024, seed: int = 0,
                   preimages=None, max_iter: int | None = None) -> GreenSide:
     """Side backed by a polynomial Julia set: boundary samples are backward
-    orbit atoms, the Green evaluator is the escape-rate function."""
+    orbit atoms, the Green evaluator is the escape-rate function.
+
+    preimages, if given, follows the brolin_sample contract: an array of K
+    values in, their preimages as a (K, d) array out."""
     ev = DynGreenEvaluator(poly) if max_iter is None else DynGreenEvaluator(
         poly, max_iter=max_iter)
     atoms = brolin_sample(poly, n_atoms, seed=seed, preimages=preimages).points
@@ -201,10 +206,10 @@ def pullback(p, e: CompactSetModel,
     """Preimage of a compact set under a polynomial of degree >= 2.
 
     Boundary samples are all roots of P(w) = z over the source boundary
-    samples.  The capacity comes from the exact identity
-    cap(P^{-1}E) = (cap E / |lead|)^{1/d}, and the Green function from
-    g(P(z)) / d; neither is re-estimated from the new samples, so iterated
-    pullbacks do not compound search error.
+    samples, solved as stacked root problems.  The capacity comes from the
+    exact identity cap(P^{-1}E) = (cap E / |lead|)^{1/d}, and the Green
+    function from g(P(z)) / d; neither is re-estimated from the new samples,
+    so iterated pullbacks do not compound search error.
     """
     cp = _as_complex_poly(p)
     d = cp.degree
@@ -216,13 +221,12 @@ def pullback(p, e: CompactSetModel,
     if len(src) > max_sources:
         idx = np.unique(np.linspace(0, len(src) - 1, max_sources).round().astype(int))
         src = src[idx]
-    base = np.array(cp.coeffs, copy=True)
-    pulled = np.empty((len(src), d), dtype=np.complex128)
-    for k, z in enumerate(src):
-        shifted = base.copy()
-        shifted[0] -= z
-        pulled[k] = roots(ComplexPolynomial(shifted)).roots
-    pts = pulled.ravel()
+    shifted = np.repeat(cp.coeffs[None, :], len(src), axis=0)
+    shifted[:, 0] -= src
+    # stacked solves, sliced so each power table stays under _STACK_BYTES
+    rows = max(1, _STACK_BYTES // (16 * d * (d + 1)))
+    pts = np.concatenate([roots(shifted[i:i + rows]).roots.ravel()
+                          for i in range(0, len(src), rows)])
     lead = abs(complex(cp.coeffs[-1]))
     log_cap = (e.log_capacity - math.log(lead)) / d
 

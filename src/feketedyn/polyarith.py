@@ -20,7 +20,14 @@ BigRational = Fraction
 
 
 class RootFindingError(RuntimeError):
-    """Simultaneous iteration failed to reach the requested residual."""
+    """Simultaneous iteration failed to reach the requested residual.
+
+    row is the failing row of a stacked solve, None for one polynomial.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 # --------------------------------------------------------------------------- #
@@ -175,11 +182,17 @@ class ComplexPolynomial:
 
 
 def _coerce_coeffs(p) -> np.ndarray:
+    # ascending complex coefficients: 1-D for one polynomial, 2-D for a stack
     if isinstance(p, IntPolynomial):
         return ComplexPolynomial.from_int(p).coeffs
     if isinstance(p, ComplexPolynomial):
         return p.coeffs
-    return ComplexPolynomial(np.asarray(p, dtype=np.complex128)).coeffs
+    c = np.asarray(p, dtype=np.complex128)
+    if c.ndim < 2:
+        return ComplexPolynomial(c).coeffs
+    if c.ndim > 2 or np.any(c[:, -1] == 0):
+        raise ValueError("a stack is (K, d+1) with nonzero leading coefficients")
+    return c
 
 
 # --------------------------------------------------------------------------- #
@@ -259,11 +272,14 @@ class RootSet:
 
     residual_bound is the backward-error style quantity
     max_j |P(z_j)| / (1 + sum_i |c_i| |z_j|^i); a converged solve sits near
-    machine epsilon regardless of coefficient or root magnitudes.
+    machine epsilon regardless of coefficient or root magnitudes. For a
+    stack of K polynomials, roots is (K, degree) and residual_bound is the
+    worst row's. iterations counts Aberth sweeps (0 for closed forms).
     """
 
-    roots: np.ndarray  # complex128, length == degree
+    roots: np.ndarray  # complex128, (degree,) or (K, degree)
     residual_bound: float
+    iterations: int = 0
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -273,132 +289,184 @@ class RootSet:
         return float(np.max(np.abs(self.roots)))
 
 
-def _horner_pair(a: np.ndarray, z: np.ndarray):
-    # value and derivative in one sweep (monic-normalized coefficients)
-    p = np.full(z.shape, a[-1])
-    dp = np.zeros_like(z)
-    for c in a[-2::-1]:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
+def _powers(z: np.ndarray, d: int) -> np.ndarray:
+    # z**0 .. z**d along a new last axis, as running products
+    pw = np.empty(z.shape + (d + 1,), dtype=z.dtype)
+    pw[..., 0] = 1.0
+    pw[..., 1:] = z[..., None]
+    return np.cumprod(pw, axis=-1, out=pw)
 
 
-def _quadratic_roots(c0, c1, c2) -> np.ndarray:
-    disc = c1 * c1 - 4.0 * c2 * c0
-    sq = np.sqrt(complex(disc))
-    if (np.conj(c1) * sq).real < 0:
-        sq = -sq
+def _quadratic_roots(c: np.ndarray) -> np.ndarray:
+    # rows (c0, c1, c2) -> (K, 2); the sign choice avoids cancellation
+    c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
+    sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    sq = np.where((np.conj(c1) * sq).real < 0, -sq, sq)
     q = -0.5 * (c1 + sq)
-    if q == 0:
-        return np.zeros(2, dtype=np.complex128)
-    return np.array([q / c2, c0 / q], dtype=np.complex128)
+    return np.stack([q / c2, c0 / q], axis=1)
 
 
-def _aberth(a: np.ndarray, tol_abs: float, max_iter: int = 500) -> np.ndarray:
-    """Aberth simultaneous iteration on a monic coefficient vector."""
-    d = len(a) - 1
-    cauchy = 1.0 + float(np.max(np.abs(a[:-1])))
-    # keep the starting circle inside the overflow-safe range for |z|^d
-    radius = min(cauchy, 10.0 ** (250.0 / max(d, 1)))
-    k = np.arange(d)
-    # deterministic perturbation: fixed rotation plus a tiny radial ramp
-    z = radius * np.exp(1j * (2 * np.pi * k / d + 0.4)) * (1 + 1e-4 * (k + 1) / d)
-    active = np.ones(d, dtype=bool)
-    for _ in range(max_iter):
-        p, dp = _horner_pair(a, z)
-        bad = dp == 0
-        if np.any(bad):
-            z = np.where(bad, z * (1 + 1e-8) + 1e-12, z)
-            p, dp = _horner_pair(a, z)
+def _newton_polygon_start(a: np.ndarray) -> np.ndarray:
+    """Starting points for a (K, d+1) stack of monic rows (Bini 1996).
+
+    Each edge (k, l) of the upper convex hull of the points (i, log|a_i|)
+    puts l - k points on the circle of radius (|a_k| / |a_l|)^(1/(l-k)),
+    the geometric mean modulus of that many roots. Radii are clipped to the
+    overflow-safe range 10^(+-250/d).
+    """
+    n_rows, n = a.shape
+    d = n - 1
+    with np.errstate(divide="ignore"):
+        y = np.log(np.abs(a))
+    cols = np.arange(n)
+    log_r = np.empty((n_rows, d))
+    turn = np.empty((n_rows, d))  # angle as a fraction of a full turn
+    k = np.zeros(n_rows, dtype=int)  # current hull vertex of each row
+    edge = 0
+    while True:
+        rows = np.nonzero(k < d)[0]
+        if len(rows) == 0:
+            break
+        kr = k[rows]
+        span = cols - kr[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (y[rows] - y[rows, kr][:, None]) / span
+        slope[span <= 0] = -np.inf
+        # among equal slopes the farthest point ends the edge
+        end = d - np.argmax(slope[:, ::-1], axis=1)
+        on_edge = (cols[:d] >= kr[:, None]) & (cols[:d] < end[:, None])
+        i, j = np.nonzero(on_edge)
+        log_r[rows[i], j] = -slope[i, end[i]]
+        turn[rows[i], j] = (j - kr[i]) / (end - kr)[i] + edge / d
+        k[rows] = end
+        edge += 1
+    cap = 250.0 * math.log(10.0) / d
+    # deterministic perturbation: Bini's rotation 0.7 plus a tiny radial ramp
+    ramp = 1 + 1e-4 * (np.arange(d) + 1) / d
+    return np.exp(np.clip(log_r, -cap, cap)) * ramp * np.exp(1j * (2 * np.pi * turn + 0.7))
+
+
+def _aberth(a: np.ndarray, tol_abs: np.ndarray, max_iter: int = 500):
+    """Aberth simultaneous iteration on a (K, d+1) stack of monic rows.
+
+    A row leaves the sweep once none of its roots moves or its largest |p|
+    is below 0.01 tol_abs. Returns the (K, d) roots and the sweep count of
+    the slowest row.
+    """
+    d = a.shape[1] - 1
+    # p and p' in one product: columns a_i and (i + 1) a_{i+1}
+    pair = np.zeros(a.shape + (2,), dtype=np.complex128)
+    pair[:, :, 0] = a
+    pair[:, :-1, 1] = a[:, 1:] * np.arange(1, d + 1)
+    z = _newton_polygon_start(a)
+    moving = np.ones(z.shape, dtype=bool)
+    live = np.arange(len(a))
+    diag = np.arange(d)
+    sweeps = 0
+    while len(live) and sweeps < max_iter:
+        sweeps += 1
+        zl, coef = z[live], pair[live]
+        pv = _powers(zl, d) @ coef
+        if not pv[..., 1].all():
+            zl = np.where(pv[..., 1] == 0, zl * (1 + 1e-8) + 1e-12, zl)
+            pv = _powers(zl, d) @ coef
+        p, dp = pv[..., 0], pv[..., 1]
         w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        s = np.sum(1.0 / diff, axis=1) - 1.0  # subtract the diagonal's 1/1
-        corr = w / (1.0 - w * s)
-        corr = np.where(active, corr, 0.0)
-        z = z - corr
-        moved = np.abs(corr) > 1e-14 * (1.0 + np.abs(z))
-        active &= moved
-        if not np.any(active):
-            break
-        if np.max(np.abs(p[~np.isnan(p)] if np.any(np.isnan(p)) else p)) <= 0.01 * tol_abs:
-            break
-    return z
+        diff = zl[:, :, None] - zl[:, None, :]
+        diff[:, diag, diag] = 1.0
+        s = np.reciprocal(diff).sum(axis=2) - 1.0  # subtract the diagonal's 1/1
+        mv = moving[live]
+        corr = np.where(mv, w / (1.0 - w * s), 0.0)
+        zl = zl - corr
+        mv &= np.abs(corr) > 1e-14 * (1.0 + np.abs(zl))
+        z[live], moving[live] = zl, mv
+        done = ~np.any(mv, axis=1) | (np.max(np.abs(p), axis=1) <= 0.01 * tol_abs[live])
+        live = live[~done]
+    return z, sweeps
 
 
-def _cluster_multiplicities(z: np.ndarray, radius: float) -> np.ndarray:
-    if len(z) < 2:
+def _merge_clusters(z: np.ndarray, radius: float) -> np.ndarray:
+    """Replace each group of a row's roots that chain together at distance
+    below radius by the group mean; rows without a close pair are skipped."""
+    d = z.shape[1]
+    if d < 2:
         return z
-    n = len(z)
-    close = np.abs(z[:, None] - z[None, :]) < radius
-    seen = np.zeros(n, dtype=bool)
-    out = z.copy()
-    for i in range(n):
-        if seen[i]:
-            continue
-        # breadth-first closure of the proximity graph
-        group = [i]
-        frontier = [i]
-        seen[i] = True
-        while frontier:
-            j = frontier.pop()
-            for m in np.nonzero(close[j])[0]:
-                if not seen[m]:
+    close = np.abs(z[:, :, None] - z[:, None, :]) < radius
+    close[:, np.arange(d), np.arange(d)] = False
+    for r in np.nonzero(np.any(close, axis=(1, 2)))[0]:
+        seen = np.zeros(d, dtype=bool)
+        for i in range(d):
+            if seen[i]:
+                continue
+            # breadth-first closure of the proximity graph
+            group = [i]
+            frontier = [i]
+            seen[i] = True
+            while frontier:
+                j = frontier.pop()
+                for m in np.nonzero(close[r, j] & ~seen)[0]:
                     seen[m] = True
                     group.append(m)
                     frontier.append(m)
-        if len(group) > 1:
-            out[group] = np.mean(z[group])
-    return out
+            if len(group) > 1:
+                z[r, group] = np.mean(z[r, group])
+    return z
 
 
 def roots(p, tol: float = 1e-10) -> RootSet:
     """All complex roots with multiplicity via Aberth simultaneous iteration.
 
-    Initial guesses sit on a deterministically perturbed circle at the Cauchy
-    bound; roots closer than sqrt(tol) are merged into multiplicity clusters.
+    p is one polynomial or a (K, d+1) stack of ascending coefficient rows,
+    solved in one iteration; for a stack, roots is (K, d). Every row has its
+    own starting points on the Newton polygon of its coefficient moduli,
+    stopping test, zero-root peeling and residual certificate. Roots closer
+    than sqrt(tol) are merged into multiplicity clusters, and each row is
+    sorted by real, then imaginary part. Raises RootFindingError, naming the
+    row of a stack, when a scaled residual is above tol or not finite.
     """
     c = _coerce_coeffs(p)
-    if len(c) < 2:
+    stacked = c.ndim == 2
+    c = np.atleast_2d(c)
+    d = c.shape[1] - 1
+    if d < 1:
         raise ValueError("constant polynomial: no roots to compute")
-    scale = 1.0 + float(np.max(np.abs(c)))
+    found = np.zeros((len(c), d), dtype=np.complex128)
+    sweeps = 0
     # exact zero constant coefficients peel off roots at the origin
-    m = 0
-    work = c
-    while work[0] == 0 and len(work) > 2:
-        m += 1
-        work = work[1:]
-    if work[0] == 0 and len(work) == 2:
-        m += 1
-        work = work[1:]
-    d = len(work) - 1
-    if d == 0:
-        found = np.zeros(0, dtype=np.complex128)
-    elif d == 1:
-        found = np.array([-work[0] / work[1]])
-    elif d == 2:
-        found = _quadratic_roots(work[0], work[1], work[2])
-    else:
-        monic = work / work[-1]
-        found = _aberth(monic, tol_abs=tol * scale / abs(work[-1]))
-    all_roots = np.concatenate([np.zeros(m, dtype=np.complex128), found])
-    all_roots = _cluster_multiplicities(all_roots, math.sqrt(tol))
-    if len(all_roots):
-        vals = np.abs(ComplexPolynomial(c)(all_roots))
-        mags = np.abs(all_roots)
-        denom = np.ones_like(mags)
-        for coeff in np.abs(c[::-1]):
-            denom = denom * mags + coeff
-        bound = float(np.max(vals / (1.0 + denom)))
-    else:
-        bound = 0.0
-    if bound > tol:
+    n_zero = np.argmax(c != 0, axis=1)
+    with np.errstate(all="ignore"):
+        for m in np.unique(n_zero):
+            rows = np.nonzero(n_zero == m)[0]
+            work = c[rows, m:]
+            if d - m == 1:
+                found[rows, m] = -work[:, 0] / work[:, 1]
+            elif d - m == 2:
+                found[rows, m:] = _quadratic_roots(work)
+            elif d - m > 2:
+                scale = 1.0 + np.max(np.abs(c[rows]), axis=1)
+                lead = work[:, -1]
+                z, k = _aberth(work / lead[:, None], tol * scale / np.abs(lead))
+                found[rows, m:] = z
+                sweeps = max(sweeps, k)
+        found = _merge_clusters(found, math.sqrt(tol))
+        vals = np.abs(_powers(found, d) @ c[:, :, None])[..., 0]
+        denom = (_powers(np.abs(found), d) @ np.abs(c)[:, :, None])[..., 0]
+        bounds = np.max(vals / (1.0 + denom), axis=1)
+    failed = np.nonzero(~(bounds <= tol))[0]
+    if len(failed):
+        i = int(failed[0])
+        what = (f"row {i} of a stack of {len(c)} degree-{d} polynomials"
+                if stacked else f"degree {d} polynomial")
         raise RootFindingError(
-            f"root finding did not converge for degree {len(c) - 1} polynomial "
-            f"(scaled residual {bound:.3e} > tol {tol:.1e})"
+            f"root finding did not converge for {what} "
+            f"(scaled residual {bounds[i]:.3e}, tol {tol:.1e})",
+            row=i if stacked else None,
         )
-    order = np.lexsort((all_roots.imag, all_roots.real))
-    return RootSet(roots=all_roots[order], residual_bound=bound)
+    order = np.lexsort((found.imag, found.real), axis=-1)
+    found = np.take_along_axis(found, order, axis=1)
+    return RootSet(roots=found if stacked else found[0],
+                   residual_bound=float(np.max(bounds, initial=0.0)),
+                   iterations=sweeps)
 
 
 # --------------------------------------------------------------------------- #

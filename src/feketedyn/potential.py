@@ -449,11 +449,9 @@ def supnorm(p, e: CompactSetModel) -> float:
     comp = int(e.sample_comp[k])
     same = np.nonzero(e.sample_comp == comp)[0]
     ts = e.sample_t[same]
-    pos = int(np.searchsorted(same, k))
     spacing = float(np.median(np.diff(np.sort(ts)))) if len(ts) > 1 else 0.0
     lo = e.sample_t[k] - spacing
     hi = e.sample_t[k] + spacing
-    _ = pos
 
     def f(t):
         return float(_abs_eval(p, np.array([e._point_at(comp, t)]))[0])

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feketedyn.polyarith import (
     BigRational,
+    ComplexPolynomial,
     IntPolynomial,
     RootFindingError,
     chebyshev_monic,
@@ -138,6 +141,61 @@ def test_roots_high_degree_cyclotomic():
 def test_roots_rejects_constant():
     with pytest.raises((ValueError, RootFindingError)):
         roots(IntPolynomial((5,)))
+    with pytest.raises(ValueError, match="nonzero leading"):
+        roots(np.array([[1, 1], [1, 0]]))
+
+
+def test_roots_rejects_nonfinite_certificate():
+    # overflow and NaN input give a NaN certificate, which must fail: a
+    # "bound > tol" test would pass it
+    for coeffs in ([1e300, 0, 0, 0, 1], [math.nan, 1, 0, 1]):
+        with pytest.raises(RootFindingError, match="scaled residual nan"):
+            roots(ComplexPolynomial(coeffs))
+
+
+def test_roots_stack_error_names_row():
+    good = [-1, 0, 0, 1]
+    with pytest.raises(RootFindingError, match="row 1 of a stack of 3") as err:
+        roots(np.array([good, [math.nan, 0, 0, 1], good]))
+    assert err.value.row == 1
+
+
+def test_roots_stack_shape_and_sweeps():
+    # Phi_53(w) - c for 64 values of c on the unit circle, solved in one
+    # stack; starts on the Cauchy circle take about 30 sweeps per row
+    base = ComplexPolynomial.from_int(cyclotomic(53)).coeffs
+    stack = np.repeat(base[None, :], 64, axis=0)
+    stack[:, 0] -= np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    rs = roots(stack, tol=1e-9)
+    assert rs.roots.shape == (64, 52)
+    assert isinstance(rs.residual_bound, float)
+    assert rs.residual_bound <= 1e-9
+    assert 0 < rs.iterations <= 20
+
+
+# fixed examples keep the suite deterministic
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+int_coeffs = st.integers(3, 20).flatmap(
+    lambda d: st.lists(st.integers(-20, 20), min_size=d + 1, max_size=d + 1)
+).filter(lambda c: c[-1] != 0)
+shifts = st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                     allow_infinity=False), min_size=1, max_size=6)
+
+
+@PROPERTY
+@given(int_coeffs, shifts)
+def test_stacked_roots_match_row_by_row(coeffs, cs):
+    stack = np.repeat(np.array(coeffs, dtype=np.complex128)[None, :], len(cs) + 1, axis=0)
+    stack[:-1, 0] -= cs
+    stack[-1, 0] = 0.0  # an exact zero constant term
+    rs = roots(stack)
+    assert rs.roots.shape == (len(cs) + 1, len(coeffs) - 1)
+    assert rs.residual_bound <= 1e-10
+    for row, got in zip(stack, rs.roots):
+        one = roots(row)
+        assert one.residual_bound <= 1e-10
+        assert np.max(np.abs(np.sort_complex(one.roots) - np.sort_complex(got))) <= 1e-12
+    assert np.any(rs.roots[-1] == 0)
 
 
 # ----------------------------------------------------------------- generators
