@@ -255,11 +255,8 @@ def brolin_sample(poly, n_points: int, burn_in: int = 20, seed: int = 0,
     """Backward random iteration: repeatedly jump to a uniformly chosen
     preimage, starting just outside the escape radius.
 
-    Atoms come in fixed-size chunks, one chain per chunk with its own RNG
-    stream (seeded by seed XOR chunk index), so the result is independent of
-    scheduling. The chains advance in lockstep: preimages(cs) takes the K
-    current points of the running chains and returns their preimages as a
-    (K, d) array; by default one stacked root solve per backward step.
+    Atoms come in fixed-size chunks with one RNG stream per chunk (seeded by
+    seed XOR chunk index), so the result is independent of scheduling.
     """
     if n_points < 1:
         raise ValueError("need n_points >= 1")
@@ -267,64 +264,59 @@ def brolin_sample(poly, n_points: int, burn_in: int = 20, seed: int = 0,
     if preimages is None:
         base = ev.poly.coeffs
 
-        def preimages(cs):
-            shifted = np.repeat(base[None, :], len(cs), axis=0)
-            shifted[:, 0] = base[0] - cs
-            return roots(shifted, tol=1e-9).roots
+        def preimages(c):
+            shifted = base.copy()
+            shifted[0] = base[0] - c
+            return roots(ComplexPolynomial(shifted), tol=1e-9).roots
 
-    n_chunks = (n_points + _ORBIT_CHUNK - 1) // _ORBIT_CHUNK
-    rngs = [np.random.default_rng((int(seed) ^ j) & ((1 << 63) - 1))
-            for j in range(n_chunks)]
-    # only the last chunk can be shorter; it stops after last_steps
-    last_steps = burn_in + n_points - (n_chunks - 1) * _ORBIT_CHUNK
-    atoms = np.empty((n_chunks, _ORBIT_CHUNK), dtype=np.complex128)
-    z = np.full(n_chunks, ev.escape_radius + 1.0, dtype=np.complex128)
-    for step in range(burn_in + min(n_points, _ORBIT_CHUNK)):
-        k = n_chunks if step < last_steps else n_chunks - 1
-        try:
-            pre = np.asarray(preimages(z[:k]), dtype=np.complex128)
-        except RootFindingError as err:
-            failed = range(k) if err.row is None else [err.row]
-            raise RootFindingError(
-                f"preimage solve failed at backward step {step} of chunk "
-                f"{', '.join(str(j) for j in failed)}: {err}"
-            ) from err
-        for j in range(k):
-            z[j] = pre[j, int(rngs[j].integers(pre.shape[1]))]
-        if step >= burn_in:
-            atoms[:k, step - burn_in] = z[:k]
-    return DiscreteMeasure.uniform(atoms.ravel()[:n_points])
+    pts = np.empty(n_points, dtype=np.complex128)
+    n_orbits = (n_points + _ORBIT_CHUNK - 1) // _ORBIT_CHUNK
+    for j in range(n_orbits):
+        rng = np.random.default_rng((int(seed) ^ j) & ((1 << 63) - 1))
+        z = complex(ev.escape_radius + 1.0)
+        lo = j * _ORBIT_CHUNK
+        hi = min(n_points, lo + _ORBIT_CHUNK)
+        for step in range(burn_in + (hi - lo)):
+            try:
+                pre = np.asarray(preimages(z), dtype=np.complex128)
+            except RootFindingError as err:
+                raise RootFindingError(
+                    f"preimage solve failed at backward step {step} "
+                    f"of orbit {j}: {err}"
+                ) from err
+            z = complex(pre[int(rng.integers(len(pre)))])
+            if step >= burn_in:
+                pts[lo + step - burn_in] = z
+    return DiscreteMeasure.uniform(pts)
 
 
 def chebyshev_preimages(n: int):
     """Exact preimage solver for the degree-n monic Chebyshev-type map
     2*T_n(z/2), via the cosine parameterization: the preimages of c are
     2 cos((arccos(c/2) + 2 pi k)/n). Float Horner root-finding is useless here
-    once the coefficients outgrow the 53-bit mantissa. The solver maps an
-    array of values cs to their preimages, shape cs.shape + (n,)."""
+    once the coefficients outgrow the 53-bit mantissa."""
     if n < 2:
         raise ValueError("need degree >= 2")
     ks = 2.0 * np.pi * np.arange(n)
 
-    def pre(cs):
-        phi = np.arccos(np.asarray(cs, dtype=np.complex128) / 2.0)
-        return 2.0 * np.cos((phi[..., None] + ks) / n)
+    def pre(c):
+        phi = np.arccos(np.complex128(c) / 2.0)
+        return 2.0 * np.cos((phi + ks) / n)
 
     return pre
 
 
 def power_preimages(n: int):
-    """Exact n-th roots as the preimages under the pure power map; the
-    solver maps an array of values cs to shape cs.shape + (n,)."""
+    """Exact n-th roots as the preimages under the pure power map."""
     if n < 2:
         raise ValueError("need degree >= 2")
     rot = np.exp(2j * np.pi * np.arange(n) / n)
 
-    def pre(cs):
-        cs = np.asarray(cs, dtype=np.complex128)
-        mag = np.abs(cs) ** (1.0 / n)
-        ang = np.angle(cs) / n
-        return (mag * np.exp(1j * ang))[..., None] * rot
+    def pre(c):
+        c = np.complex128(c)
+        mag = abs(c) ** (1.0 / n)
+        ang = np.angle(c) / n
+        return mag * np.exp(1j * ang) * rot
 
     return pre
 

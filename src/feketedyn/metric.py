@@ -44,8 +44,6 @@ GRID_AUDIT_TOL = 1e-3
 CONTRACTION_TOL = 1e-3
 # iterated pullbacks multiply sample counts by the degree; cap the source side
 MAX_PULLBACK_SOURCES = 2048
-# bytes of complex128 power table per stacked root solve in pullback
-_STACK_BYTES = 16 * 2**20
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -93,10 +91,7 @@ def side_from_set(e: CompactSetModel) -> GreenSide:
 def side_from_map(poly, n_atoms: int = 1024, seed: int = 0,
                   preimages=None, max_iter: int | None = None) -> GreenSide:
     """Side backed by a polynomial Julia set: boundary samples are backward
-    orbit atoms, the Green evaluator is the escape-rate function.
-
-    preimages, if given, follows the brolin_sample contract: an array of K
-    values in, their preimages as a (K, d) array out."""
+    orbit atoms, the Green evaluator is the escape-rate function."""
     ev = DynGreenEvaluator(poly) if max_iter is None else DynGreenEvaluator(
         poly, max_iter=max_iter)
     atoms = brolin_sample(poly, n_atoms, seed=seed, preimages=preimages).points
@@ -223,10 +218,7 @@ def pullback(p, e: CompactSetModel,
         src = src[idx]
     shifted = np.repeat(cp.coeffs[None, :], len(src), axis=0)
     shifted[:, 0] -= src
-    # stacked solves, sliced so each power table stays under _STACK_BYTES
-    rows = max(1, _STACK_BYTES // (16 * d * (d + 1)))
-    pts = np.concatenate([roots(shifted[i:i + rows]).roots.ravel()
-                          for i in range(0, len(src), rows)])
+    pts = roots(shifted).roots.ravel()
     lead = abs(complex(cp.coeffs[-1]))
     log_cap = (e.log_capacity - math.log(lead)) / d
 

@@ -20,14 +20,7 @@ BigRational = Fraction
 
 
 class RootFindingError(RuntimeError):
-    """Simultaneous iteration failed to reach the requested residual.
-
-    row is the failing row of a stacked solve, None for one polynomial.
-    """
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
+    """Simultaneous iteration failed to reach the requested residual."""
 
 
 # --------------------------------------------------------------------------- #
@@ -413,23 +406,13 @@ def _merge_clusters(z: np.ndarray, radius: float) -> np.ndarray:
     return z
 
 
-def roots(p, tol: float = 1e-10) -> RootSet:
-    """All complex roots with multiplicity via Aberth simultaneous iteration.
+# bytes of the complex128 power table of one slice of a stacked solve
+_STACK_BYTES = 16 * 2**20
 
-    p is one polynomial or a (K, d+1) stack of ascending coefficient rows,
-    solved in one iteration; for a stack, roots is (K, d). Every row has its
-    own starting points on the Newton polygon of its coefficient moduli,
-    stopping test, zero-root peeling and residual certificate. Roots closer
-    than sqrt(tol) are merged into multiplicity clusters, and each row is
-    sorted by real, then imaginary part. Raises RootFindingError, naming the
-    row of a stack, when a scaled residual is above tol or not finite.
-    """
-    c = _coerce_coeffs(p)
-    stacked = c.ndim == 2
-    c = np.atleast_2d(c)
+
+def _solve_rows(c: np.ndarray, tol: float):
+    """Roots (K, d), residual bounds (K,) and sweep count of a (K, d+1) stack."""
     d = c.shape[1] - 1
-    if d < 1:
-        raise ValueError("constant polynomial: no roots to compute")
     found = np.zeros((len(c), d), dtype=np.complex128)
     sweeps = 0
     # exact zero constant coefficients peel off roots at the origin
@@ -451,7 +434,31 @@ def roots(p, tol: float = 1e-10) -> RootSet:
         found = _merge_clusters(found, math.sqrt(tol))
         vals = np.abs(_powers(found, d) @ c[:, :, None])[..., 0]
         denom = (_powers(np.abs(found), d) @ np.abs(c)[:, :, None])[..., 0]
-        bounds = np.max(vals / (1.0 + denom), axis=1)
+        return found, np.max(vals / (1.0 + denom), axis=1), sweeps
+
+
+def roots(p, tol: float = 1e-10) -> RootSet:
+    """All complex roots with multiplicity via Aberth simultaneous iteration.
+
+    p is one polynomial or a (K, d+1) stack of ascending coefficient rows,
+    solved in one iteration (in slices whose power table stays under 16 MiB);
+    for a stack, roots is (K, d). Every row has its own starting points on
+    the Newton polygon of its coefficient moduli, stopping test, zero-root
+    peeling and residual certificate. Roots closer than sqrt(tol) are merged
+    into multiplicity clusters, and each row is sorted by real, then
+    imaginary part. Raises RootFindingError, naming the row of a stack, when
+    a scaled residual is above tol or not finite.
+    """
+    c = _coerce_coeffs(p)
+    stacked = c.ndim == 2
+    c = np.atleast_2d(c)
+    d = c.shape[1] - 1
+    if d < 1:
+        raise ValueError("constant polynomial: no roots to compute")
+    step = max(1, _STACK_BYTES // (16 * d * (d + 1)))
+    parts = [_solve_rows(c[i:i + step], tol) for i in range(0, len(c) or 1, step)]
+    found = np.concatenate([f for f, _, _ in parts])
+    bounds = np.concatenate([b for _, b, _ in parts])
     failed = np.nonzero(~(bounds <= tol))[0]
     if len(failed):
         i = int(failed[0])
@@ -459,14 +466,13 @@ def roots(p, tol: float = 1e-10) -> RootSet:
                 if stacked else f"degree {d} polynomial")
         raise RootFindingError(
             f"root finding did not converge for {what} "
-            f"(scaled residual {bounds[i]:.3e}, tol {tol:.1e})",
-            row=i if stacked else None,
+            f"(scaled residual {bounds[i]:.3e}, tol {tol:.1e})"
         )
     order = np.lexsort((found.imag, found.real), axis=-1)
     found = np.take_along_axis(found, order, axis=1)
     return RootSet(roots=found if stacked else found[0],
                    residual_bound=float(np.max(bounds, initial=0.0)),
-                   iterations=sweeps)
+                   iterations=max(k for _, _, k in parts))
 
 
 # --------------------------------------------------------------------------- #

@@ -16,7 +16,6 @@ from feketedyn.polyarith import (
     IntPolynomial,
     RootFindingError,
     chebyshev_monic,
-    cyclotomic,
     roots,
 )
 from feketedyn.dynamics import (
@@ -26,7 +25,6 @@ from feketedyn.dynamics import (
     dyn_green,
     julia_capacity,
     laplacian_crosscheck,
-    power_preimages,
     raster,
     write_pgm,
 )
@@ -215,38 +213,17 @@ def test_brolin_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.points, c.points)
 
 
-def test_brolin_chunks_do_not_couple():
-    # chains advance in lockstep through one stacked solve per step, yet
-    # chunk 0 (stream seed ^ 0) matches a run that has no other chunk
-    both = brolin_sample(cyclotomic(7), 1024 + 100, seed=5).points
-    alone = brolin_sample(cyclotomic(7), 1024, seed=5).points
-    assert np.array_equal(both[:1024], alone)
-
-
 def test_brolin_error_names_step_and_chunk():
     calls = []
 
-    def pre(cs):
-        calls.append(len(cs))
-        stack = np.repeat(np.array([[0, 0, 1]], dtype=np.complex128), len(cs), axis=0)
-        stack[:, 0] = -cs
-        if len(calls) == 4:
-            stack[1, 0] = np.nan
-        return roots(stack).roots
+    def pre(c):
+        calls.append(c)
+        # chunk 0 takes 20 + 1024 steps; fail at step 3 of chunk 1
+        c0 = math.nan if len(calls) == 20 + 1024 + 4 else -c
+        return roots(ComplexPolynomial([c0, 0, 1])).roots
 
-    with pytest.raises(RootFindingError, match="backward step 3 of chunk 1"):
+    with pytest.raises(RootFindingError, match="backward step 3 of orbit 1"):
         brolin_sample(Z2, 2048, seed=1, preimages=pre)
-    assert calls == [2, 2, 2, 2]
-
-
-def test_closed_form_preimages_are_vectorized():
-    cs = np.array([0.5, 3.0 - 1j, -7.0])
-    for pre, poly in ((chebyshev_preimages(6), ComplexPolynomial.from_int(chebyshev_monic(6))),
-                      (power_preimages(5), ComplexPolynomial([0] * 5 + [1]))):
-        out = pre(cs)
-        assert out.shape == (3, poly.degree)
-        assert np.allclose(poly(out), cs[:, None], atol=1e-9)
-        assert np.array_equal(out[1], pre(cs[1]))
 
 
 def test_chebyshev_preimages_match_generic_roots():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feketedyn import polyarith
 from feketedyn.polyarith import (
     BigRational,
     ComplexPolynomial,
@@ -146,18 +147,38 @@ def test_roots_rejects_constant():
 
 
 def test_roots_rejects_nonfinite_certificate():
-    # overflow and NaN input give a NaN certificate, which must fail: a
+    # NaN or inf input gives a NaN certificate, which must fail: a
     # "bound > tol" test would pass it
-    for coeffs in ([1e300, 0, 0, 0, 1], [math.nan, 1, 0, 1]):
+    for coeffs in ([math.nan, 1, 0, 1], [math.inf, 1, 0, 1]):
         with pytest.raises(RootFindingError, match="scaled residual nan"):
             roots(ComplexPolynomial(coeffs))
 
 
+def test_roots_huge_constant_converges_or_raises():
+    # z^4 + 1e300 is well posed (|z| = 1e75), but its Newton-polygon start is
+    # clipped to 10^(250/4); a solve may fail, yet never return NaN roots
+    try:
+        rs = roots(ComplexPolynomial([1e300, 0, 0, 0, 1]))
+    except RootFindingError:
+        return
+    assert rs.residual_bound <= 1e-10
+    assert np.allclose(np.abs(rs.roots), 1e75, rtol=1e-9)
+
+
+def test_residual_certificate_at_a_large_root():
+    # (z - R)^2 - e^2: the pair R +- e merges into R at tol 1e-4, so the
+    # certificate is exactly |P(R)| / (1 + |c0| + |c1| R + R^2), with no
+    # |z|^(d+1) term in the denominator
+    big, e = 2.0**10, 2.0**-8
+    rs = roots(ComplexPolynomial([big * big - e * e, -2 * big, 1]), tol=1e-4)
+    assert np.array_equal(rs.roots, [big, big])
+    assert rs.residual_bound == pytest.approx(e * e / (1 + 4 * big * big - e * e), rel=1e-12)
+
+
 def test_roots_stack_error_names_row():
     good = [-1, 0, 0, 1]
-    with pytest.raises(RootFindingError, match="row 1 of a stack of 3") as err:
+    with pytest.raises(RootFindingError, match="row 1 of a stack of 3"):
         roots(np.array([good, [math.nan, 0, 0, 1], good]))
-    assert err.value.row == 1
 
 
 def test_roots_stack_shape_and_sweeps():
@@ -171,6 +192,18 @@ def test_roots_stack_shape_and_sweeps():
     assert isinstance(rs.residual_bound, float)
     assert rs.residual_bound <= 1e-9
     assert 0 < rs.iterations <= 20
+
+
+def test_roots_stack_slices_match_one_slice(monkeypatch):
+    # a budget of two rows per slice splits the stack into three solves
+    stack = np.array([[-1, 0, 0, 0, 1], [2, -3, 0, 0, 1], [0, 5, 1, 0, 1],
+                      [1j, 0, 2, 0, 1], [-7, 1, 1, 1, 1]], dtype=np.complex128)
+    whole = roots(stack)
+    monkeypatch.setattr(polyarith, "_STACK_BYTES", 2 * 16 * 4 * 5)
+    sliced = roots(stack)
+    assert np.array_equal(sliced.roots, whole.roots)
+    assert sliced.residual_bound == whole.residual_bound
+    assert sliced.iterations == whole.iterations
 
 
 # fixed examples keep the suite deterministic
