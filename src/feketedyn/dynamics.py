@@ -19,7 +19,6 @@ import math
 import numpy as np
 
 from .polyarith import (
-    EXACT_EVAL_COEFF_SUM,
     ComplexPolynomial,
     IntPolynomial,
     RootFindingError,
@@ -53,8 +52,7 @@ class DynGreenEvaluator:
         self.escape_radius = max(2.0, (1.0 + float(np.sum(np.abs(c[:-1])))) / self.leading_abs)
         self.tail_constant = math.log(self.leading_abs) / (d - 1)
         self.max_iter = int(max_iter)
-        self._exact = (self.int_poly is not None
-                       and sum(abs(x) for x in self.int_poly.coeffs) > EXACT_EVAL_COEFF_SUM)
+        self._exact = self.int_poly is not None and self.int_poly.exact_plan != "float"
 
     def _eps(self, v):
         # (c_{d-1} v + c_{d-2} v^2 + ... + c_0 v^d) / a_d  on v = 1/w

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,6 +58,25 @@ class IntPolynomial:
     @property
     def is_monic(self) -> bool:
         return self.leading == 1
+
+    @cached_property
+    def exact_plan(self) -> str:
+        """How eval_intpoly evaluates this polynomial, decided once.
+
+        "float" when the coefficient mass is at most EXACT_EVAL_COEFF_SUM;
+        above it "chebyshev" when the coefficients are those of
+        chebyshev_monic(degree) (real points then take the doubling ladder),
+        else "horner" (exact big-integer Horner).
+        """
+        if sum(abs(c) for c in self.coeffs) <= EXACT_EVAL_COEFF_SUM:
+            return "float"
+        d = self.degree
+        # 2 T_d(z/2) = z^d - d z^(d-2) + ...; the cheap test spares building
+        # chebyshev_monic(d) for polynomials that cannot match
+        if self.coeffs[-2:] == (0, 1) and self.coeffs[-3] == -d \
+                and self.coeffs == chebyshev_monic(d).coeffs:
+            return "chebyshev"
+        return "horner"
 
     @property
     def content(self) -> int:
@@ -219,7 +238,9 @@ def eval_intpoly_real_exact(coeffs: tuple[int, ...], x: float) -> float:
     d = len(coeffs) - 1
     acc = coeffs[-1]
     for i in range(d - 1, -1, -1):
-        acc = acc * num + coeffs[i] * (1 << (k * (d - i)))
+        acc *= num
+        if coeffs[i]:
+            acc += coeffs[i] << (k * (d - i))
     return _big_to_float(acc, -k * d)
 
 
@@ -233,24 +254,59 @@ def eval_intpoly_complex_exact(coeffs: tuple[int, ...], z: complex) -> complex:
     d = len(coeffs) - 1
     x, y = coeffs[-1], 0
     for i in range(d - 1, -1, -1):
-        x, y = x * a - y * b + coeffs[i] * (1 << (k * (d - i))), x * b + y * a
+        x, y = x * a - y * b, x * b + y * a
+        if coeffs[i]:
+            x += coeffs[i] << (k * (d - i))
     sh = -k * d
     return complex(_big_to_float(x, sh), _big_to_float(y, sh))
 
 
+def _chebyshev_real_exact(n: int, x: float) -> float:
+    """chebyshev_monic(n) at a dyadic float by the doubling ladder.
+
+    With x = num / 2^k and V_m = 2 T_m(x/2), the integers N_m = 2^(km) V_m
+    obey N_2m = N_m^2 - 2^(2km+1) and N_2m+1 = N_m N_m+1 - num 2^(2km)
+    (from V_2m = V_m^2 - 2 and V_2m+1 = V_m V_m+1 - x). N_n is the integer
+    eval_intpoly_real_exact builds by Horner, so the float is the same.
+    """
+    num, den = float(x).as_integer_ratio()
+    k = den.bit_length() - 1  # den == 2**k
+    lo, hi = 2, num  # (N_m, N_m+1), from m = 0
+    m = 0
+    for i in range(n.bit_length() - 1, -1, -1):
+        sh = 2 * k * m
+        rest = n & ((1 << i) - 1)  # bits below this one
+        if n >> i & 1:
+            lo, hi = lo * hi - (num << sh), (hi * hi - (2 << (sh + 2 * k))) if rest else 0
+            m = 2 * m + 1
+        else:
+            lo, hi = lo * lo - (2 << sh), (lo * hi - (num << sh)) if rest else 0
+            m = 2 * m
+    return _big_to_float(lo, -k * n)
+
+
+def _eval_exact_point(p: IntPolynomial, w: complex) -> complex:
+    if w.imag == 0.0:
+        if p.exact_plan == "chebyshev":
+            return complex(_chebyshev_real_exact(p.degree, w.real))
+        return complex(eval_intpoly_real_exact(p.coeffs, w.real))
+    return eval_intpoly_complex_exact(p.coeffs, w)
+
+
 def eval_intpoly(p: IntPolynomial, z):
     """Evaluate at float/complex points, switching to exact arithmetic when
-    the coefficient mass makes float Horner cancellation-unsafe."""
-    if sum(abs(c) for c in p.coeffs) <= EXACT_EVAL_COEFF_SUM:
+    the coefficient mass makes float Horner cancellation-unsafe (see
+    IntPolynomial.exact_plan). On the exact path a Python scalar gives a
+    Python complex."""
+    if p.exact_plan == "float":
         return ComplexPolynomial.from_int(p)(z)
+    if isinstance(z, (int, float, complex)):
+        return _eval_exact_point(p, complex(z))
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     out = np.empty(zs.shape, dtype=np.complex128)
     flat_in, flat_out = zs.ravel(), out.ravel()
     for i, w in enumerate(flat_in):
-        if w.imag == 0.0:
-            flat_out[i] = eval_intpoly_real_exact(p.coeffs, w.real)
-        else:
-            flat_out[i] = eval_intpoly_complex_exact(p.coeffs, w)
+        flat_out[i] = _eval_exact_point(p, complex(w))
     return out.reshape(np.shape(z)) if np.ndim(z) else complex(flat_out[0])
 
 
@@ -299,21 +355,20 @@ def _quadratic_roots(c: np.ndarray) -> np.ndarray:
     return np.stack([q / c2, c0 / q], axis=1)
 
 
-def _newton_polygon_start(a: np.ndarray) -> np.ndarray:
-    """Starting points for a (K, d+1) stack of monic rows (Bini 1996).
+def _newton_polygon(y: np.ndarray):
+    """Log radii and angles of starting points from a (K, d+1) stack of log
+    coefficient moduli y_i = log|a_i| (Bini 1996).
 
-    Each edge (k, l) of the upper convex hull of the points (i, log|a_i|)
-    puts l - k points on the circle of radius (|a_k| / |a_l|)^(1/(l-k)),
-    the geometric mean modulus of that many roots. Radii are clipped to the
-    overflow-safe range 10^(+-250/d).
+    Each edge (k, l) of the upper convex hull of the points (i, y_i) puts
+    l - k points on the circle of log radius (y_k - y_l) / (l - k), the
+    geometric mean modulus of that many roots. Returns the (K, d) log radii
+    and angles as a fraction of a full turn.
     """
-    n_rows, n = a.shape
+    n_rows, n = y.shape
     d = n - 1
-    with np.errstate(divide="ignore"):
-        y = np.log(np.abs(a))
     cols = np.arange(n)
     log_r = np.empty((n_rows, d))
-    turn = np.empty((n_rows, d))  # angle as a fraction of a full turn
+    turn = np.empty((n_rows, d))
     k = np.zeros(n_rows, dtype=int)  # current hull vertex of each row
     edge = 0
     while True:
@@ -333,14 +388,12 @@ def _newton_polygon_start(a: np.ndarray) -> np.ndarray:
         turn[rows[i], j] = (j - kr[i]) / (end - kr)[i] + edge / d
         k[rows] = end
         edge += 1
-    cap = 250.0 * math.log(10.0) / d
-    # deterministic perturbation: Bini's rotation 0.7 plus a tiny radial ramp
-    ramp = 1 + 1e-4 * (np.arange(d) + 1) / d
-    return np.exp(np.clip(log_r, -cap, cap)) * ramp * np.exp(1j * (2 * np.pi * turn + 0.7))
+    return log_r, turn
 
 
-def _aberth(a: np.ndarray, tol_abs: np.ndarray, max_iter: int = 500):
-    """Aberth simultaneous iteration on a (K, d+1) stack of monic rows.
+def _aberth(a: np.ndarray, tol_abs: np.ndarray, z: np.ndarray, max_iter: int = 500):
+    """Aberth simultaneous iteration on a (K, d+1) stack of monic rows from
+    the (K, d) starting points z.
 
     A row leaves the sweep once none of its roots moves or its largest |p|
     is below 0.01 tol_abs. Returns the (K, d) roots and the sweep count of
@@ -351,7 +404,6 @@ def _aberth(a: np.ndarray, tol_abs: np.ndarray, max_iter: int = 500):
     pair = np.zeros(a.shape + (2,), dtype=np.complex128)
     pair[:, :, 0] = a
     pair[:, :-1, 1] = a[:, 1:] * np.arange(1, d + 1)
-    z = _newton_polygon_start(a)
     moving = np.ones(z.shape, dtype=bool)
     live = np.arange(len(a))
     diag = np.arange(d)
@@ -375,6 +427,43 @@ def _aberth(a: np.ndarray, tol_abs: np.ndarray, max_iter: int = 500):
         z[live], moving[live] = zl, mv
         done = ~np.any(mv, axis=1) | (np.max(np.abs(p), axis=1) <= 0.01 * tol_abs[live])
         live = live[~done]
+    return z, sweeps
+
+
+def _aberth_rows(work: np.ndarray, tol: float):
+    """Roots (K, d) and sweep count of a stack with nonzero constant terms.
+
+    Each row starts on its Newton polygon with radii clipped to the
+    overflow-safe range 10^(+-250/d). A row whose polygon reaches past the
+    clip would start too far from its roots and can diverge, so it is
+    solved in w = z / R instead: R is the geometric midpoint of its extreme
+    polygon radii, and the monic coefficients a_i R^(i-d) are formed in log
+    space so that nothing overflows. Rows inside the clip are not touched.
+    """
+    d = work.shape[1] - 1
+    scale = 1.0 + np.max(np.abs(work), axis=1)
+    lead = work[:, -1]
+    a = work / lead[:, None]
+    tol_abs = tol * scale / np.abs(lead)
+    log_r, turn = _newton_polygon(np.log(np.abs(a)))
+    cap = 250.0 * math.log(10.0) / d
+    wide = ~np.all(np.abs(log_r) <= cap, axis=1)
+    if wide.any():
+        aw = work[wide]
+        y = np.log(np.abs(aw))
+        lr, turn[wide] = _newton_polygon(y)
+        log_big = 0.5 * (np.max(lr, axis=1) + np.min(lr, axis=1))
+        yq = y + (np.arange(d + 1) - d) * log_big[:, None] - y[:, -1:]
+        phase = aw / np.abs(aw)
+        a[wide] = np.where(aw == 0, 0.0, np.exp(yq) * phase / phase[:, -1:])
+        tol_abs[wide] = tol * (1.0 + np.exp(np.max(yq, axis=1)))
+        log_r[wide] = lr - log_big[:, None]
+    # deterministic perturbation: Bini's rotation 0.7 plus a tiny radial ramp
+    ramp = 1 + 1e-4 * (np.arange(d) + 1) / d
+    z = np.exp(np.clip(log_r, -cap, cap)) * ramp * np.exp(1j * (2 * np.pi * turn + 0.7))
+    z, sweeps = _aberth(a, tol_abs, z)
+    if wide.any():
+        z[wide] *= np.exp(log_big)[:, None]
     return z, sweeps
 
 
@@ -426,9 +515,7 @@ def _solve_rows(c: np.ndarray, tol: float):
             elif d - m == 2:
                 found[rows, m:] = _quadratic_roots(work)
             elif d - m > 2:
-                scale = 1.0 + np.max(np.abs(c[rows]), axis=1)
-                lead = work[:, -1]
-                z, k = _aberth(work / lead[:, None], tol * scale / np.abs(lead))
+                z, k = _aberth_rows(work, tol)
                 found[rows, m:] = z
                 sweeps = max(sweeps, k)
         found = _merge_clusters(found, math.sqrt(tol))
@@ -492,6 +579,7 @@ def cyclotomic(n: int) -> IntPolynomial:
     return num
 
 
+@lru_cache(maxsize=None)
 def chebyshev_monic(n: int) -> IntPolynomial:
     """Monic Chebyshev-type polynomial 2*T_n(z/2) via the three-term recurrence."""
     if n < 0:

@@ -11,11 +11,14 @@ import math
 import numpy as np
 import pytest
 
+from feketedyn import dynamics
 from feketedyn.polyarith import (
     ComplexPolynomial,
     IntPolynomial,
     RootFindingError,
     chebyshev_monic,
+    eval_intpoly_complex_exact,
+    eval_intpoly_real_exact,
     roots,
 )
 from feketedyn.dynamics import (
@@ -28,6 +31,7 @@ from feketedyn.dynamics import (
     raster,
     write_pgm,
 )
+from feketedyn.potential import CompactSetModel
 
 
 def _interval_green(z):
@@ -117,6 +121,28 @@ def test_green_exact_eval_big_chebyshev():
     # and an escaping probe still matches the interval oracle
     assert ev.green(3.0) == pytest.approx(_interval_green(3.0), abs=1e-8)
     assert ev.green(2.5) == pytest.approx(_interval_green(2.5), abs=1e-8)
+
+
+def test_green_exact_chebyshev_matches_horner_reference(monkeypatch):
+    # the doubling ladder changes no output: values and undecided flags on
+    # the interval's target samples and off-segment probes equal those of an
+    # orbit stepped by exact Horner, the reference path
+    seg = CompactSetModel.interval(-2.0, 2.0, samples=1024)
+    zs = np.concatenate([seg.boundary_samples, [3, 2.5, 2 + 1e-7, -2.01, 1.5 + 0.3j]])
+    ev = DynGreenEvaluator(chebyshev_monic(64), max_iter=48)
+    assert ev.int_poly.exact_plan == "chebyshev"
+    vals, und = ev.green_many(zs)
+
+    def horner(p, z):
+        if z.imag == 0.0:
+            return complex(eval_intpoly_real_exact(p.coeffs, z.real))
+        return eval_intpoly_complex_exact(p.coeffs, z)
+
+    monkeypatch.setattr(dynamics, "eval_intpoly", horner)
+    ref_vals, ref_und = ev.green_many(zs)
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert np.array_equal(und, ref_und)
+    assert und[:1024].all() and not und[1024:].any()
 
 
 # ----------------------------------------------------------------- capacity
@@ -270,7 +296,7 @@ def test_laplacian_rejects_touching_bbox():
 # ----------------------------------------- capacity consistency (atoms vs formula)
 
 def test_capacity_from_brolin_atoms():
-    from feketedyn.potential import CompactSetModel, capacity_estimate
+    from feketedyn.potential import capacity_estimate
 
     for coeffs in ([0, 0, 1], [-1, 0, 1], [-2, 0, 1], [0, -1, 0, 1], [1, 0, 0, 2]):
         p = ComplexPolynomial(coeffs)

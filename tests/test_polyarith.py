@@ -16,6 +16,7 @@ from feketedyn.polyarith import (
     RootFindingError,
     chebyshev_monic,
     cyclotomic,
+    eval_intpoly,
     iterate_exact,
     power_map,
     power_map_plus_z,
@@ -154,15 +155,27 @@ def test_roots_rejects_nonfinite_certificate():
             roots(ComplexPolynomial(coeffs))
 
 
-def test_roots_huge_constant_converges_or_raises():
-    # z^4 + 1e300 is well posed (|z| = 1e75), but its Newton-polygon start is
-    # clipped to 10^(250/4); a solve may fail, yet never return NaN roots
-    try:
-        rs = roots(ComplexPolynomial([1e300, 0, 0, 0, 1]))
-    except RootFindingError:
-        return
+def test_roots_huge_constant_converges():
+    # z^4 + 1e300 has |z| = 1e75, beyond the 10^(250/4) start clip; the row
+    # is solved in a scaled variable and certified on its own coefficients
+    rs = roots([1e300, 0, 0, 0, 1])
     assert rs.residual_bound <= 1e-10
     assert np.allclose(np.abs(rs.roots), 1e75, rtol=1e-9)
+    want = 1e75 * np.exp(1j * np.pi * np.array([-3, -1, 1, 3]) / 4)
+    gap = np.abs(np.asarray(rs.roots)[:, None] - want[None, :])
+    assert np.all(np.min(gap, axis=0) <= 1e-9 * 1e75)
+
+
+def test_roots_stack_with_one_clipped_row():
+    # the clipped row takes the scaled solve; the other rows keep the
+    # unscaled path and give the same bits as a stack without it
+    ordinary = np.array([[-1, 0, 0, 0, 1], [2, -3, 0, 0, 1], [0, 5, 1, 0, 1]],
+                        dtype=np.complex128)
+    stack = np.insert(ordinary, 1, [1e300, 0, 0, 0, 1], axis=0)
+    rs = roots(stack)
+    assert rs.residual_bound <= 1e-10
+    assert np.allclose(np.abs(rs.roots[1]), 1e75, rtol=1e-9)
+    assert np.array_equal(np.delete(rs.roots, 1, axis=0), roots(ordinary).roots)
 
 
 def test_residual_certificate_at_a_large_root():
@@ -229,6 +242,96 @@ def test_stacked_roots_match_row_by_row(coeffs, cs):
         assert one.residual_bound <= 1e-10
         assert np.max(np.abs(np.sort_complex(one.roots) - np.sort_complex(got))) <= 1e-12
     assert np.any(rs.roots[-1] == 0)
+
+
+# ---------------------------------------------------------- exact evaluation
+
+def _dyadic(num, k):
+    return math.ldexp(num, -k)  # exact: |num| <= 2^53
+
+
+def _oracle_real(coeffs, x):
+    # 2^(kd) P(num / 2^k) as one integer, then the same rounding as eval_intpoly
+    num, den = x.as_integer_ratio()
+    k, d = den.bit_length() - 1, len(coeffs) - 1
+    return polyarith._big_to_float(
+        sum(c * num**i << k * (d - i) for i, c in enumerate(coeffs)), -k * d)
+
+
+def _oracle_complex(coeffs, z):
+    (nr, dr), (ni, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    k, d = max(dr, di).bit_length() - 1, len(coeffs) - 1
+    a, b = nr * (2**k // dr), ni * (2**k // di)  # z = (a + ib) / 2^k
+    re = im = 0
+    pr, pi = 1, 0  # (a + ib)^i
+    for i, c in enumerate(coeffs):
+        re, im = re + (c * pr << k * (d - i)), im + (c * pi << k * (d - i))
+        pr, pi = pr * a - pi * b, pr * b + pi * a
+    return complex(polyarith._big_to_float(re, -k * d), polyarith._big_to_float(im, -k * d))
+
+
+def _bits(z):
+    return np.complex128(z).tobytes()
+
+
+dyadics = st.builds(_dyadic, st.integers(-(2**53), 2**53), st.integers(0, 120))
+heavy_coeffs = st.integers(2, 40).flatmap(
+    lambda d: st.lists(st.integers(-(2**40), 2**40), min_size=d + 1, max_size=d + 1)
+).filter(lambda c: c[-1] != 0 and sum(map(abs, c)) > polyarith.EXACT_EVAL_COEFF_SUM)
+
+
+@PROPERTY
+@given(heavy_coeffs, dyadics, dyadics)
+def test_exact_eval_matches_big_integer_oracle(coeffs, x, y):
+    p = IntPolynomial(tuple(coeffs))
+    assert p.exact_plan == "horner"
+    assert _bits(eval_intpoly(p, x)) == _bits(_oracle_real(p.coeffs, x))
+    if y != 0.0:
+        z = complex(x, y)
+        assert _bits(eval_intpoly(p, z)) == _bits(_oracle_complex(p.coeffs, z))
+    # an array of points gives the same bits as one point at a time
+    got = eval_intpoly(p, np.array([x, complex(x, y)]))
+    assert got.tobytes() == b"".join(_bits(eval_intpoly(p, w)) for w in (x, complex(x, y)))
+
+
+def test_exact_plan_by_mass_and_chebyshev_coefficients():
+    assert IntPolynomial((1, 2, 3)).exact_plan == "float"
+    assert chebyshev_monic(20).exact_plan == "float"  # mass 15127
+    assert chebyshev_monic(64).exact_plan == "chebyshev"
+    # a property of the coefficients, not of where they came from
+    typed = IntPolynomial(tuple(int(c) for c in chebyshev_monic(64).to_text().split()))
+    assert typed.exact_plan == "chebyshev"
+    near = list(typed.coeffs)
+    near[0] += 1
+    assert IntPolynomial(tuple(near)).exact_plan == "horner"
+    assert chebyshev_monic(64) is chebyshev_monic(64)
+
+
+def test_chebyshev_ladder_matches_oracle():
+    rng = np.random.default_rng(5)
+    xs = [0.0, 2.0, -2.0, 2.5, -2.5, *rng.uniform(-2, 2, 4),
+          *(_dyadic(int(m), int(k)) for m, k in zip(rng.integers(-(2**53), 2**53, 4),
+                                                   rng.integers(60, 120, 4)))]
+    for n in range(2, 161):
+        p = chebyshev_monic(n)
+        for x in xs:
+            want = _oracle_real(p.coeffs, x)
+            assert _bits(polyarith._chebyshev_real_exact(n, x)) == _bits(want), (n, x)
+            if p.exact_plan == "chebyshev":
+                assert _bits(eval_intpoly(p, x)) == _bits(want), (n, x)
+
+
+def test_chebyshev_ladder_orbits_match_horner():
+    # 48-step orbits from 256 seeds in [-2, 2] agree step for step
+    seeds = np.random.default_rng(9).uniform(-2, 2, 256)
+    for n in (64, 128):
+        p = chebyshev_monic(n)
+        for x0 in seeds:
+            a = b = float(x0)
+            for _ in range(48):
+                a = eval_intpoly(p, complex(a)).real
+                b = polyarith.eval_intpoly_real_exact(p.coeffs, b)
+                assert _bits(a) == _bits(b), (n, x0)
 
 
 # ----------------------------------------------------------------- generators
