@@ -15,7 +15,14 @@ import sys
 
 import numpy as np
 
-from .dynamics import DynGreenEvaluator, brolin_sample, julia_capacity, raster, write_pgm
+from .dynamics import (
+    DEFAULT_MAX_ITER,
+    DynGreenEvaluator,
+    brolin_sample,
+    julia_capacity,
+    raster,
+    write_pgm,
+)
 from .harness import (
     build_set,
     emit,
@@ -42,28 +49,23 @@ def _add_poly_args(sub) -> None:
     sub.add_argument("--poly-file", help="file holding the coefficients")
 
 
-def _resolve_poly(args, parser) -> IntPolynomial | None:
-    if getattr(args, "poly_file", None):
-        text = pathlib.Path(args.poly_file).read_text()
-    elif getattr(args, "poly", None):
-        raw = args.poly
-        # a bare token naming an existing file is read as one
-        if " " not in raw and pathlib.Path(raw).is_file():
-            text = pathlib.Path(raw).read_text()
-        else:
-            text = raw
-    else:
-        return None
+def _read_poly(raw: str, parser) -> IntPolynomial:
+    """Coefficient text; a bare token naming an existing file is read as
+    one. Malformed text is a usage error."""
+    if " " not in raw and pathlib.Path(raw).is_file():
+        raw = pathlib.Path(raw).read_text()
     try:
-        return IntPolynomial.from_text(text)
+        return IntPolynomial.from_text(raw)
     except ValueError as exc:
         parser.error(str(exc))
 
 
-def _poly_from_text_or_file(raw: str) -> IntPolynomial:
-    if " " not in raw and pathlib.Path(raw).is_file():
-        raw = pathlib.Path(raw).read_text()
-    return IntPolynomial.from_text(raw)
+def _resolve_poly(args, parser) -> IntPolynomial | None:
+    if getattr(args, "poly_file", None):
+        return _read_poly(pathlib.Path(args.poly_file).read_text(), parser)
+    if getattr(args, "poly", None):
+        return _read_poly(args.poly, parser)
+    return None
 
 
 def _set_from_config_path(path) -> CompactSetModel:
@@ -95,9 +97,7 @@ def _cmd_green(args, parser) -> int:
     z = _parse_point(args.at)
     poly = _resolve_poly(args, parser)
     if poly is not None:
-        ev = (DynGreenEvaluator(poly) if args.max_iter is None
-              else DynGreenEvaluator(poly, max_iter=args.max_iter))
-        _print_value(ev.green(z))
+        _print_value(DynGreenEvaluator(poly, max_iter=args.max_iter).green(z))
     elif args.config:
         _print_value(green_eval(_set_from_config_path(args.config), z))
     else:
@@ -121,8 +121,7 @@ def _cmd_julia(args, parser) -> int:
         m = 0.5
         bbox = (float(np.min(atoms.real)) - m, float(np.max(atoms.real)) + m,
                 float(np.min(atoms.imag)) - m, float(np.max(atoms.imag)) + m)
-    ras = (raster(poly, bbox, resolution) if args.max_iter is None
-           else raster(poly, bbox, resolution, max_iter=args.max_iter))
+    ras = raster(poly, bbox, resolution, max_iter=args.max_iter)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "julia.pgm"
@@ -150,9 +149,10 @@ def _klimek_side(cfg: dict, name: str, parser):
         return side_from_set(build_set(cfg[name]))
     key = f"{name}_poly"
     if key in cfg:
-        poly = _poly_from_text_or_file(str(cfg[key]))
-        return side_from_map(poly, n_atoms=int(cfg.get("n_atoms", 1024)),
-                             seed=int(cfg.get("seed", 0)))
+        poly = _read_poly(str(cfg[key]), parser)
+        atoms = brolin_sample(poly, int(cfg.get("n_atoms", 1024)),
+                              seed=int(cfg.get("seed", 0))).points
+        return side_from_map(poly, atoms)
     parser.error(f"klimek config needs '{name} = {{...}}' or '{key} = ...'")
 
 
@@ -178,7 +178,7 @@ def _cmd_height(args, parser) -> int:
     else:
         if not args.dyn:
             parser.error("height canonical needs --dyn <polynomial>")
-        rep = canonical_height(_poly_from_text_or_file(args.dyn), alpha)
+        rep = canonical_height(_read_poly(args.dyn, parser), alpha)
     if args.json:
         record = {
             "kind": args.kind,
@@ -196,7 +196,7 @@ def _cmd_height(args, parser) -> int:
 
 def _cmd_experiment(args, parser) -> int:
     spec = spec_from_config(parse_config(args.config), seed_override=args.seed)
-    report = RUNNERS[args.name](spec, out_dir=args.out, threads=args.threads)
+    report = RUNNERS[args.name](spec, out_dir=args.out)
     for path in emit(report, spec.outputs, args.out):
         print(path)
     if report.violations:
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poly_args(p)
     p.add_argument("--config", help="set description file")
     p.add_argument("--at", required=True, help="evaluation point 're,im'")
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.set_defaults(fn=_cmd_green)
 
     p = subs.add_parser("julia", help="filled-set raster as PGM")
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--bbox", help="'re_min,re_max,im_min,im_max'")
     p.add_argument("--resolution", default="256,256", help="'width,height'")
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_julia)
 
@@ -256,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_experiment)
 
     return parser

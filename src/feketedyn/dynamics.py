@@ -30,19 +30,12 @@ from .potential import DiscreteMeasure
 DEFAULT_MAX_ITER = 256
 
 
-def _coerce(poly):
-    if isinstance(poly, IntPolynomial):
-        return ComplexPolynomial.from_int(poly), poly
-    if isinstance(poly, ComplexPolynomial):
-        return poly, None
-    return ComplexPolynomial(np.asarray(poly, dtype=np.complex128)), None
-
-
 class DynGreenEvaluator:
     """Escape-rate Green function of a degree >= 2 polynomial."""
 
     def __init__(self, poly, max_iter: int = DEFAULT_MAX_ITER):
-        self.poly, self.int_poly = _coerce(poly)
+        self.poly = ComplexPolynomial.of(poly)
+        self.int_poly = poly if isinstance(poly, IntPolynomial) else None
         d = self.poly.degree
         if d < 2:
             raise ValueError("dynamical Green functions need degree >= 2")
@@ -169,12 +162,11 @@ def dyn_green(poly, z, max_iter: int = DEFAULT_MAX_ITER) -> float:
 
 def julia_capacity(poly) -> float:
     """Capacity of the filled set: |a_d| ** (-1/(d-1)), closed form."""
-    cpoly, ipoly = _coerce(poly)
-    d = cpoly.degree
+    c = ComplexPolynomial.of(poly).coeffs
+    d = len(c) - 1
     if d < 2:
         raise ValueError("need degree >= 2")
-    lead = abs(ipoly.leading) if ipoly is not None else abs(cpoly.coeffs[-1])
-    return float(lead) ** (-1.0 / (d - 1))
+    return float(abs(c[-1])) ** (-1.0 / (d - 1))
 
 
 # --------------------------------------------------------------------------- #

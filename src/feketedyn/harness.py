@@ -23,7 +23,6 @@ Trend assertions never raise; failures land in the report's violations
 array.
 """
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -36,10 +35,9 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
-    DynGreenEvaluator,
+    DEFAULT_MAX_ITER,
     brolin_sample,
     chebyshev_preimages,
-    julia_capacity,
     power_preimages,
     raster,
     write_pgm,
@@ -47,9 +45,9 @@ from .dynamics import (
 from .heights import AlgebraicNumber, canonical_height, rumely_height, weil_height
 from .metric import (
     GreenPair,
-    GreenSide,
     klimek_distance,
     measure_discrepancy,
+    side_from_map,
     side_from_set,
 )
 from .polyarith import (
@@ -353,18 +351,6 @@ def _probe_algebraic(probe) -> AlgebraicNumber:
     return AlgebraicNumber.from_rational(Fraction(s))
 
 
-def _julia_side(poly, atoms: np.ndarray, max_iter: int | None) -> GreenSide:
-    ev = (DynGreenEvaluator(poly) if max_iter is None
-          else DynGreenEvaluator(poly, max_iter=max_iter))
-
-    def gm(z, ev=ev):
-        return ev.green_many(np.asarray(z, dtype=np.complex128))[0]
-
-    return GreenSide(samples=atoms, green_many=gm,
-                     log_cap=math.log(julia_capacity(poly)),
-                     regular=True, label="julia")
-
-
 def _trend_violations(column: str, degrees, values, *, decreasing: bool = True,
                       floor: float = TREND_FLOOR,
                       slack: float = TREND_SLACK) -> list:
@@ -387,46 +373,60 @@ def _trend_violations(column: str, degrees, values, *, decreasing: bool = True,
     return out
 
 
-def _collect(worker, items, threads: int, budget, consume) -> bool:
-    """Run worker over items, feeding results to consume() in item order.
+def _run_ladder(spec: ExperimentSpec, columns, items, worker, out_dir) -> Report:
+    """Report whose rows are worker(item), in item order.
 
-    Returns True when the wall-clock budget truncated the ladder. Results
-    already consumed survive an exception, so callers can flush partials."""
+    No item starts once spec.budget_seconds have passed since the first;
+    the note "budget_truncated" then records the cut. If a worker raises, the
+    rows made so far are written to out_dir as CSV before the error
+    propagates."""
+    report = Report(name=spec.name, columns=columns, rows=[], seed=spec.seed,
+                    config=spec.config_dict(), violations=[], notes={},
+                    rasters=[])
+    budget = spec.budget_seconds
     start = time.monotonic()
-    if threads <= 1:
+    try:
         for i, item in enumerate(items):
             if budget is not None and i > 0 and time.monotonic() - start > budget:
-                return True
-            consume(worker(item))
-        return False
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = [ex.submit(worker, item) for item in items]
-        try:
-            for i, fut in enumerate(futures):
-                if budget is not None and i > 0 and time.monotonic() - start > budget:
-                    for rest in futures[i:]:
-                        rest.cancel()
-                    return True
-                consume(fut.result())
-        except Exception:
-            for rest in futures:
-                rest.cancel()
-            raise
-    return False
+                report.notes["budget_truncated"] = True
+                break
+            report.rows.append(worker(item))
+    except Exception:
+        if out_dir is not None:
+            emit(report, ("csv",), out_dir)
+        raise
+    return report
 
 
-def _flush_partial(report: Report, out_dir) -> None:
-    if out_dir is not None:
-        emit(report, ("csv",), out_dir)
+def _julia_ladder(spec: ExperimentSpec, e: CompactSetModel, columns, row,
+                  out_dir) -> Report:
+    """The ladder of both map runners. Per family member: Brolin atoms, the
+    Klimek distance gamma of their Julia side to e, and the report row
+    row(n, poly, atoms, gamma). With pgm output, a raster of the last
+    member over its atoms' bounding box."""
+    target_side = side_from_set(e)
+    max_iter = CHEB_EXACT_MAX_ITER if spec.family == "chebyshev" else DEFAULT_MAX_ITER
+    last = []
 
+    def worker(member):
+        n, poly, pre = member
+        atoms = brolin_sample(poly, spec.n_atoms, seed=spec.seed + n,
+                              preimages=pre).points
+        pair = GreenPair(left=side_from_map(poly, atoms, max_iter),
+                         right=target_side)
+        last[:] = [poly, atoms]
+        return row(n, poly, atoms, float(klimek_distance(pair)))
 
-def _atoms_raster(poly, atoms: np.ndarray, max_iter: int | None):
-    m = 0.5
-    bbox = (float(np.min(atoms.real)) - m, float(np.max(atoms.real)) + m,
-            float(np.min(atoms.imag)) - m, float(np.max(atoms.imag)) + m)
-    if max_iter is None:
-        return raster(poly, bbox, RASTER_RESOLUTION)
-    return raster(poly, bbox, RASTER_RESOLUTION, max_iter=max_iter)
+    report = _run_ladder(spec, columns, _family_members(spec), worker, out_dir)
+    if "pgm" in spec.outputs and last:
+        poly, atoms = last
+        m = 0.5
+        bbox = (float(np.min(atoms.real)) - m, float(np.max(atoms.real)) + m,
+                float(np.min(atoms.imag)) - m, float(np.max(atoms.imag)) + m)
+        report.rasters.append((f"{spec.name}_julia.pgm",
+                               raster(poly, bbox, RASTER_RESOLUTION,
+                                      max_iter=max_iter)))
+    return report
 
 
 # --------------------------------------------------------------------------- #
@@ -446,26 +446,18 @@ def _require_bilu_target(e: CompactSetModel) -> None:
                      "closed unit disk, or the segment [-2, 2]")
 
 
-def run_bilu_rumely(spec: ExperimentSpec, out_dir=None, threads: int = 1) -> Report:
+def run_bilu_rumely(spec: ExperimentSpec, out_dir=None) -> Report:
     """Per-degree equidistribution table for one family against one target."""
     if spec.family not in ("cyclotomic", "chebyshev", "power_maps"):
         raise ValueError(
             "family must be cyclotomic, chebyshev, or power_maps")
     e = build_set(spec.set_config, samples=TARGET_SAMPLES)
     _require_bilu_target(e)
-    target_side = side_from_set(e)
     eq = equilibrium_measure(e, DEFAULT_EQUILIBRIUM_N)
-    members = _family_members(spec)
-    max_iter = CHEB_EXACT_MAX_ITER if spec.family == "chebyshev" else None
+    gap_notes = []
 
-    def worker(member):
-        n, poly, pre = member
+    def row(n, poly, atoms, gamma):
         orbit = _orbit(spec.family, n, poly)
-        atoms = brolin_sample(poly, spec.n_atoms, seed=spec.seed + n,
-                              preimages=pre).points
-        pair = GreenPair(left=_julia_side(poly, atoms, max_iter),
-                         right=target_side)
-        gamma = float(klimek_distance(pair))
         disc = float(measure_discrepancy(DiscreteMeasure.uniform(atoms), eq,
                                          MOMENT_ORDER))
         alg = _orbit_algebraic(poly, orbit)
@@ -473,41 +465,23 @@ def run_bilu_rumely(spec: ExperimentSpec, out_dir=None, threads: int = 1) -> Rep
         # below coordinate rounding the model cannot certify a nonzero gap
         if dist <= 1e-12 * max(1.0, float(np.max(np.abs(orbit)))):
             dist = 0.0
-        row = (int(n),
-               float(transfinite_diameter_of_points(orbit)),
-               float(rumely_height(alg, e).total),
-               dist,
-               gamma,
-               disc)
-        gaps = []
         for probe in spec.probes:
             pa = _probe_algebraic(probe)
             hhat = float(canonical_height(poly, pa).total)
             target = float(rumely_height(pa, e).total)
             gap = abs(hhat - target)
-            gaps.append({"degree": int(n), "probe": str(probe),
-                         "canonical": hhat, "target": target, "gap": gap,
-                         "gamma": gamma,
-                         "ok": bool(gap <= gamma + PROBE_GAP_TOL)})
-        return row, gaps, atoms, poly
+            gap_notes.append({"degree": int(n), "probe": str(probe),
+                              "canonical": hhat, "target": target, "gap": gap,
+                              "gamma": gamma,
+                              "ok": bool(gap <= gamma + PROBE_GAP_TOL)})
+        return (int(n),
+                float(transfinite_diameter_of_points(orbit)),
+                float(rumely_height(alg, e).total),
+                dist,
+                gamma,
+                disc)
 
-    report = Report(name=spec.name, columns=BILU_COLUMNS, rows=[],
-                    seed=spec.seed, config=spec.config_dict(),
-                    violations=[], notes={}, rasters=[])
-    gap_notes, last = [], {}
-
-    def consume(result):
-        row, gaps, atoms, poly = result
-        report.rows.append(row)
-        gap_notes.extend(gaps)
-        last["member"] = (poly, atoms)
-
-    try:
-        truncated = _collect(worker, members, threads, spec.budget_seconds,
-                             consume)
-    except Exception:
-        _flush_partial(report, out_dir)
-        raise
+    report = _julia_ladder(spec, e, BILU_COLUMNS, row, out_dir)
     ns = [r[0] for r in report.rows]
     report.violations.extend(
         _trend_violations("gamma", ns, [r[4] for r in report.rows]))
@@ -517,12 +491,6 @@ def run_bilu_rumely(spec: ExperimentSpec, out_dir=None, threads: int = 1) -> Rep
     report.notes["capacity"] = float(math.exp(e.log_capacity))
     if gap_notes:
         report.notes["height_gap"] = gap_notes
-    if truncated:
-        report.notes["budget_truncated"] = True
-    if "pgm" in spec.outputs and last:
-        poly, atoms = last["member"]
-        report.rasters.append((f"{spec.name}_julia.pgm",
-                               _atoms_raster(poly, atoms, max_iter)))
     return report
 
 
@@ -552,7 +520,7 @@ def _probe_ring(e: CompactSetModel, eps: float, m: int = RING_SAMPLES) -> np.nda
     return ring[keep] if np.any(keep) else ring
 
 
-def run_dynamical_fs(spec: ExperimentSpec, out_dir=None, threads: int = 1) -> Report:
+def run_dynamical_fs(spec: ExperimentSpec, out_dir=None) -> Report:
     """Containment of the family's filled sets in an eps-neighborhood."""
     if spec.family == "runaway":
         raise ValueError("containment runs need a dynamical family")
@@ -565,41 +533,16 @@ def run_dynamical_fs(spec: ExperimentSpec, out_dir=None, threads: int = 1) -> Re
             "can shrink into this target")
     ring = _probe_ring(e, spec.epsilon)
     delta = float(np.min(green_eval_many(e, ring)))
-    target_side = side_from_set(e)
-    members = _family_members(spec)
-    max_iter = CHEB_EXACT_MAX_ITER if spec.family == "chebyshev" else None
 
-    def worker(member):
-        n, poly, pre = member
-        atoms = brolin_sample(poly, spec.n_atoms, seed=spec.seed + n,
-                              preimages=pre).points
-        pair = GreenPair(left=_julia_side(poly, atoms, max_iter),
-                         right=target_side)
-        gamma = float(klimek_distance(pair))
+    def row(n, poly, atoms, gamma):
         max_dist = float(np.max(e.hull_distance_to_many(atoms)))
-        row = (int(n), gamma, max_dist, bool(max_dist <= spec.epsilon))
-        return row, atoms, poly
+        return (int(n), gamma, max_dist, bool(max_dist <= spec.epsilon))
 
-    report = Report(name=spec.name, columns=FS_COLUMNS, rows=[],
-                    seed=spec.seed, config=spec.config_dict(), violations=[],
-                    notes={"delta": delta,
-                           "capacity_check": {"capacity": cap,
-                                              "julia_capacity_bound": 1.0,
-                                              "refused": False}},
-                    rasters=[])
-    last = {}
-
-    def consume(result):
-        row, atoms, poly = result
-        report.rows.append(row)
-        last["member"] = (poly, atoms)
-
-    try:
-        truncated = _collect(worker, members, threads, spec.budget_seconds,
-                             consume)
-    except Exception:
-        _flush_partial(report, out_dir)
-        raise
+    report = _julia_ladder(spec, e, FS_COLUMNS, row, out_dir)
+    report.notes["delta"] = delta
+    report.notes["capacity_check"] = {"capacity": cap,
+                                      "julia_capacity_bound": 1.0,
+                                      "refused": False}
     threshold = None
     for n, gamma, _, _ in report.rows:
         if gamma < delta / 2:
@@ -612,16 +555,10 @@ def run_dynamical_fs(spec: ExperimentSpec, out_dir=None, threads: int = 1) -> Re
                 report.violations.append(
                     {"kind": "containment", "degree": int(n),
                      "max_dist": float(max_dist), "epsilon": spec.epsilon})
-    if truncated:
-        report.notes["budget_truncated"] = True
-    if "pgm" in spec.outputs and last:
-        poly, atoms = last["member"]
-        report.rasters.append((f"{spec.name}_julia.pgm",
-                               _atoms_raster(poly, atoms, max_iter)))
     return report
 
 
-def run_runaway(spec: ExperimentSpec, out_dir=None, threads: int = 1) -> Report:
+def run_runaway(spec: ExperimentSpec, out_dir=None) -> Report:
     """Per-degree table for the drift family with unbounded conjugates."""
     if spec.family != "runaway":
         raise ValueError("family must be runaway")
@@ -640,15 +577,7 @@ def run_runaway(spec: ExperimentSpec, out_dir=None, threads: int = 1) -> Report:
         return (int(d), int(drift), inside, float(rs.max_modulus), h,
                 float(math.log(drift) / d))
 
-    report = Report(name=spec.name, columns=RUNAWAY_COLUMNS, rows=[],
-                    seed=spec.seed, config=spec.config_dict(), violations=[],
-                    notes={}, rasters=[])
-    try:
-        truncated = _collect(worker, degrees, threads, spec.budget_seconds,
-                             report.rows.append)
-    except Exception:
-        _flush_partial(report, out_dir)
-        raise
+    report = _run_ladder(spec, RUNAWAY_COLUMNS, degrees, worker, out_dir)
     for d, _, inside, _, h, target in report.rows:
         if inside != d - 1:
             report.violations.append({"kind": "root_count", "degree": int(d),
@@ -663,8 +592,6 @@ def run_runaway(spec: ExperimentSpec, out_dir=None, threads: int = 1) -> Report:
     report.violations.extend(
         _trend_violations("max_modulus", ds, [r[3] for r in report.rows],
                           decreasing=False))
-    if truncated:
-        report.notes["budget_truncated"] = True
     return report
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import DynGreenEvaluator
+from .dynamics import DynGreenEvaluator, brolin_sample
 from .metric import GreenPair, klimek_distance, side_from_map, side_from_set
 from .polyarith import IntPolynomial, RootSet, iterate_exact, roots
 from .potential import CompactSetModel, green_eval_many
@@ -254,7 +254,7 @@ def height_gap(seq, e: CompactSetModel, probes, n_atoms: int = 1024,
     e_side = side_from_set(e)
     samples = e.hull_samples
     for idx, p in enumerate(seq):
-        j_side = side_from_map(p, n_atoms=n_atoms, seed=seed)
+        j_side = side_from_map(p, brolin_sample(p, n_atoms, seed=seed).points)
         gamma = klimek_distance(GreenPair(j_side, e_side))
         for alpha in probes:
             a = _coerce_algebraic(alpha)

@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import DynGreenEvaluator, brolin_sample, julia_capacity
-from .polyarith import ComplexPolynomial, IntPolynomial, roots
+from .dynamics import DEFAULT_MAX_ITER, DynGreenEvaluator, julia_capacity
+from .polyarith import ComplexPolynomial, roots
 from .potential import CompactSetModel, DiscreteMeasure, green_eval_many
 
 __all__ = [
@@ -73,10 +73,6 @@ class GreenPair:
     def probe_points(self) -> np.ndarray:
         return np.concatenate([self.left.samples, self.right.samples])
 
-    @property
-    def caps(self) -> tuple[float | None, float | None]:
-        return (self.left.log_cap, self.right.log_cap)
-
 
 def side_from_set(e: CompactSetModel) -> GreenSide:
     return GreenSide(
@@ -88,13 +84,11 @@ def side_from_set(e: CompactSetModel) -> GreenSide:
     )
 
 
-def side_from_map(poly, n_atoms: int = 1024, seed: int = 0,
-                  preimages=None, max_iter: int | None = None) -> GreenSide:
-    """Side backed by a polynomial Julia set: boundary samples are backward
-    orbit atoms, the Green evaluator is the escape-rate function."""
-    ev = DynGreenEvaluator(poly) if max_iter is None else DynGreenEvaluator(
-        poly, max_iter=max_iter)
-    atoms = brolin_sample(poly, n_atoms, seed=seed, preimages=preimages).points
+def side_from_map(poly, atoms, max_iter: int = DEFAULT_MAX_ITER) -> GreenSide:
+    """Side backed by a polynomial Julia set: boundary samples are the given
+    atoms (a Brolin sample, say), the Green evaluator is the escape-rate
+    function."""
+    ev = DynGreenEvaluator(poly, max_iter=max_iter)
 
     def gm(z, ev=ev):
         return ev.green_many(np.asarray(z, dtype=np.complex128))[0]
@@ -188,14 +182,6 @@ def grid_audit(pair: GreenPair, resolution: int = 128,
 # --------------------------------------------------------------------------- #
 
 
-def _as_complex_poly(p) -> ComplexPolynomial:
-    if isinstance(p, IntPolynomial):
-        return ComplexPolynomial.from_int(p)
-    if isinstance(p, ComplexPolynomial):
-        return p
-    return ComplexPolynomial(np.asarray(p, dtype=np.complex128))
-
-
 def pullback(p, e: CompactSetModel,
              max_sources: int = MAX_PULLBACK_SOURCES) -> CompactSetModel:
     """Preimage of a compact set under a polynomial of degree >= 2.
@@ -206,7 +192,7 @@ def pullback(p, e: CompactSetModel,
     function from g(P(z)) / d; neither is re-estimated from the new samples,
     so iterated pullbacks do not compound search error.
     """
-    cp = _as_complex_poly(p)
+    cp = ComplexPolynomial.of(p)
     d = cp.degree
     if d < 2:
         raise ValueError("pullback needs degree at least 2")
@@ -248,7 +234,7 @@ class ContractionResult(NamedTuple):
 def contraction_check(p, e: CompactSetModel, f: CompactSetModel,
                       tol: float = CONTRACTION_TOL) -> ContractionResult:
     """Check dist(P^{-1}E, P^{-1}F) <= dist(E, F) / deg(P)."""
-    cp = _as_complex_poly(p)
+    cp = ComplexPolynomial.of(p)
     base = klimek_distance(GreenPair(side_from_set(e), side_from_set(f)))
     pe = pullback(cp, e)
     pf = pullback(cp, f)

@@ -121,11 +121,6 @@ class IntPolynomial:
                 out[i + j] += ca * cb
         return IntPolynomial(tuple(out))
 
-    def derivative(self) -> "IntPolynomial":
-        if self.degree == 0:
-            return IntPolynomial((0,))
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
     def divmod_exact(self, divisor: "IntPolynomial") -> "IntPolynomial":
         """Exact division over the integers; raises if it does not divide."""
         rem = list(self.coeffs)
@@ -175,6 +170,15 @@ class ComplexPolynomial:
     def from_int(cls, p: IntPolynomial) -> "ComplexPolynomial":
         return cls(np.array([complex(c) for c in p.coeffs]))
 
+    @classmethod
+    def of(cls, p) -> "ComplexPolynomial":
+        """p itself, or a copy of an IntPolynomial or of ascending coefficients."""
+        if isinstance(p, ComplexPolynomial):
+            return p
+        if isinstance(p, IntPolynomial):
+            return cls.from_int(p)
+        return cls(p)
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -186,22 +190,12 @@ class ComplexPolynomial:
             acc = acc * z + c
         return acc
 
-    def derivative(self) -> "ComplexPolynomial":
-        if self.degree == 0:
-            return ComplexPolynomial(np.zeros(1, dtype=np.complex128))
-        k = np.arange(1, len(self.coeffs))
-        return ComplexPolynomial(self.coeffs[1:] * k)
-
 
 def _coerce_coeffs(p) -> np.ndarray:
     # ascending complex coefficients: 1-D for one polynomial, 2-D for a stack
-    if isinstance(p, IntPolynomial):
-        return ComplexPolynomial.from_int(p).coeffs
-    if isinstance(p, ComplexPolynomial):
-        return p.coeffs
+    if isinstance(p, (IntPolynomial, ComplexPolynomial)) or np.ndim(p) < 2:
+        return ComplexPolynomial.of(p).coeffs
     c = np.asarray(p, dtype=np.complex128)
-    if c.ndim < 2:
-        return ComplexPolynomial(c).coeffs
     if c.ndim > 2 or np.any(c[:, -1] == 0):
         raise ValueError("a stack is (K, d+1) with nonzero leading coefficients")
     return c
@@ -468,12 +462,16 @@ def _aberth_rows(work: np.ndarray, tol: float):
 
 
 def _merge_clusters(z: np.ndarray, radius: float) -> np.ndarray:
-    """Replace each group of a row's roots that chain together at distance
-    below radius by the group mean; rows without a close pair are skipped."""
+    """Replace each group of a row's roots that chain together by the group
+    mean; rows without a close pair are skipped. Two roots are close below
+    radius * min(1, larger modulus): relative below modulus 1, so roots of
+    tiny modulus are not merged into a plausible zero."""
     d = z.shape[1]
     if d < 2:
         return z
-    close = np.abs(z[:, :, None] - z[:, None, :]) < radius
+    mod = np.abs(z)
+    scale = np.minimum(1.0, np.maximum(mod[:, :, None], mod[:, None, :]))
+    close = np.abs(z[:, :, None] - z[:, None, :]) < radius * scale
     close[:, np.arange(d), np.arange(d)] = False
     for r in np.nonzero(np.any(close, axis=(1, 2)))[0]:
         seen = np.zeros(d, dtype=bool)
@@ -531,10 +529,11 @@ def roots(p, tol: float = 1e-10) -> RootSet:
     solved in one iteration (in slices whose power table stays under 16 MiB);
     for a stack, roots is (K, d). Every row has its own starting points on
     the Newton polygon of its coefficient moduli, stopping test, zero-root
-    peeling and residual certificate. Roots closer than sqrt(tol) are merged
-    into multiplicity clusters, and each row is sorted by real, then
-    imaginary part. Raises RootFindingError, naming the row of a stack, when
-    a scaled residual is above tol or not finite.
+    peeling and residual certificate. Roots closer than sqrt(tol) times
+    min(1, the larger modulus) are merged into multiplicity clusters, and
+    each row is sorted by real, then imaginary part. Raises
+    RootFindingError, naming the row of a stack, when a scaled residual is
+    above tol or not finite.
     """
     c = _coerce_coeffs(p)
     stacked = c.ndim == 2

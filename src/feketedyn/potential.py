@@ -114,6 +114,8 @@ class CompactSetModel:
         if not b > a:
             raise ValueError("need b > a")
         t = np.linspace(a, b, samples)
+        pts = t.astype(np.complex128)
+        contains, distance = _segments_geometry([(a, b)], _membership_tol(pts))
         sc = max(1.0, abs(a), abs(b))
 
         def gfn(z, a=a, b=b, sc=sc):
@@ -126,10 +128,10 @@ class CompactSetModel:
 
         return cls(
             kind="interval", params={"a": a, "b": b},
-            boundary_samples=t.astype(np.complex128), sample_t=t,
+            boundary_samples=pts, sample_t=t,
             sample_comp=np.zeros(samples, dtype=int),
             symmetric=True, regular=True, log_capacity=math.log((b - a) / 4.0),
-            green_fn=gfn,
+            green_fn=gfn, contains_fn=contains, distance_fn=distance,
             point_at=lambda comp, s: complex(min(max(s, a), b), 0.0),
         )
 
@@ -147,6 +149,16 @@ class CompactSetModel:
             raise ValueError("radius must be positive")
         c = complex(center)
         theta = 2 * np.pi * np.arange(samples) / samples
+        pts = c + radius * np.exp(1j * theta)
+        tol = _membership_tol(pts)
+
+        def contains(z):
+            return np.abs(z - c) <= radius + tol
+
+        def distance(z):
+            if kind == "disk":
+                return np.maximum(np.abs(z - c) - radius, 0.0)
+            return np.abs(np.abs(z - c) - radius)
 
         def gfn(z, c=c, r=radius):
             with np.errstate(divide="ignore"):
@@ -156,10 +168,11 @@ class CompactSetModel:
 
         return cls(
             kind=kind, params={"center": c, "radius": float(radius)},
-            boundary_samples=c + radius * np.exp(1j * theta), sample_t=theta,
+            boundary_samples=pts, sample_t=theta,
             sample_comp=np.zeros(samples, dtype=int),
             symmetric=(c.imag == 0.0), regular=True,
             log_capacity=math.log(radius), green_fn=gfn,
+            contains_fn=contains, distance_fn=distance,
             point_at=lambda comp, s, c=c, r=radius: c + r * complex(math.cos(s), math.sin(s)),
         )
 
@@ -176,19 +189,22 @@ class CompactSetModel:
             ts.append(np.linspace(a, b, samples))
             comps.append(np.full(samples, i))
         t = np.concatenate(ts)
-        pts = np.array(sorted((-a, -b) for a, b in ivs))
-        lo, hi = -pts[:, 0], -pts[:, 1]  # sorted by left endpoint
+        ends = np.array(sorted((-a, -b) for a, b in ivs))
+        lo, hi = -ends[:, 0], -ends[:, 1]  # sorted by left endpoint
         symmetric = np.allclose(np.sort(lo), np.sort(-hi[::-1]), atol=1e-12)
 
         def point_at(comp, s, ivs=ivs):
             a, b = ivs[comp]
             return complex(min(max(s, a), b), 0.0)
 
+        pts = t.astype(np.complex128)
+        contains, distance = _segments_geometry(ivs, _membership_tol(pts))
         return cls(
             kind="union-of-intervals", params={"intervals": ivs},
-            boundary_samples=t.astype(np.complex128), sample_t=t,
+            boundary_samples=pts, sample_t=t,
             sample_comp=np.concatenate(comps),
             symmetric=bool(symmetric), regular=True, point_at=point_at,
+            contains_fn=contains, distance_fn=distance,
         )
 
     @classmethod
@@ -212,11 +228,13 @@ class CompactSetModel:
 
         pts = np.array([point_at(0, s) for s in t])
         symmetric = np.allclose(np.sort(pts.imag), np.sort(-pts.imag), atol=1e-9)
+        tol = _membership_tol(pts)
         return cls(
             kind="polyline-boundary", params={"vertices": verts},
             boundary_samples=pts, sample_t=t,
             sample_comp=np.zeros(samples, dtype=int),
             symmetric=bool(symmetric), regular=True, point_at=point_at,
+            contains_fn=lambda z: _polygon_contains(verts, z, tol),
         )
 
     @classmethod
@@ -233,32 +251,16 @@ class CompactSetModel:
 
     # ------------------------------------------------------------------ geometry
 
-    def _scale(self) -> float:
-        s = self.boundary_samples
-        return max(1.0, float(np.max(np.abs(s - np.mean(s)))) * 2)
+    def _nearest_sample(self, z) -> np.ndarray:
+        return np.min(np.abs(z[..., None] - self.boundary_samples[None, :]), axis=-1)
 
     def contains_many(self, z) -> np.ndarray:
         """Membership in the polynomially convex hull (with a small tolerance)."""
         z = np.asarray(z, dtype=np.complex128)
         if self._contains_fn is not None:
             return self._contains_fn(z)
-        tol = _MEMBERSHIP_TOL * self._scale()
-        if self.kind == "interval":
-            a, b = self.params["a"], self.params["b"]
-            return (np.abs(z.imag) <= tol) & (z.real >= a - tol) & (z.real <= b + tol)
-        if self.kind in ("disk", "circle"):
-            c, r = self.params["center"], self.params["radius"]
-            return np.abs(z - c) <= r + tol
-        if self.kind == "union-of-intervals":
-            out = np.zeros(z.shape, dtype=bool)
-            for a, b in self.params["intervals"]:
-                out |= (np.abs(z.imag) <= tol) & (z.real >= a - tol) & (z.real <= b + tol)
-            return out
-        if self.kind == "polyline-boundary":
-            return _polygon_contains(self.params["vertices"], z, tol)
         # point clouds have no interior; only the samples themselves count
-        d = np.min(np.abs(z[..., None] - self.boundary_samples[None, :]), axis=-1)
-        return d <= tol
+        return self._nearest_sample(z) <= _membership_tol(self.boundary_samples)
 
     def contains(self, z) -> bool:
         return bool(self.contains_many(np.array([z]))[0])
@@ -268,23 +270,7 @@ class CompactSetModel:
         z = np.asarray(z, dtype=np.complex128)
         if self._distance_fn is not None:
             return self._distance_fn(z)
-        if self.kind == "interval":
-            a, b = self.params["a"], self.params["b"]
-            dx = np.maximum(np.maximum(a - z.real, z.real - b), 0.0)
-            return np.hypot(dx, z.imag)
-        if self.kind == "disk":
-            c, r = self.params["center"], self.params["radius"]
-            return np.maximum(np.abs(z - c) - r, 0.0)
-        if self.kind == "circle":
-            c, r = self.params["center"], self.params["radius"]
-            return np.abs(np.abs(z - c) - r)
-        if self.kind == "union-of-intervals":
-            stacks = []
-            for a, b in self.params["intervals"]:
-                dx = np.maximum(np.maximum(a - z.real, z.real - b), 0.0)
-                stacks.append(np.hypot(dx, z.imag))
-            return np.min(np.stack(stacks), axis=0)
-        return np.min(np.abs(z[..., None] - self.boundary_samples[None, :]), axis=-1)
+        return self._nearest_sample(z)
 
     def distance_to(self, z) -> float:
         return float(self.distance_to_many(np.array([z]))[0])
@@ -296,6 +282,31 @@ class CompactSetModel:
 
     def hull_distance_to(self, z) -> float:
         return float(self.hull_distance_to_many(np.array([z]))[0])
+
+
+def _membership_tol(samples: np.ndarray) -> float:
+    # relative to twice the largest sample deviation from the samples' mean
+    return _MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(samples - np.mean(samples)))) * 2)
+
+
+def _segments_geometry(ivs, tol: float):
+    """Membership (within tol) and distance closures of a union of real
+    segments [a, b]."""
+
+    def contains(z):
+        out = np.zeros(z.shape, dtype=bool)
+        for a, b in ivs:
+            out |= (np.abs(z.imag) <= tol) & (z.real >= a - tol) & (z.real <= b + tol)
+        return out
+
+    def distance(z):
+        stacks = []
+        for a, b in ivs:
+            dx = np.maximum(np.maximum(a - z.real, z.real - b), 0.0)
+            stacks.append(np.hypot(dx, z.imag))
+        return np.min(np.stack(stacks), axis=0)
+
+    return contains, distance
 
 
 def _polygon_contains(verts: np.ndarray, z: np.ndarray, tol: float) -> np.ndarray:
@@ -371,11 +382,7 @@ def fekete_points(e: CompactSetModel, n: int) -> np.ndarray:
 
 def capacity_estimate(e: CompactSetModel, n: int) -> float:
     """Transfinite-diameter estimate d_n from an n-point Fekete search."""
-    pts = fekete_points(e, n)
-    diff = np.abs(pts[:, None] - pts[None, :])
-    iu = np.triu_indices(n, k=1)
-    logsum = float(np.sum(np.log(diff[iu])))
-    return math.exp(2.0 * logsum / (n * (n - 1)))
+    return transfinite_diameter_of_points(fekete_points(e, n))
 
 
 def transfinite_diameter_of_points(pts) -> float:
@@ -433,9 +440,7 @@ def green_eval(e: CompactSetModel, z) -> float:
 def _abs_eval(p, z):
     if isinstance(p, IntPolynomial):
         return np.abs(eval_intpoly(p, z))
-    if isinstance(p, ComplexPolynomial):
-        return np.abs(p(z))
-    return np.abs(ComplexPolynomial(np.asarray(p, dtype=np.complex128))(z))
+    return np.abs(ComplexPolynomial.of(p)(z))
 
 
 def supnorm(p, e: CompactSetModel) -> float:

@@ -130,12 +130,12 @@ def test_criterion_04_metric_closed_forms_and_axioms():
 
         gam = klimek_distance(GreenPair(side_from_set(d1), side_from_set(d2)))
         assert gam == pytest.approx(math.log(2.0), abs=1e-3)
-        gam2 = klimek_distance(GreenPair(side_from_map(z2m2, n_atoms=1024, seed=0),
-                                         side_from_set(iv)))
+        julia2 = side_from_map(z2m2, brolin_sample(z2m2, 1024, seed=0).points)
+        gam2 = klimek_distance(GreenPair(julia2, side_from_set(iv)))
         assert gam2 <= 1e-3
 
         sides = [side_from_set(d1), side_from_set(d2), side_from_set(iv),
-                 side_from_map(z2m1, n_atoms=1024, seed=0)]
+                 side_from_map(z2m1, brolin_sample(z2m1, 1024, seed=0).points)]
         m = len(sides)
         dist = [[klimek_distance(GreenPair(sides[i], sides[j]))
                  for j in range(m)] for i in range(m)]

@@ -123,6 +123,18 @@ def test_klimek_poly_side(capsys, tmp_path):
     assert rec["cap_gap"] <= 1e-9
 
 
+def test_klimek_malformed_poly_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text(
+        "left = { kind = disk, center = 0, radius = 1 }\n"
+        "right_poly = -2 zero 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["klimek", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid literal" in err and "Traceback" not in err
+
+
 # ------------------------------------------------------------------- height
 
 def test_height_weil_json(capsys):
@@ -171,6 +183,14 @@ def test_height_canonical_needs_dyn(capsys):
         main(["height", "canonical", "--poly", "-3 1"])
 
 
+def test_height_canonical_malformed_dyn_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["height", "canonical", "--poly", "-3 1", "--dyn", "-2 0 x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid literal" in err and "Traceback" not in err
+
+
 # --------------------------------------------------------------- experiment
 
 def test_experiment_runaway(capsys, tmp_path):
@@ -191,7 +211,7 @@ def test_experiment_runaway(capsys, tmp_path):
     assert header == "d,N_d,inside,max_modulus,h,target"
 
 
-def test_experiment_seed_override_and_threads(capsys, tmp_path):
+def test_experiment_seed_override(capsys, tmp_path):
     cfg = tmp_path / "pow.cfg"
     cfg.write_text(
         "name = pow\n"
@@ -204,7 +224,7 @@ def test_experiment_seed_override_and_threads(capsys, tmp_path):
     out_dir = tmp_path / "out"
     code, _, _ = run(capsys, "experiment", "bilu_rumely",
                      "--config", str(cfg), "--out", str(out_dir),
-                     "--seed", "5", "--threads", "2")
+                     "--seed", "5")
     assert code == 0
     man = json.loads((out_dir / "MANIFEST.json").read_text())
     assert man["seed"] == 5

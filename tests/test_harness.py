@@ -246,37 +246,46 @@ def test_bilu_trend_failures_are_data(monkeypatch):
     assert ("trend", "discrepancy") in kinds
 
 
-def test_bilu_partial_flush(tmp_path, monkeypatch):
+# each runner with a three-item ladder, the harness global its worker calls
+# once per row, and its CSV header
+LADDERS = {
+    "bilu_rumely": (run_bilu_rumely, {"checkpoints": (4, 8, 16)},
+                    "klimek_distance", "n,d_n,h_E,dist,gamma,discrepancy"),
+    "dynamical_fs": (run_dynamical_fs, {"checkpoints": (4, 8, 16)},
+                     "klimek_distance", "n,gamma,max_dist,contained"),
+    "runaway": (run_runaway, {"family": "runaway", "degree_range": (4, 6),
+                              "checkpoints": None},
+                "weil_height", "d,N_d,inside,max_modulus,h,target"),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(LADDERS))
+def test_runner_partial_flush(runner, tmp_path, monkeypatch):
     import feketedyn.harness as hmod
-    real = hmod.klimek_distance
+    run, kw, name, header = LADDERS[runner]
+    real = getattr(hmod, name)
     calls = {"n": 0}
 
-    def flaky(pair):
+    def flaky(*args):
         calls["n"] += 1
         if calls["n"] >= 2:
             raise RuntimeError("probe failure")
-        return real(pair)
+        return real(*args)
 
-    monkeypatch.setattr(hmod, "klimek_distance", flaky)
+    monkeypatch.setattr(hmod, name, flaky)
     with pytest.raises(RuntimeError):
-        run_bilu_rumely(_spec(name="part", checkpoints=(4, 8)),
-                        out_dir=tmp_path)
+        run(_spec(name="part", **kw), out_dir=tmp_path)
     lines = (tmp_path / "part.csv").read_text().splitlines()
-    assert lines[0] == "n,d_n,h_E,dist,gamma,discrepancy"
+    assert lines[0] == header
     assert len(lines) == 2  # header plus the one completed row
 
 
-def test_bilu_budget_truncates():
-    rep = run_bilu_rumely(_spec(checkpoints=(4, 8, 16),
-                                budget_seconds=1e-9))
+@pytest.mark.parametrize("runner", sorted(LADDERS))
+def test_runner_budget_truncates(runner):
+    run, kw, _, _ = LADDERS[runner]
+    rep = run(_spec(budget_seconds=1e-9, **kw))
     assert len(rep.rows) == 1
     assert rep.notes["budget_truncated"] is True
-
-
-def test_bilu_threads_match_sequential():
-    a = run_bilu_rumely(_spec(checkpoints=(4, 8, 16)))
-    b = run_bilu_rumely(_spec(checkpoints=(4, 8, 16)), threads=3)
-    assert a.rows == b.rows
 
 
 # --------------------------------------------------------------------------- #

@@ -67,7 +67,7 @@ def test_distance_identity_is_zero():
 
 def test_distance_julia_z2m2_vs_interval():
     # the filled Julia set of z^2 - 2 equals [-2, 2]
-    left = side_from_map(Z2M2, n_atoms=2048, seed=1)
+    left = side_from_map(Z2M2, brolin_sample(Z2M2, 2048, seed=1).points)
     right = side_from_set(CompactSetModel.interval(-2.0, 2.0))
     assert klimek_distance(GreenPair(left, right)) <= 1e-3
 
@@ -99,7 +99,7 @@ def test_metric_axioms_on_catalog():
         side_from_set(CompactSetModel.disk(0.0, 1.0)),
         side_from_set(CompactSetModel.disk(0.0, 2.0)),
         side_from_set(CompactSetModel.interval(-2.0, 2.0)),
-        side_from_map(Z2M1, n_atoms=2048, seed=2),
+        side_from_map(Z2M1, brolin_sample(Z2M1, 2048, seed=2).points),
     ]
     n = len(sides)
     gam = np.zeros((n, n))
@@ -167,7 +167,7 @@ def test_grid_audit_two_disks():
 
 
 def test_grid_audit_julia_vs_interval():
-    left = side_from_map(Z2M2, n_atoms=2048, seed=4)
+    left = side_from_map(Z2M2, brolin_sample(Z2M2, 2048, seed=4).points)
     right = side_from_set(CompactSetModel.interval(-2.0, 2.0))
     pair = GreenPair(left, right)
     audit = grid_audit(pair, resolution=128)
@@ -209,7 +209,7 @@ def test_pullback_rejects_degree_one():
 
 def test_iterated_pullback_contracts_to_julia():
     p = ComplexPolynomial([-1.0, 0.0, 1.0])
-    julia = side_from_map(Z2M1, n_atoms=2048, seed=3)
+    julia = side_from_map(Z2M1, brolin_sample(Z2M1, 2048, seed=3).points)
     e = CompactSetModel.disk(0.0, 4.0)
     gammas = []
     for _ in range(10):

@@ -166,6 +166,24 @@ def test_roots_huge_constant_converges():
     assert np.all(np.min(gap, axis=0) <= 1e-9 * 1e75)
 
 
+def test_roots_tiny_constant_is_not_a_plausible_zero():
+    # z^4 + 1e-300 has four roots of modulus 1e-75, far closer together
+    # than sqrt(tol); an absolute merge radius collapsed them to 0
+    rs = roots([1e-300, 0, 0, 0, 1])
+    assert rs.residual_bound <= 1e-10
+    assert np.allclose(np.abs(rs.roots), 1e-75, rtol=1e-9)
+    want = 1e-75 * np.exp(1j * np.pi * np.array([-3, -1, 1, 3]) / 4)
+    gap = np.abs(np.asarray(rs.roots)[:, None] - want[None, :])
+    assert np.all(np.min(gap, axis=0) <= 1e-9 * 1e-75)
+
+
+def test_roots_small_pair_beside_double_zero():
+    # z^4 + 1e-12 z^2 = z^2 (z - 1e-6 i)(z + 1e-6 i)
+    got = np.asarray(roots([0, 0, 1e-12, 0, 1]).roots)
+    assert np.array_equal(got[1:3], [0, 0])
+    assert np.allclose(got[[0, 3]], [-1e-6j, 1e-6j], rtol=0, atol=1e-18)
+
+
 def test_roots_stack_with_one_clipped_row():
     # the clipped row takes the scaled solve; the other rows keep the
     # unscaled path and give the same bits as a stack without it

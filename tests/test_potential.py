@@ -245,6 +245,91 @@ def test_distance_to_set():
     assert c.hull_distance_to(0.0) == 0.0
 
 
+def _reference_tol(e):
+    # 1e-9 * max(1, 2 max|s - mean(s)|) over the complex boundary samples s
+    s = e.boundary_samples
+    return 1e-9 * max(1.0, float(np.max(np.abs(s - np.mean(s)))) * 2)
+
+
+def _reference_geometry(e, z):
+    """Membership and distance by kind, written out independently of the
+    model; polylines test a ray crossing plus a vertex band, and their
+    distance, like a cloud's, is the nearest boundary sample."""
+    s = e.boundary_samples
+    tol = _reference_tol(e)
+    nearest = np.min(np.abs(z[..., None] - s[None, :]), axis=-1)
+    if e.kind == "interval":
+        ivs = [(e.params["a"], e.params["b"])]
+    elif e.kind == "union-of-intervals":
+        ivs = e.params["intervals"]
+    if e.kind in ("interval", "union-of-intervals"):
+        inside = np.zeros(z.shape, dtype=bool)
+        dists = []
+        for a, b in ivs:
+            inside |= (np.abs(z.imag) <= tol) & (z.real >= a - tol) & (z.real <= b + tol)
+            dx = np.maximum(np.maximum(a - z.real, z.real - b), 0.0)
+            dists.append(np.hypot(dx, z.imag))
+        return inside, np.min(np.stack(dists), axis=0)
+    if e.kind in ("disk", "circle"):
+        c, r = e.params["center"], e.params["radius"]
+        if e.kind == "disk":
+            return np.abs(z - c) <= r + tol, np.maximum(np.abs(z - c) - r, 0.0)
+        return np.abs(z - c) <= r + tol, np.abs(np.abs(z - c) - r)
+    if e.kind == "polyline-boundary":
+        verts = e.params["vertices"]
+        loop = np.concatenate([verts, verts[:1]])
+        inside = np.zeros(z.shape, dtype=bool)
+        for k in range(len(verts)):
+            x1, y1 = loop[k].real, loop[k].imag
+            x2, y2 = loop[k + 1].real, loop[k + 1].imag
+            crosses = (y1 > z.imag) != (y2 > z.imag)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xint = x1 + (z.imag - y1) * (x2 - x1) / (y2 - y1)
+            inside ^= crosses & (z.real < xint)
+        near = np.min(np.abs(z[..., None] - loop[None, :-1]), axis=-1) <= tol
+        return inside | near, nearest
+    return nearest <= tol, nearest
+
+
+GEOMETRY_SETS = {
+    "interval": lambda: CompactSetModel.interval(-1.5, 2.5, samples=512),
+    "disk": lambda: CompactSetModel.disk(0.3 + 0.2j, 1.7, samples=512),
+    "circle": lambda: CompactSetModel.circle(-1 + 0.5j, 0.8, samples=512),
+    "union": lambda: CompactSetModel.union_of_intervals(
+        [(-3.0, -1.2), (0.5, 2.0)], samples=256),
+    "polyline": lambda: CompactSetModel.polyline_boundary(
+        [2 + 0j, 0.5 + 0.5j, 1j * 2, -1.5 + 0.25j, -0.5 - 1.5j], samples=512),
+    "cloud": lambda: CompactSetModel.point_cloud(
+        np.exp(2j * np.pi * np.arange(300) / 300) * (1 + 0.3 * np.cos(np.arange(300)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRY_SETS))
+def test_geometry_matches_reference_formulas(name):
+    e = GEOMETRY_SETS[name]()
+    s = e.boundary_samples
+    lo = complex(np.min(s.real) - 1, np.min(s.imag) - 1)
+    hi = complex(np.max(s.real) + 1, np.max(s.imag) + 1)
+    xs = np.linspace(lo.real, hi.real, 37)
+    ys = np.linspace(lo.imag, hi.imag, 29)
+    grid = (xs[None, :] + 1j * ys[:, None]).ravel()
+    # boundary points nudged in eight directions by 1e-10 and by just under
+    # and just over the membership tolerance, plus the samples and vertices
+    pins = s[::8]
+    if e.kind == "polyline-boundary":
+        pins = np.concatenate([pins, e.params["vertices"]])
+    steps = np.array([1e-10, 0.9 * _reference_tol(e), 1.1 * _reference_tol(e)])
+    nudges = (steps[:, None] * np.exp(2j * np.pi * np.arange(8) / 8)).ravel()
+    near = np.concatenate([pins, (pins[:, None] + nudges[None, :]).ravel()])
+    z = np.concatenate([grid, near])
+    inside, dist = _reference_geometry(e, z)
+    assert np.array_equal(e.contains_many(z), inside)
+    assert np.array_equal(e.distance_to_many(z), dist)
+    assert np.array_equal(e.hull_distance_to_many(z), np.where(inside, 0.0, dist))
+    # the point set and its near copies must exercise both answers
+    assert inside[len(grid):].any()
+
+
 def test_point_cloud_kind():
     pts = np.exp(2j * np.pi * np.arange(512) / 512)
     e = CompactSetModel.point_cloud(pts)
