@@ -13,11 +13,10 @@ import math
 import pathlib
 import sys
 
-import numpy as np
-
 from .dynamics import (
     DEFAULT_MAX_ITER,
     DynGreenEvaluator,
+    atoms_bbox,
     brolin_sample,
     julia_capacity,
     raster,
@@ -25,6 +24,7 @@ from .dynamics import (
 )
 from .harness import (
     build_set,
+    check_family,
     emit,
     parse_config,
     run_bilu_rumely,
@@ -117,10 +117,7 @@ def _cmd_julia(args, parser) -> int:
             parser.error("--bbox wants 're_min,re_max,im_min,im_max'")
         bbox = tuple(parts)
     else:
-        atoms = brolin_sample(poly, 512, seed=args.seed).points
-        m = 0.5
-        bbox = (float(np.min(atoms.real)) - m, float(np.max(atoms.real)) + m,
-                float(np.min(atoms.imag)) - m, float(np.max(atoms.imag)) + m)
+        bbox = atoms_bbox(brolin_sample(poly, 512, seed=args.seed).points)
     ras = raster(poly, bbox, resolution, max_iter=args.max_iter)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -195,7 +192,11 @@ def _cmd_height(args, parser) -> int:
 
 
 def _cmd_experiment(args, parser) -> int:
-    spec = spec_from_config(parse_config(args.config), seed_override=args.seed)
+    try:
+        spec = spec_from_config(parse_config(args.config), seed_override=args.seed)
+        check_family(args.name, spec.family)
+    except ValueError as exc:
+        parser.error(str(exc))
     report = RUNNERS[args.name](spec, out_dir=args.out)
     for path in emit(report, spec.outputs, args.out):
         print(path)

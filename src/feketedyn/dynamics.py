@@ -30,6 +30,11 @@ from .potential import DiscreteMeasure
 DEFAULT_MAX_ITER = 256
 
 
+def _pointwise(f):
+    """f applied to each point of an array, as a Python complex."""
+    return lambda za: np.array([f(w) for w in za.tolist()], dtype=np.complex128)
+
+
 class DynGreenEvaluator:
     """Escape-rate Green function of a degree >= 2 polynomial."""
 
@@ -46,6 +51,16 @@ class DynGreenEvaluator:
         self.tail_constant = math.log(self.leading_abs) / (d - 1)
         self.max_iter = int(max_iter)
         self._exact = self.int_poly is not None and self.int_poly.exact_plan != "float"
+        # the escape loop's step, modulus and reciprocal; the exact plan works
+        # in Python complex arithmetic, one point at a time: eval_intpoly's
+        # scalar path, and Python's abs (libm hypot) and division, which
+        # round apart from numpy's
+        if self._exact:
+            self._step = _pointwise(lambda w: eval_intpoly(self.int_poly, w))
+            self._abs = lambda za: np.hypot(za.real, za.imag)
+            self._recip = _pointwise(lambda w: 1.0 / w)
+        else:
+            self._step, self._abs, self._recip = self.poly, np.abs, lambda za: 1.0 / za
 
     def _eps(self, v):
         # (c_{d-1} v + c_{d-2} v^2 + ... + c_0 v^d) / a_d  on v = 1/w
@@ -73,28 +88,6 @@ class DynGreenEvaluator:
         g_acc += mult * log_ad / (d - 1)
         return np.maximum(g_acc * np.exp(-k * math.log(d)), 0.0)
 
-    def _green_scalar_exact(self, z0: complex):
-        r = self.escape_radius
-        z = complex(z0)
-        for k in range(self.max_iter + 1):
-            az = abs(z)
-            if az > r:
-                g = self._tail(np.array([math.log(az)]), np.array([1.0 / z]),
-                               np.array([float(k)]))
-                return float(g[0]), False
-            if k == self.max_iter:
-                break
-            znew = eval_intpoly(self.int_poly, z)
-            if not (math.isfinite(znew.real) and math.isfinite(znew.imag)):
-                # magnitude of the overflowing step, recovered in log space
-                eps = complex(self._eps(np.array([1.0 / z]))[0])
-                u = math.log(self.leading_abs) + self.degree * math.log(az) \
-                    + math.log(abs(1.0 + eps))
-                g = self._tail(np.array([u]), np.array([0j]), np.array([float(k + 1)]))
-                return float(g[0]), False
-            z = complex(znew)
-        return 0.0, True
-
     def green_many(self, zs):
         """Green values and the per-point never-escaped flag."""
         zin = np.asarray(zs, dtype=np.complex128)
@@ -102,50 +95,46 @@ class DynGreenEvaluator:
         n = len(flat)
         vals = np.zeros(n)
         undecided = np.zeros(n, dtype=bool)
-        if self._exact:
-            for i, z in enumerate(flat):
-                vals[i], undecided[i] = self._green_scalar_exact(complex(z))
-            return vals.reshape(zin.shape), undecided.reshape(zin.shape)
-
         esc_u = np.zeros(n)
         esc_v = np.zeros(n, dtype=np.complex128)
         esc_k = np.zeros(n)
         escaped = np.zeros(n, dtype=bool)
         active = np.ones(n, dtype=bool)
         z = flat.copy()
+        z_abs = self._abs(z)
         r = self.escape_radius
         for k in range(self.max_iter + 1):
             ia = np.nonzero(active)[0]
             if len(ia) == 0:
                 break
-            za = z[ia]
-            mag = np.abs(za)
+            za, mag = z[ia], z_abs[ia]
             out = mag > r
             if out.any():
                 ie = ia[out]
                 esc_u[ie] = np.log(mag[out])
-                esc_v[ie] = 1.0 / za[out]
+                esc_v[ie] = self._recip(za[out])
                 esc_k[ie] = k
                 escaped[ie] = True
                 active[ie] = False
-                ia, za = ia[~out], za[~out]
+                ia, za, mag = ia[~out], za[~out], mag[~out]
             if k == self.max_iter or len(ia) == 0:
                 continue
             with np.errstate(over="ignore", invalid="ignore"):
-                znew = self.poly(za)
-            blown = ~np.isfinite(znew)
+                znew = self._step(za)
+                znew_abs = self._abs(znew)
+            # a step with finite parts can still overflow in modulus
+            blown = ~np.isfinite(znew_abs)
             if blown.any():
                 ib = ia[blown]
-                zb = za[blown]
-                eps = self._eps(1.0 / zb)
+                eps = self._eps(self._recip(za[blown]))
                 esc_u[ib] = (math.log(self.leading_abs)
-                             + self.degree * np.log(np.abs(zb))
-                             + np.log(np.abs(1.0 + eps)))
+                             + self.degree * np.log(mag[blown])
+                             + np.log(self._abs(1.0 + eps)))
                 esc_v[ib] = 0.0
                 esc_k[ib] = k + 1
                 escaped[ib] = True
                 active[ib] = False
-            z[ia] = znew
+            z[ia], z_abs[ia] = znew, znew_abs
         undecided[:] = active
         if escaped.any():
             vals[escaped] = self._tail(esc_u[escaped], esc_v[escaped], esc_k[escaped])
@@ -208,6 +197,14 @@ def raster(poly, bbox, resolution, max_iter: int = DEFAULT_MAX_ITER) -> JuliaRas
     vals, und = ev.green_many(grid)
     return JuliaRaster(bbox=(re_min, re_max, im_min, im_max), resolution=(w, h),
                        values=vals, undecided=und, xs=xs, ys=ys)
+
+
+def atoms_bbox(atoms) -> tuple:
+    """Raster bbox of a sample of the Julia set: the atoms' bounding box
+    widened by 0.5 on every side."""
+    m = 0.5
+    return (float(np.min(atoms.real)) - m, float(np.max(atoms.real)) + m,
+            float(np.min(atoms.imag)) - m, float(np.max(atoms.imag)) + m)
 
 
 def write_pgm(ras: JuliaRaster, path) -> None:

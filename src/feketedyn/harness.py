@@ -29,13 +29,13 @@ import json
 import math
 import pathlib
 import time
-from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
 from .dynamics import (
     DEFAULT_MAX_ITER,
+    atoms_bbox,
     brolin_sample,
     chebyshev_preimages,
     power_preimages,
@@ -61,10 +61,8 @@ from .polyarith import (
     runaway_family,
 )
 from .potential import (
-    DEFAULT_EQUILIBRIUM_N,
     CompactSetModel,
     DiscreteMeasure,
-    UnsupportedSetError,
     equilibrium_measure,
     green_eval_many,
     transfinite_diameter_of_points,
@@ -80,7 +78,6 @@ RUNAWAY_COLUMNS = ("d", "N_d", "inside", "max_modulus", "h", "target")
 
 MOMENT_ORDER = 8
 TARGET_SAMPLES = 1024
-RING_SAMPLES = 512
 RASTER_RESOLUTION = (256, 256)
 TREND_FLOOR = 1e-9
 TREND_SLACK = 0.10
@@ -308,47 +305,46 @@ def spec_from_config(cfg: dict, seed_override: int | None = None) -> ExperimentS
 # --------------------------------------------------------------------------- #
 
 
+def _cyclotomic_roots(n: int) -> np.ndarray:
+    ks = np.array([k for k in range(1, n) if math.gcd(k, n) == 1])
+    return np.exp(2j * np.pi * ks / n)
+
+
+def _chebyshev_roots(n: int) -> np.ndarray:
+    k = np.arange(n)
+    return (2.0 * np.cos((2 * k + 1) * np.pi / (2 * n))).astype(np.complex128)
+
+
+# ladder family -> (degree-n map, its preimage solver or None, its roots in
+# closed form), each a function of n
+_LADDERS = {
+    "cyclotomic": (cyclotomic, lambda n: None, _cyclotomic_roots),
+    "chebyshev": (chebyshev_monic, chebyshev_preimages, _chebyshev_roots),
+    "power_maps": (power_map, power_preimages,
+                   lambda n: np.zeros(n, dtype=np.complex128)),
+}
+
+# the families each runner takes
+RUNNER_FAMILIES = {
+    "bilu_rumely": tuple(_LADDERS),
+    "dynamical_fs": tuple(_LADDERS) + ("user",),
+    "runaway": ("runaway",),
+}
+
+
+def check_family(runner: str, family: str) -> None:
+    """Raise ValueError unless the named runner takes the family."""
+    takes = RUNNER_FAMILIES[runner]
+    if family not in takes:
+        raise ValueError(f"{runner} takes family {', '.join(takes)}, not {family!r}")
+
+
 def _family_members(spec: ExperimentSpec) -> list:
     """(label, polynomial, preimage solver or None) per checkpoint."""
     if spec.family == "user":
         return [(p.degree, p, None) for p in spec.user_polys]
-    makers = {
-        "cyclotomic": lambda n: (cyclotomic(n), None),
-        "chebyshev": lambda n: (chebyshev_monic(n), chebyshev_preimages(n)),
-        "power_maps": lambda n: (power_map(n), power_preimages(n)),
-    }
-    if spec.family not in makers:
-        raise ValueError(f"family {spec.family!r} has no degree ladder")
-    out = []
-    for n in spec.effective_checkpoints():
-        poly, pre = makers[spec.family](n)
-        out.append((n, poly, pre))
-    return out
-
-
-def _orbit(family: str, n: int, poly: IntPolynomial) -> np.ndarray:
-    """Root cloud of the degree-n member, closed form where one exists."""
-    if family == "cyclotomic":
-        ks = np.array([k for k in range(1, n) if math.gcd(k, n) == 1])
-        return np.exp(2j * np.pi * ks / n)
-    if family == "chebyshev":
-        k = np.arange(n)
-        return (2.0 * np.cos((2 * k + 1) * np.pi / (2 * n))).astype(np.complex128)
-    if family == "power_maps":
-        return np.zeros(n, dtype=np.complex128)
-    return roots(poly).roots
-
-
-def _orbit_algebraic(poly: IntPolynomial, orbit: np.ndarray) -> AlgebraicNumber:
-    rs = RootSet(roots=np.asarray(orbit, dtype=np.complex128), residual_bound=0.0)
-    return AlgebraicNumber(minpoly=poly, conjugates=rs)
-
-
-def _probe_algebraic(probe) -> AlgebraicNumber:
-    s = str(probe).strip()
-    if " " in s:
-        return AlgebraicNumber.from_minpoly(IntPolynomial.from_text(s))
-    return AlgebraicNumber.from_rational(Fraction(s))
+    make, pre, _ = _LADDERS[spec.family]
+    return [(n, make(n), pre(n)) for n in spec.effective_checkpoints()]
 
 
 def _trend_violations(column: str, degrees, values, *, decreasing: bool = True,
@@ -420,11 +416,8 @@ def _julia_ladder(spec: ExperimentSpec, e: CompactSetModel, columns, row,
     report = _run_ladder(spec, columns, _family_members(spec), worker, out_dir)
     if "pgm" in spec.outputs and last:
         poly, atoms = last
-        m = 0.5
-        bbox = (float(np.min(atoms.real)) - m, float(np.max(atoms.real)) + m,
-                float(np.min(atoms.imag)) - m, float(np.max(atoms.imag)) + m)
         report.rasters.append((f"{spec.name}_julia.pgm",
-                               raster(poly, bbox, RASTER_RESOLUTION,
+                               raster(poly, atoms_bbox(atoms), RASTER_RESOLUTION,
                                       max_iter=max_iter)))
     return report
 
@@ -448,25 +441,25 @@ def _require_bilu_target(e: CompactSetModel) -> None:
 
 def run_bilu_rumely(spec: ExperimentSpec, out_dir=None) -> Report:
     """Per-degree equidistribution table for one family against one target."""
-    if spec.family not in ("cyclotomic", "chebyshev", "power_maps"):
-        raise ValueError(
-            "family must be cyclotomic, chebyshev, or power_maps")
+    check_family("bilu_rumely", spec.family)
     e = build_set(spec.set_config, samples=TARGET_SAMPLES)
     _require_bilu_target(e)
-    eq = equilibrium_measure(e, DEFAULT_EQUILIBRIUM_N)
+    eq = equilibrium_measure(e)
+    closed_roots = _LADDERS[spec.family][2]
     gap_notes = []
 
     def row(n, poly, atoms, gamma):
-        orbit = _orbit(spec.family, n, poly)
+        orbit = closed_roots(n)
         disc = float(measure_discrepancy(DiscreteMeasure.uniform(atoms), eq,
                                          MOMENT_ORDER))
-        alg = _orbit_algebraic(poly, orbit)
+        alg = AlgebraicNumber(minpoly=poly,
+                              conjugates=RootSet(roots=orbit, residual_bound=0.0))
         dist = float(np.max(e.distance_to_many(orbit)))
         # below coordinate rounding the model cannot certify a nonzero gap
         if dist <= 1e-12 * max(1.0, float(np.max(np.abs(orbit)))):
             dist = 0.0
         for probe in spec.probes:
-            pa = _probe_algebraic(probe)
+            pa = AlgebraicNumber.of(probe)
             hhat = float(canonical_height(poly, pa).total)
             target = float(rumely_height(pa, e).total)
             gap = abs(hhat - target)
@@ -494,36 +487,9 @@ def run_bilu_rumely(spec: ExperimentSpec, out_dir=None) -> Report:
     return report
 
 
-def _probe_ring(e: CompactSetModel, eps: float, m: int = RING_SAMPLES) -> np.ndarray:
-    """Points at hull-distance exactly eps from the target."""
-    if e.kind in ("disk", "circle"):
-        c, r = e.params["center"], e.params["radius"]
-        th = 2 * np.pi * np.arange(m) / m
-        return c + (r + eps) * np.exp(1j * th)
-    if e.kind == "interval":
-        pairs = [(e.params["a"], e.params["b"])]
-    elif e.kind == "union-of-intervals":
-        pairs = e.params["intervals"]
-    else:
-        raise UnsupportedSetError(f"no containment ring for kind {e.kind!r}")
-    per = max(8, m // (4 * len(pairs)))
-    chunks = []
-    for a, b in pairs:
-        xs = np.linspace(a, b, per)
-        left = a + eps * np.exp(1j * np.linspace(np.pi / 2, 3 * np.pi / 2, per))
-        right = b + eps * np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, per))
-        chunks.extend([xs + 1j * eps, xs - 1j * eps, left, right])
-    ring = np.concatenate(chunks)
-    # overlapping stadia: keep only true ring points of the union
-    dist = e.hull_distance_to_many(ring)
-    keep = np.abs(dist - eps) <= 1e-9 * max(1.0, eps)
-    return ring[keep] if np.any(keep) else ring
-
-
 def run_dynamical_fs(spec: ExperimentSpec, out_dir=None) -> Report:
     """Containment of the family's filled sets in an eps-neighborhood."""
-    if spec.family == "runaway":
-        raise ValueError("containment runs need a dynamical family")
+    check_family("dynamical_fs", spec.family)
     e = build_set(spec.set_config, samples=TARGET_SAMPLES)
     cap = float(math.exp(e.log_capacity))
     if cap < 1.0 - 1e-9:
@@ -531,8 +497,7 @@ def run_dynamical_fs(spec: ExperimentSpec, out_dir=None) -> Report:
             f"target capacity {cap:.6g} is below 1: filled sets of integer "
             "polynomials have capacity |lead|^(-1/(d-1)) <= 1, so no member "
             "can shrink into this target")
-    ring = _probe_ring(e, spec.epsilon)
-    delta = float(np.min(green_eval_many(e, ring)))
+    delta = float(np.min(green_eval_many(e, e.probe_ring(spec.epsilon))))
 
     def row(n, poly, atoms, gamma):
         max_dist = float(np.max(e.hull_distance_to_many(atoms)))
@@ -560,8 +525,7 @@ def run_dynamical_fs(spec: ExperimentSpec, out_dir=None) -> Report:
 
 def run_runaway(spec: ExperimentSpec, out_dir=None) -> Report:
     """Per-degree table for the drift family with unbounded conjugates."""
-    if spec.family != "runaway":
-        raise ValueError("family must be runaway")
+    check_family("runaway", spec.family)
     lo, hi = spec.degree_range
     if lo < 4 or hi > 14:
         raise ValueError("drift family degree_range must stay within [4, 14]")
@@ -601,12 +565,11 @@ def run_runaway(spec: ExperimentSpec, out_dir=None) -> Report:
 
 
 def _cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
+    v = _json_native(v)
+    if isinstance(v, bool):
         return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return "%.12g" % float(v)
+    if isinstance(v, float):
+        return "%.12g" % v
     return str(v)
 
 

@@ -76,6 +76,16 @@ class AlgebraicNumber:
         r = Fraction(x)
         return cls.from_minpoly(IntPolynomial((-r.numerator, r.denominator)))
 
+    @classmethod
+    def of(cls, x) -> "AlgebraicNumber":
+        """x itself, a rational (a number, a Fraction, or text such as
+        "5/2"), or minimal-polynomial text "c0 c1 ... cd"."""
+        if isinstance(x, AlgebraicNumber):
+            return x
+        if isinstance(x, str) and " " in x.strip():
+            return cls.from_minpoly(IntPolynomial.from_text(x))
+        return cls.from_rational(x)
+
 
 @dataclasses.dataclass(frozen=True)
 class HeightReport:
@@ -137,12 +147,6 @@ def _assemble(a: AlgebraicNumber, arch: float, method: str) -> HeightReport:
                         method=method)
 
 
-def _coerce_algebraic(x) -> AlgebraicNumber:
-    if isinstance(x, AlgebraicNumber):
-        return x
-    return AlgebraicNumber.from_rational(x)
-
-
 # --------------------------------------------------------------------------- #
 # the three heights
 # --------------------------------------------------------------------------- #
@@ -185,7 +189,7 @@ def _require_good_reduction(p) -> None:
 def canonical_height(p: IntPolynomial, alpha) -> HeightReport:
     """Map-adapted height: dynamical Green average plus denominator term."""
     _require_good_reduction(p)
-    a = _coerce_algebraic(alpha)
+    a = AlgebraicNumber.of(alpha)
     ev = DynGreenEvaluator(p)
     vals, _ = ev.green_many(np.asarray(a.conjugates.roots, dtype=np.complex128))
     arch = float(np.sum(vals)) / a.degree
@@ -257,7 +261,7 @@ def height_gap(seq, e: CompactSetModel, probes, n_atoms: int = 1024,
         j_side = side_from_map(p, brolin_sample(p, n_atoms, seed=seed).points)
         gamma = klimek_distance(GreenPair(j_side, e_side))
         for alpha in probes:
-            a = _coerce_algebraic(alpha)
+            a = AlgebraicNumber.of(alpha)
             gap = abs(canonical_height(p, a).total - rumely_height(a, e).total)
             conj = np.asarray(a.conjugates.roots, dtype=np.complex128)
             conj_dist = float(np.max(np.min(

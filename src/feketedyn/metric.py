@@ -55,7 +55,6 @@ class GreenSide:
     green_many: Callable[[np.ndarray], np.ndarray]
     log_cap: float | None
     regular: bool
-    label: str
 
     def __post_init__(self):
         pts = np.asarray(self.samples, dtype=np.complex128)
@@ -80,7 +79,6 @@ def side_from_set(e: CompactSetModel) -> GreenSide:
         green_many=lambda z, e=e: green_eval_many(e, z),
         log_cap=float(e.log_capacity),
         regular=e.regular,
-        label=e.kind,
     )
 
 
@@ -96,7 +94,7 @@ def side_from_map(poly, atoms, max_iter: int = DEFAULT_MAX_ITER) -> GreenSide:
     # polynomial Julia sets carry a continuous Green function
     return GreenSide(samples=atoms, green_many=gm,
                      log_cap=math.log(julia_capacity(poly)),
-                     regular=True, label="julia")
+                     regular=True)
 
 
 # --------------------------------------------------------------------------- #

@@ -167,16 +167,12 @@ class ComplexPolynomial:
         object.__setattr__(self, "coeffs", np.array(c[:n]))
 
     @classmethod
-    def from_int(cls, p: IntPolynomial) -> "ComplexPolynomial":
-        return cls(np.array([complex(c) for c in p.coeffs]))
-
-    @classmethod
     def of(cls, p) -> "ComplexPolynomial":
         """p itself, or a copy of an IntPolynomial or of ascending coefficients."""
         if isinstance(p, ComplexPolynomial):
             return p
         if isinstance(p, IntPolynomial):
-            return cls.from_int(p)
+            return cls(np.array([complex(c) for c in p.coeffs]))
         return cls(p)
 
     @property
@@ -293,7 +289,7 @@ def eval_intpoly(p: IntPolynomial, z):
     IntPolynomial.exact_plan). On the exact path a Python scalar gives a
     Python complex."""
     if p.exact_plan == "float":
-        return ComplexPolynomial.from_int(p)(z)
+        return ComplexPolynomial.of(p)(z)
     if isinstance(z, (int, float, complex)):
         return _eval_exact_point(p, complex(z))
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))

@@ -18,6 +18,8 @@ from .polyarith import ComplexPolynomial, IntPolynomial, eval_intpoly
 
 DEFAULT_BOUNDARY_SAMPLES = 4096
 DEFAULT_EQUILIBRIUM_N = 64
+# points on the containment ring of probe_ring
+RING_SAMPLES = 512
 _MEMBERSHIP_TOL = 1e-9
 
 
@@ -67,9 +69,8 @@ class CompactSetModel:
 
     def __init__(self, kind, params, boundary_samples, sample_t, sample_comp,
                  symmetric, regular, log_capacity=None,
-                 equilibrium_n=DEFAULT_EQUILIBRIUM_N,
                  green_fn=None, contains_fn=None, distance_fn=None,
-                 point_at=None):
+                 point_at=None, ring_fn=None):
         self.kind = kind
         self.params = params
         self.boundary_samples = np.asarray(boundary_samples, dtype=np.complex128)
@@ -77,12 +78,12 @@ class CompactSetModel:
         self.sample_comp = None if sample_comp is None else np.asarray(sample_comp, dtype=int)
         self.symmetric = bool(symmetric)
         self.regular = bool(regular)
-        self.equilibrium_n = int(equilibrium_n)
         self._log_capacity = log_capacity
         self._green_fn = green_fn
         self._contains_fn = contains_fn
         self._distance_fn = distance_fn
         self._point_at = point_at
+        self._ring_fn = ring_fn
         self._fekete_cache: dict[int, np.ndarray] = {}
         self._measure_cache: dict[int, DiscreteMeasure] = {}
 
@@ -113,9 +114,6 @@ class CompactSetModel:
     def interval(cls, a: float, b: float, samples: int = DEFAULT_BOUNDARY_SAMPLES):
         if not b > a:
             raise ValueError("need b > a")
-        t = np.linspace(a, b, samples)
-        pts = t.astype(np.complex128)
-        contains, distance = _segments_geometry([(a, b)], _membership_tol(pts))
         sc = max(1.0, abs(a), abs(b))
 
         def gfn(z, a=a, b=b, sc=sc):
@@ -126,14 +124,8 @@ class CompactSetModel:
                       & (z.real >= a - 1e-9 * sc) & (z.real <= b + 1e-9 * sc))
             return np.where(on_seg, 0.0, val)
 
-        return cls(
-            kind="interval", params={"a": a, "b": b},
-            boundary_samples=pts, sample_t=t,
-            sample_comp=np.zeros(samples, dtype=int),
-            symmetric=True, regular=True, log_capacity=math.log((b - a) / 4.0),
-            green_fn=gfn, contains_fn=contains, distance_fn=distance,
-            point_at=lambda comp, s: complex(min(max(s, a), b), 0.0),
-        )
+        return cls._segments("interval", {"a": a, "b": b}, [(a, b)], samples,
+                             log_capacity=math.log((b - a) / 4.0), green_fn=gfn)
 
     @classmethod
     def disk(cls, center, radius: float, samples: int = DEFAULT_BOUNDARY_SAMPLES):
@@ -147,10 +139,11 @@ class CompactSetModel:
     def _round(cls, center, radius, samples, kind):
         if radius <= 0:
             raise ValueError("radius must be positive")
-        c = complex(center)
+        c, r = complex(center), float(radius)
         theta = 2 * np.pi * np.arange(samples) / samples
         pts = c + radius * np.exp(1j * theta)
         tol = _membership_tol(pts)
+        th = 2 * np.pi * np.arange(RING_SAMPLES) / RING_SAMPLES
 
         def contains(z):
             return np.abs(z - c) <= radius + tol
@@ -167,13 +160,14 @@ class CompactSetModel:
             return np.where(val <= 1e-9, 0.0, val)
 
         return cls(
-            kind=kind, params={"center": c, "radius": float(radius)},
+            kind=kind, params={"center": c, "radius": r},
             boundary_samples=pts, sample_t=theta,
             sample_comp=np.zeros(samples, dtype=int),
             symmetric=(c.imag == 0.0), regular=True,
             log_capacity=math.log(radius), green_fn=gfn,
             contains_fn=contains, distance_fn=distance,
             point_at=lambda comp, s, c=c, r=radius: c + r * complex(math.cos(s), math.sin(s)),
+            ring_fn=lambda eps: c + (r + eps) * np.exp(1j * th),
         )
 
     @classmethod
@@ -184,27 +178,26 @@ class CompactSetModel:
         for a, b in ivs:
             if not b > a:
                 raise ValueError("need b > a in every interval")
-        ts, comps = [], []
-        for i, (a, b) in enumerate(ivs):
-            ts.append(np.linspace(a, b, samples))
-            comps.append(np.full(samples, i))
-        t = np.concatenate(ts)
-        ends = np.array(sorted((-a, -b) for a, b in ivs))
-        lo, hi = -ends[:, 0], -ends[:, 1]  # sorted by left endpoint
-        symmetric = np.allclose(np.sort(lo), np.sort(-hi[::-1]), atol=1e-12)
+        return cls._segments("union-of-intervals", {"intervals": ivs}, ivs, samples)
 
-        def point_at(comp, s, ivs=ivs):
+    @classmethod
+    def _segments(cls, kind, params, ivs, samples, **closed_forms):
+        """Union of real segments ivs, samples points on each; real sets are
+        symmetric about the real axis."""
+        t = np.concatenate([np.linspace(a, b, samples) for a, b in ivs])
+        pts = t.astype(np.complex128)
+        contains, distance, ring = _segments_geometry(ivs, _membership_tol(pts))
+
+        def point_at(comp, s):
             a, b = ivs[comp]
             return complex(min(max(s, a), b), 0.0)
 
-        pts = t.astype(np.complex128)
-        contains, distance = _segments_geometry(ivs, _membership_tol(pts))
         return cls(
-            kind="union-of-intervals", params={"intervals": ivs},
-            boundary_samples=pts, sample_t=t,
-            sample_comp=np.concatenate(comps),
-            symmetric=bool(symmetric), regular=True, point_at=point_at,
-            contains_fn=contains, distance_fn=distance,
+            kind=kind, params=params, boundary_samples=pts, sample_t=t,
+            sample_comp=np.repeat(np.arange(len(ivs)), samples),
+            symmetric=True, regular=True, point_at=point_at,
+            contains_fn=contains, distance_fn=distance, ring_fn=ring,
+            **closed_forms,
         )
 
     @classmethod
@@ -262,9 +255,6 @@ class CompactSetModel:
         # point clouds have no interior; only the samples themselves count
         return self._nearest_sample(z) <= _membership_tol(self.boundary_samples)
 
-    def contains(self, z) -> bool:
-        return bool(self.contains_many(np.array([z]))[0])
-
     def distance_to_many(self, z) -> np.ndarray:
         """Distance to the set E itself (not its hull)."""
         z = np.asarray(z, dtype=np.complex128)
@@ -272,16 +262,17 @@ class CompactSetModel:
             return self._distance_fn(z)
         return self._nearest_sample(z)
 
-    def distance_to(self, z) -> float:
-        return float(self.distance_to_many(np.array([z]))[0])
-
     def hull_distance_to_many(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
         d = self.distance_to_many(z)
         return np.where(self.contains_many(z), 0.0, d)
 
-    def hull_distance_to(self, z) -> float:
-        return float(self.hull_distance_to_many(np.array([z]))[0])
+    def probe_ring(self, eps: float) -> np.ndarray:
+        """Points at hull distance eps from the set (disks, circles and real
+        segments)."""
+        if self._ring_fn is None:
+            raise UnsupportedSetError(f"no containment ring for kind {self.kind!r}")
+        return self._ring_fn(eps)
 
 
 def _membership_tol(samples: np.ndarray) -> float:
@@ -290,8 +281,8 @@ def _membership_tol(samples: np.ndarray) -> float:
 
 
 def _segments_geometry(ivs, tol: float):
-    """Membership (within tol) and distance closures of a union of real
-    segments [a, b]."""
+    """Membership (within tol), distance and containment-ring closures of a
+    union of real segments [a, b]."""
 
     def contains(z):
         out = np.zeros(z.shape, dtype=bool)
@@ -306,7 +297,22 @@ def _segments_geometry(ivs, tol: float):
             stacks.append(np.hypot(dx, z.imag))
         return np.min(np.stack(stacks), axis=0)
 
-    return contains, distance
+    def ring(eps):
+        # RING_SAMPLES points in all: a stadium around each segment
+        per = max(8, RING_SAMPLES // (4 * len(ivs)))
+        chunks = []
+        for a, b in ivs:
+            xs = np.linspace(a, b, per)
+            left = a + eps * np.exp(1j * np.linspace(np.pi / 2, 3 * np.pi / 2, per))
+            right = b + eps * np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, per))
+            chunks.extend([xs + 1j * eps, xs - 1j * eps, left, right])
+        pts = np.concatenate(chunks)
+        # overlapping stadia: keep only true ring points of the union
+        dist = np.where(contains(pts), 0.0, distance(pts))
+        keep = np.abs(dist - eps) <= 1e-9 * max(1.0, eps)
+        return pts[keep] if np.any(keep) else pts
+
+    return contains, distance, ring
 
 
 def _polygon_contains(verts: np.ndarray, z: np.ndarray, tol: float) -> np.ndarray:
@@ -398,9 +404,8 @@ def transfinite_diameter_of_points(pts) -> float:
     return math.exp(2.0 * logsum / (n * (n - 1)))
 
 
-def equilibrium_measure(e: CompactSetModel, n: int | None = None) -> DiscreteMeasure:
+def equilibrium_measure(e: CompactSetModel, n: int = DEFAULT_EQUILIBRIUM_N) -> DiscreteMeasure:
     """Uniform weights on the n-point Fekete configuration."""
-    n = e.equilibrium_n if n is None else n
     cached = e._measure_cache.get(n)
     if cached is None:
         cached = DiscreteMeasure.uniform(fekete_points(e, n))
@@ -543,12 +548,12 @@ def subset_with_unit_capacity(e: CompactSetModel, n: int = 64,
         )
     ivs = e.params["intervals"]
 
-    def scaled(s: float) -> CompactSetModel:
+    def scaled(s: float, samples: int = 1024) -> CompactSetModel:
         out = []
         for a, b in ivs:
             c, h = (a + b) / 2, (b - a) / 2
             out.append((c - s * h, c + s * h))
-        return CompactSetModel.union_of_intervals(out, samples=1024)
+        return CompactSetModel.union_of_intervals(out, samples=samples)
 
     def est(s: float) -> float:
         return capacity_estimate(scaled(s), n)
@@ -569,9 +574,4 @@ def subset_with_unit_capacity(e: CompactSetModel, n: int = 64,
             lo_s = mid
         else:
             hi_s = mid
-    s_final = 0.5 * (lo_s + hi_s)
-    out = []
-    for a, b in ivs:
-        c, h = (a + b) / 2, (b - a) / 2
-        out.append((c - s_final * h, c + s_final * h))
-    return CompactSetModel.union_of_intervals(out)
+    return scaled(0.5 * (lo_s + hi_s), DEFAULT_BOUNDARY_SAMPLES)

@@ -256,6 +256,28 @@ def test_experiment_unknown_name(capsys, tmp_path):
               str(tmp_path / "o")])
 
 
+@pytest.mark.parametrize("runner, config, family", [
+    # a family the named runner does not take
+    ("runaway", "name = pow\nfamily = power_maps\n"
+                "set = { kind = disk, center = 0, radius = 1 }\n", "power_maps"),
+    # a spec that does not validate
+    ("bilu_rumely", "name = x\nfamily = bogus\n", "bogus"),
+])
+def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config,
+                                                family):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config)
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["experiment", runner, "--config", str(cfg), "--out", str(out_dir)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("fekete-dyn: error: ") and repr(family) in last
+    assert not out_dir.exists()
+
+
 def test_no_subcommand_errors(capsys):
     with pytest.raises(SystemExit):
         main([])

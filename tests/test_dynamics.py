@@ -31,7 +31,7 @@ from feketedyn.dynamics import (
     raster,
     write_pgm,
 )
-from feketedyn.potential import CompactSetModel
+from feketedyn.potential import CompactSetModel, green_eval_many
 
 
 def _interval_green(z):
@@ -143,6 +143,40 @@ def test_green_exact_chebyshev_matches_horner_reference(monkeypatch):
     assert vals.tobytes() == ref_vals.tobytes()
     assert np.array_equal(und, ref_und)
     assert und[:1024].all() and not und[1024:].any()
+
+
+def test_green_exact_plan_escape_overflow_undecided():
+    # the exact plan through each exit of the escape loop: the radius test,
+    # overflow of the first step, and max_iter with the orbit still bounded
+    seg = CompactSetModel.interval(-2.0, 2.0, samples=1024)
+    by_radius = np.array([3, 2.5, 0.5 + 1e-3j])
+    by_overflow = np.array([1e6, 1e6 + 3e5j, 5e12, -2e9j])
+    zs = np.concatenate([by_radius, by_overflow, seg.boundary_samples])
+    ev = DynGreenEvaluator(chebyshev_monic(64), max_iter=48)
+    assert ev._exact
+    assert np.all(np.abs(by_overflow) <= ev.escape_radius)
+    vals, und = ev.green_many(zs)
+    want = green_eval_many(seg, zs)
+    assert np.max(np.abs(vals - want)) <= 1e-13
+    assert not und[:7].any() and und[7:].all()
+    assert np.all(vals[:7] > 0) and np.all(vals[7:] == 0.0)
+
+
+@pytest.mark.parametrize("c0", [10 ** 8, 2 ** 31], ids=["float", "exact"])
+def test_green_step_overflowing_in_modulus_only(c0):
+    # z^40 + c0 maps z to a point whose parts are finite (about 1.5e308 each)
+    # but whose modulus is not; the overflow branch takes it in log space
+    p = IntPolynomial((c0,) + (0,) * 39 + (1,))
+    z = np.exp((709.9 + 1j * math.pi / 4) / 40)
+    step = complex(p(complex(z)))
+    assert math.isfinite(step.real) and math.isfinite(step.imag)
+    with pytest.raises(OverflowError):
+        abs(step)
+    ev = DynGreenEvaluator(p)
+    assert ev._exact == (c0 > 2 ** 30) and abs(z) < ev.escape_radius
+    vals, und = ev.green_many(np.array([z]))
+    assert not und[0]
+    assert vals[0] == pytest.approx(math.log(abs(z)), rel=1e-12)
 
 
 # ----------------------------------------------------------------- capacity
@@ -264,7 +298,7 @@ def test_chebyshev_preimages_match_generic_roots():
 
 
 def test_brolin_chebyshev_64_stays_on_segment():
-    m = brolin_sample(ComplexPolynomial.from_int(chebyshev_monic(64)), 1024, seed=17,
+    m = brolin_sample(ComplexPolynomial.of(chebyshev_monic(64)), 1024, seed=17,
                       preimages=chebyshev_preimages(64))
     assert np.max(np.abs(m.points.imag)) <= 1e-9
     assert np.max(np.abs(m.points.real)) <= 2 + 1e-9

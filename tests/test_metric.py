@@ -79,7 +79,6 @@ def test_distance_requires_samples_and_capacity():
         green_many=d1.green_many,
         log_cap=0.0,
         regular=True,
-        label="small",
     )
     with pytest.raises(ValueError):
         klimek_distance(GreenPair(d1, few))
@@ -88,7 +87,6 @@ def test_distance_requires_samples_and_capacity():
         green_many=d1.green_many,
         log_cap=None,
         regular=True,
-        label="nocap",
     )
     with pytest.raises(ValueError):
         klimek_distance(GreenPair(d1, nocap))

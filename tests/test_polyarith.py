@@ -215,7 +215,7 @@ def test_roots_stack_error_names_row():
 def test_roots_stack_shape_and_sweeps():
     # Phi_53(w) - c for 64 values of c on the unit circle, solved in one
     # stack; starts on the Cauchy circle take about 30 sweeps per row
-    base = ComplexPolynomial.from_int(cyclotomic(53)).coeffs
+    base = ComplexPolynomial.of(cyclotomic(53)).coeffs
     stack = np.repeat(base[None, :], 64, axis=0)
     stack[:, 0] -= np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
     rs = roots(stack, tol=1e-9)

@@ -1,10 +1,12 @@
 """Compact set models: Fekete search, capacity, equilibrium, Green values, sup norms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from feketedyn.heights import AlgebraicNumber, rumely_height
 from feketedyn.polyarith import IntPolynomial, chebyshev_monic
 from feketedyn.potential import (
     CompactSetModel,
@@ -46,6 +48,18 @@ def test_symmetry_flag():
     assert CompactSetModel.interval(-2, 2).symmetric
     assert CompactSetModel.disk(0, 1).symmetric
     assert not CompactSetModel.disk(1j, 1).symmetric
+
+
+def test_real_unions_are_symmetric():
+    # a union of real segments is its own conjugate, whatever its position
+    # on the real line
+    one = CompactSetModel.union_of_intervals([(0, 4)])
+    assert one.symmetric
+    assert CompactSetModel.union_of_intervals([(1, 2), (3, 4)]).symmetric
+    a = AlgebraicNumber.from_rational(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        rumely_height(a, one)
 
 
 # ------------------------------------------------------------------ Fekete points
@@ -237,12 +251,11 @@ def test_minimality_flags_bad_leading_growth():
 
 def test_distance_to_set():
     e = CompactSetModel.interval(-2, 2)
-    assert e.distance_to(3 + 4j) == pytest.approx(math.sqrt(17), abs=1e-12)
-    assert e.distance_to(1.0) == 0.0
+    d = e.distance_to_many(np.array([3 + 4j, 1.0]))
+    assert d[0] == pytest.approx(math.sqrt(17), abs=1e-12) and d[1] == 0.0
     c = CompactSetModel.circle(0, 1)
-    assert c.distance_to(2.0) == pytest.approx(1.0, abs=1e-12)
-    assert c.distance_to(0.0) == pytest.approx(1.0, abs=1e-12)
-    assert c.hull_distance_to(0.0) == 0.0
+    assert c.distance_to_many(np.array([2.0, 0.0])) == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert c.hull_distance_to_many(np.array([0.0]))[0] == 0.0
 
 
 def _reference_tol(e):
@@ -340,11 +353,54 @@ def test_point_cloud_kind():
 def test_polyline_square():
     verts = [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]
     e = CompactSetModel.polyline_boundary(verts)
-    assert e.contains(0.0)
-    assert not e.contains(2.0)
+    assert e.contains_many(np.array([0.0, 2.0])).tolist() == [True, False]
     # cap(square of side a) = a * Gamma(1/4)^2 / (4 pi^(3/2))
     target = 2 * math.gamma(0.25) ** 2 / (4 * math.pi ** 1.5)
     assert capacity_estimate(e, 128) == pytest.approx(target, rel=0.05)
+
+
+def _reference_ring(e, eps, m=512):
+    # the containment ring as the experiment harness built it from kind and
+    # params before sets carried their own
+    if e.kind in ("disk", "circle"):
+        c, r = e.params["center"], e.params["radius"]
+        th = 2 * np.pi * np.arange(m) / m
+        return c + (r + eps) * np.exp(1j * th)
+    if e.kind == "interval":
+        pairs = [(e.params["a"], e.params["b"])]
+    else:
+        pairs = e.params["intervals"]
+    per = max(8, m // (4 * len(pairs)))
+    chunks = []
+    for a, b in pairs:
+        xs = np.linspace(a, b, per)
+        left = a + eps * np.exp(1j * np.linspace(np.pi / 2, 3 * np.pi / 2, per))
+        right = b + eps * np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, per))
+        chunks.extend([xs + 1j * eps, xs - 1j * eps, left, right])
+    ring = np.concatenate(chunks)
+    dist = e.hull_distance_to_many(ring)
+    keep = np.abs(dist - eps) <= 1e-9 * max(1.0, eps)
+    return ring[keep] if np.any(keep) else ring
+
+
+@pytest.mark.parametrize("e", [
+    CompactSetModel.disk(0, 1),
+    CompactSetModel.circle(0.5 - 0.25j, 1.5),
+    CompactSetModel.interval(-2, 2),
+    # stadia of radius 0.3 around segments 0.2 apart overlap
+    CompactSetModel.union_of_intervals([(-2, -0.1), (0.1, 2)]),
+], ids=["disk", "circle", "interval", "union"])
+def test_probe_ring_matches_reference(e):
+    for eps in (0.1, 0.3):
+        ring = e.probe_ring(eps)
+        assert np.array_equal(ring, _reference_ring(e, eps))
+        assert np.allclose(e.hull_distance_to_many(ring), eps, atol=1e-9)
+
+
+def test_probe_ring_needs_a_ring_kind():
+    square = CompactSetModel.polyline_boundary([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
+    with pytest.raises(UnsupportedSetError):
+        square.probe_ring(0.1)
 
 
 # -------------------------------------------------------- unit-capacity search
