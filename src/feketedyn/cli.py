@@ -23,6 +23,7 @@ from .dynamics import (
     write_pgm,
 )
 from .harness import (
+    ConfigError,
     build_set,
     check_family,
     emit,
@@ -197,7 +198,11 @@ def _cmd_experiment(args, parser) -> int:
         check_family(args.name, spec.family)
     except ValueError as exc:
         parser.error(str(exc))
-    report = RUNNERS[args.name](spec, out_dir=args.out)
+    try:
+        report = RUNNERS[args.name](spec, out_dir=args.out)
+    except ConfigError as exc:
+        # raised by the runners' checks, before any output is written
+        parser.error(str(exc))
     for path in emit(report, spec.outputs, args.out):
         print(path)
     if report.violations:

@@ -101,7 +101,19 @@ class DynGreenEvaluator:
         escaped = np.zeros(n, dtype=bool)
         active = np.ones(n, dtype=bool)
         z = flat.copy()
-        z_abs = self._abs(z)
+        with np.errstate(over="ignore"):
+            z_abs = self._abs(z)
+        # an input with finite parts whose modulus overflows escapes at step
+        # 0, with the log-modulus log s + log|z/s|, s = max(|Re z|, |Im z|)
+        huge = np.isfinite(flat) & ~np.isfinite(z_abs)
+        if huge.any():
+            zh = flat[huge]
+            s = np.maximum(np.abs(zh.real), np.abs(zh.imag))
+            w = zh / s
+            esc_u[huge] = np.log(s) + np.log(self._abs(w))
+            esc_v[huge] = self._recip(w) / s
+            escaped[huge] = True
+            active[huge] = False
         r = self.escape_radius
         for k in range(self.max_iter + 1):
             ia = np.nonzero(active)[0]
@@ -190,13 +202,22 @@ def raster(poly, bbox, resolution, max_iter: int = DEFAULT_MAX_ITER) -> JuliaRas
         raise ValueError("degenerate bbox")
     if w < 16 or h < 16:
         raise ValueError("resolution below 16x16")
-    xs = re_min + (np.arange(w) + 0.5) * (re_max - re_min) / w
-    ys = im_min + (np.arange(h) + 0.5) * (im_max - im_min) / h
+    xs = _centres(re_min, re_max, w)
+    ys = _centres(im_min, im_max, h)
     grid = xs[None, :] + 1j * ys[:, None]
     ev = DynGreenEvaluator(poly, max_iter=max_iter)
     vals, und = ev.green_many(grid)
     return JuliaRaster(bbox=(re_min, re_max, im_min, im_max), resolution=(w, h),
                        values=vals, undecided=und, xs=xs, ys=ys)
+
+
+def _centres(lo: float, hi: float, k: int) -> np.ndarray:
+    """Pixel centres lo + (j + 1/2)(hi - lo)/k, j < k, formed at scale
+    2^-b with 2^b > k, so that no step overflows. Scaling by a power of two
+    is exact above the subnormal range, so the centres round as that
+    formula does."""
+    s = 2.0 ** -k.bit_length()
+    return (lo * s + (np.arange(k) + 0.5) * (hi * s - lo * s) / k) / s
 
 
 def atoms_bbox(atoms) -> tuple:

@@ -92,6 +92,12 @@ PROBE_GAP_TOL = 1e-3
 # --------------------------------------------------------------------------- #
 
 
+class ConfigError(ValueError):
+    """A configuration the runners refuse in their checks before any work:
+    a set that cannot be built, or a target or degree range the experiment
+    does not take."""
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
     """One configured experiment; every knob that affects the output."""
@@ -187,27 +193,32 @@ class Report:
 
 
 def build_set(config: dict, samples: int | None = None) -> CompactSetModel:
-    """Catalog set from a flat config block, e.g. {kind = disk, radius = 1}."""
+    """Catalog set from a flat config block, e.g. {kind = disk, radius = 1}.
+    An unknown kind, or values the kind's constructor refuses, raise
+    ConfigError."""
     cfg = dict(config)
     kind = cfg.get("kind")
-    m = cfg.get("samples", samples)
-    kw = {} if m is None else {"samples": int(m)}
-    if kind == "interval":
-        return CompactSetModel.interval(float(cfg["a"]), float(cfg["b"]), **kw)
-    if kind in ("disk", "circle"):
-        ctor = CompactSetModel.disk if kind == "disk" else CompactSetModel.circle
-        return ctor(_as_center(cfg.get("center", 0)), float(cfg["radius"]), **kw)
-    if kind == "union_of_intervals":
-        iv = cfg["intervals"]
-        if iv and isinstance(iv[0], (list, tuple)):
-            pairs = [(float(a), float(b)) for a, b in iv]
-        else:
-            if len(iv) % 2:
-                raise ValueError("flat interval list needs an even length")
-            flat = [float(x) for x in iv]
-            pairs = list(zip(flat[0::2], flat[1::2]))
-        return CompactSetModel.union_of_intervals(pairs, **kw)
-    raise ValueError(f"unknown set kind {kind!r}")
+    try:
+        m = cfg.get("samples", samples)
+        kw = {} if m is None else {"samples": int(m)}
+        if kind == "interval":
+            return CompactSetModel.interval(float(cfg["a"]), float(cfg["b"]), **kw)
+        if kind in ("disk", "circle"):
+            ctor = CompactSetModel.disk if kind == "disk" else CompactSetModel.circle
+            return ctor(_as_center(cfg.get("center", 0)), float(cfg["radius"]), **kw)
+        if kind == "union_of_intervals":
+            iv = cfg["intervals"]
+            if iv and isinstance(iv[0], (list, tuple)):
+                pairs = [(float(a), float(b)) for a, b in iv]
+            else:
+                if len(iv) % 2:
+                    raise ValueError("flat interval list needs an even length")
+                flat = [float(x) for x in iv]
+                pairs = list(zip(flat[0::2], flat[1::2]))
+            return CompactSetModel.union_of_intervals(pairs, **kw)
+    except ValueError as exc:
+        raise ConfigError(f"set kind {kind!r}: {exc}") from exc
+    raise ConfigError(f"unknown set kind {kind!r}")
 
 
 def _as_center(v) -> complex:
@@ -435,8 +446,8 @@ def _require_bilu_target(e: CompactSetModel) -> None:
         if (abs(e.params["center"]) <= 1e-12
                 and abs(e.params["radius"] - 1.0) <= 1e-12):
             return
-    raise ValueError("equidistribution target must be the unit circle, the "
-                     "closed unit disk, or the segment [-2, 2]")
+    raise ConfigError("equidistribution target must be the unit circle, the "
+                      "closed unit disk, or the segment [-2, 2]")
 
 
 def run_bilu_rumely(spec: ExperimentSpec, out_dir=None) -> Report:
@@ -493,7 +504,7 @@ def run_dynamical_fs(spec: ExperimentSpec, out_dir=None) -> Report:
     e = build_set(spec.set_config, samples=TARGET_SAMPLES)
     cap = float(math.exp(e.log_capacity))
     if cap < 1.0 - 1e-9:
-        raise ValueError(
+        raise ConfigError(
             f"target capacity {cap:.6g} is below 1: filled sets of integer "
             "polynomials have capacity |lead|^(-1/(d-1)) <= 1, so no member "
             "can shrink into this target")
@@ -528,7 +539,7 @@ def run_runaway(spec: ExperimentSpec, out_dir=None) -> Report:
     check_family("runaway", spec.family)
     lo, hi = spec.degree_range
     if lo < 4 or hi > 14:
-        raise ValueError("drift family degree_range must stay within [4, 14]")
+        raise ConfigError("drift family degree_range must stay within [4, 14]")
     degrees = (spec.checkpoints if spec.checkpoints is not None
                else tuple(range(lo, hi + 1)))
 

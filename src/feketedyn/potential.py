@@ -340,7 +340,12 @@ def fekete_points(e: CompactSetModel, n: int) -> np.ndarray:
     """n-point Fekete configuration from the boundary samples.
 
     Deterministic greedy (Leja) seeding followed by local exchange sweeps on
-    the sample grid; maximizes the pairwise log-distance sum.
+    the sample grid; maximizes the pairwise log-distance sum. A sweep moves
+    each point to the best candidate when that raises the sum by more than
+    1e-12; a candidate that leaves is never readmitted. The log-distance row
+    of each chosen point over all m samples is computed once, when it
+    enters, and held in an (n, m) float64 array (n*m*8 bytes, 16.8 MB at
+    n = 256 on 8192 samples) until the search returns.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -353,30 +358,32 @@ def fekete_points(e: CompactSetModel, n: int) -> np.ndarray:
         raise ValueError(f"n={n} exceeds {m} boundary samples")
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        # greedy Leja phase
-        i0 = int(np.argmax(np.abs(cand - np.mean(cand))))
-        chosen = [i0]
-        running = np.log(np.abs(cand - cand[i0]))
-        for _ in range(n - 1):
-            i = int(np.argmax(running))
-            chosen.append(i)
-            running = running + np.log(np.abs(cand - cand[i]))
+        # greedy Leja phase; rows[k] is log|cand - cand[idx[k]]|, and total
+        # their sum, which the exchange sweeps keep current
+        idx = np.empty(n, dtype=np.int64)
+        rows = np.empty((n, m))
+        idx[0] = np.argmax(np.abs(cand - np.mean(cand)))
+        rows[0] = np.log(np.abs(cand - cand[idx[0]]))
+        total = rows[0].copy()
+        for k in range(1, n):
+            idx[k] = np.argmax(total)
+            rows[k] = np.log(np.abs(cand - cand[idx[k]]))
+            total += rows[k]
 
-        # local exchange sweeps
-        idx = np.array(chosen)
-        total = np.zeros(m)
-        for i in idx:
-            total += np.log(np.abs(cand - cand[i]))
+        # local exchange sweeps. total - rows[pos] is NaN at idx[pos] and at
+        # its duplicates, and a swap carries that NaN into total, so a
+        # candidate that left is never readmitted. fmax reads NaN as -inf, so
+        # argmax picks what nanargmax would whenever the best value is
+        # finite, the only case that can swap
         for _ in range(16):
             swapped = False
             for pos in range(n):
-                zi = cand[idx[pos]]
-                others = np.delete(idx, pos)
-                own = float(np.sum(np.log(np.abs(cand[others] - zi))))
-                t_wo = total - np.log(np.abs(cand - zi))
-                best = int(np.nanargmax(t_wo))
+                own = float(np.sum(rows[pos][np.delete(idx, pos)]))
+                t_wo = total - rows[pos]
+                best = int(np.argmax(np.fmax(t_wo, -np.inf)))
                 if t_wo[best] > own + 1e-12 and best not in idx:
-                    total = t_wo + np.log(np.abs(cand - cand[best]))
+                    rows[pos] = np.log(np.abs(cand - cand[best]))
+                    total = t_wo + rows[pos]
                     idx[pos] = best
                     swapped = True
             if not swapped:

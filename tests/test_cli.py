@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,27 @@ def test_julia_raster(capsys, tmp_path):
     sidecar = json.loads((out_dir / "julia.pgm.json").read_text())
     assert sidecar["resolution"] == [64, 64]
     assert str(pgm) in out
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_julia_raster_overflowing_moduli(capsys, tmp_path):
+    # every pixel has finite parts; some have moduli past the largest float
+    out_dir = tmp_path / "img"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run(capsys, "julia", "--poly", "0 0 1", "--out", str(out_dir),
+                         "--bbox", "1e308,1.7e308,1e308,1.7e308",
+                         "--resolution", "16,16")
+    assert code == 0
+    assert not [w for w in caught if "invalid value" in str(w.message)]
+    text = (out_dir / "julia.pgm.json").read_text()
+    sidecar = json.loads(text, parse_constant=_no_constant)
+    # g_max is log|z| at the far corner: log 1.7e308 + log|1 + i| less half a pixel
+    assert 709.5 < sidecar["g_max"] < 710.1
+    assert sidecar["undecided_pixels"] == 0
 
 
 # ------------------------------------------------------------------- brolin
@@ -256,15 +278,9 @@ def test_experiment_unknown_name(capsys, tmp_path):
               str(tmp_path / "o")])
 
 
-@pytest.mark.parametrize("runner, config, family", [
-    # a family the named runner does not take
-    ("runaway", "name = pow\nfamily = power_maps\n"
-                "set = { kind = disk, center = 0, radius = 1 }\n", "power_maps"),
-    # a spec that does not validate
-    ("bilu_rumely", "name = x\nfamily = bogus\n", "bogus"),
-])
-def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config,
-                                                family):
+def _usage_error(capsys, tmp_path, runner, config) -> str:
+    """The one-line usage error an experiment with this config exits with
+    (code 2), having written nothing."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config)
     out_dir = tmp_path / "out"
@@ -274,8 +290,38 @@ def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config
     err = capsys.readouterr().err
     assert "Traceback" not in err
     last = err.strip().splitlines()[-1]
-    assert last.startswith("fekete-dyn: error: ") and repr(family) in last
+    assert last.startswith("fekete-dyn: error: ")
     assert not out_dir.exists()
+    return last
+
+
+@pytest.mark.parametrize("runner, config, family", [
+    # a family the named runner does not take
+    ("runaway", "name = pow\nfamily = power_maps\n"
+                "set = { kind = disk, center = 0, radius = 1 }\n", "power_maps"),
+    # a spec that does not validate
+    ("bilu_rumely", "name = x\nfamily = bogus\n", "bogus"),
+])
+def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config,
+                                                family):
+    assert repr(family) in _usage_error(capsys, tmp_path, runner, config)
+
+
+@pytest.mark.parametrize("runner, config, needle", [
+    ("dynamical_fs", "name = x\nfamily = power_maps\nset = { kind = hexagon }\n",
+     "unknown set kind 'hexagon'"),
+    # a constructor that refuses its values
+    ("dynamical_fs", "name = x\nfamily = power_maps\nset = { kind = interval, a = 1, b = 0 }\n",
+     "need b > a"),
+    ("bilu_rumely", "name = x\nfamily = cyclotomic\n"
+                    "set = { kind = disk, center = 0, radius = 2 }\n", "unit circle"),
+    ("dynamical_fs", "name = x\nfamily = power_maps\n"
+                     "set = { kind = interval, a = -1, b = 1 }\n", "below 1"),
+    ("runaway", "name = x\nfamily = runaway\ndegree_range = [2, 6]\n", "[4, 14]"),
+], ids=["unknown-kind", "constructor", "bilu-target", "fs-capacity", "runaway-range"])
+def test_experiment_set_config_error_is_usage_error(capsys, tmp_path, runner, config,
+                                                    needle):
+    assert needle in _usage_error(capsys, tmp_path, runner, config)
 
 
 def test_no_subcommand_errors(capsys):

@@ -179,6 +179,28 @@ def test_green_step_overflowing_in_modulus_only(c0):
     assert vals[0] == pytest.approx(math.log(abs(z)), rel=1e-12)
 
 
+@pytest.mark.parametrize("poly", [IntPolynomial((0, 0, 1)), chebyshev_monic(64)],
+                         ids=["float", "exact"])
+def test_green_input_overflowing_in_modulus(poly):
+    # inputs with finite parts whose modulus is past the largest float escape
+    # at step 0 with log|z| = log s + log|z/s|, s = max(|Re z|, |Im z|)
+    ev = DynGreenEvaluator(poly)
+    assert ev._exact == (poly.degree == 64)
+    huge = np.array([1.7e308 + 1.7e308j, -1.7e308 + 1e308j])
+    with pytest.raises(OverflowError):
+        abs(complex(huge[1]))
+    zs = np.concatenate([huge, [3.0, 0.5 + 1e-3j]])
+    vals, und = ev.green_many(zs)
+    log_s = math.log(1.7e308)
+    want = [log_s + 0.5 * math.log(2), log_s + 0.5 * math.log(1 + (1 / 1.7) ** 2)]
+    assert vals[:2] == pytest.approx(want, rel=1e-15)
+    assert not und[:2].any()
+    # the other points of the batch keep the values they have on their own
+    alone, alone_und = ev.green_many(zs[2:])
+    assert vals[2:].tobytes() == alone.tobytes()
+    assert np.array_equal(und[2:], alone_und)
+
+
 # ----------------------------------------------------------------- capacity
 
 def test_julia_capacity_closed_forms():

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feketedyn.heights import AlgebraicNumber, rumely_height
 from feketedyn.polyarith import IntPolynomial, chebyshev_monic
@@ -92,6 +94,100 @@ def test_fekete_disk_three_points_equilateral_on_boundary():
     assert np.allclose(np.abs(pts), 1.0, atol=1e-9)
     prod = abs(pts[0] - pts[1]) * abs(pts[0] - pts[2]) * abs(pts[1] - pts[2])
     assert prod == pytest.approx(3 ** 1.5, rel=1e-4)
+
+
+def _fekete_reference(e, n):
+    """The Fekete search written as a plain loop, with no cache: every
+    log-distance row is computed where it is used, twice per position."""
+    cand = e.boundary_samples
+    m = len(cand)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        i0 = int(np.argmax(np.abs(cand - np.mean(cand))))
+        chosen = [i0]
+        running = np.log(np.abs(cand - cand[i0]))
+        for _ in range(n - 1):
+            i = int(np.argmax(running))
+            chosen.append(i)
+            running = running + np.log(np.abs(cand - cand[i]))
+        idx = np.array(chosen)
+        total = np.zeros(m)
+        for i in idx:
+            total += np.log(np.abs(cand - cand[i]))
+        for _ in range(16):
+            swapped = False
+            for pos in range(n):
+                zi = cand[idx[pos]]
+                others = np.delete(idx, pos)
+                own = float(np.sum(np.log(np.abs(cand[others] - zi))))
+                t_wo = total - np.log(np.abs(cand - zi))
+                best = int(np.nanargmax(t_wo))
+                if t_wo[best] > own + 1e-12 and best not in idx:
+                    total = t_wo + np.log(np.abs(cand - cand[best]))
+                    idx[pos] = best
+                    swapped = True
+            if not swapped:
+                break
+    return cand[np.sort(idx)]
+
+
+def _assert_same_fekete(e, n):
+    got = fekete_points(e, n)
+    want = _fekete_reference(e, n)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def _repeated_cloud():
+    # 600 points rounded to a 0.05 grid, so many coincide
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=600) + 1j * rng.normal(size=600)
+    return CompactSetModel.point_cloud(np.round(pts / 0.05) * 0.05)
+
+
+FEKETE_SETS = {
+    "union": lambda: CompactSetModel.union_of_intervals([(-2, -1), (1, 2)], samples=1024),
+    # the two sample grids share points where the intervals overlap
+    "overlapping-union": lambda: CompactSetModel.union_of_intervals([(-1, 1), (0.5, 2)]),
+    "interval": lambda: CompactSetModel.interval(-1.5, 2.5, samples=1024),
+    "disk": lambda: CompactSetModel.disk(0.3 + 0.2j, 1.7, samples=1024),
+    "rotated-polyline": lambda: CompactSetModel.polyline_boundary(
+        [v * np.exp(0.7j) for v in (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)], samples=1024),
+    "repeated-cloud": _repeated_cloud,
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 256])
+@pytest.mark.parametrize("name", sorted(FEKETE_SETS))
+def test_fekete_matches_reference_loop(name, n):
+    e = FEKETE_SETS[name]()
+    if name in ("overlapping-union", "repeated-cloud"):
+        s = e.boundary_samples
+        assert len(np.unique(s)) < len(s)
+    _assert_same_fekete(e, n)
+
+
+# aligned grids: every interval has the same length and a dyadic sample step,
+# and starts on that step, so overlapping intervals share sample points
+aligned_unions = st.tuples(
+    st.integers(2, 4), st.integers(2, 64),
+    st.lists(st.integers(-40, 40), min_size=1, max_size=3),
+).map(lambda t: CompactSetModel.union_of_intervals(
+    [(k * 2.0 ** -t[0], (k + t[1]) * 2.0 ** -t[0]) for k in t[2]], samples=t[1] + 1))
+free_unions = st.lists(
+    st.tuples(st.floats(-4, 4), st.floats(0.05, 3)), min_size=1, max_size=3,
+).flatmap(lambda ivs: st.integers(2, 600 // len(ivs)).map(
+    lambda k: CompactSetModel.union_of_intervals([(a, a + w) for a, w in ivs], samples=k)))
+# points of a coarse grid drawn with repetition; at least two distinct
+grid_clouds = st.integers(2, 600).flatmap(lambda k: st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=k, max_size=k),
+).filter(lambda ps: len(set(ps)) >= 2).map(
+    lambda ps: CompactSetModel.point_cloud([complex(x, y) / 4 for x, y in ps]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(aligned_unions, free_unions, grid_clouds), st.integers(2, 48))
+def test_fekete_matches_reference_loop_on_random_sets(e, n):
+    _assert_same_fekete(e, min(n, len(e.boundary_samples)))
 
 
 # ------------------------------------------------------------ capacity estimates
