@@ -25,7 +25,6 @@ from .dynamics import (
 from .harness import (
     ConfigError,
     build_set,
-    check_family,
     emit,
     parse_config,
     run_bilu_rumely,
@@ -36,7 +35,7 @@ from .harness import (
 from .heights import AlgebraicNumber, canonical_height, rumely_height, weil_height
 from .metric import GreenPair, klimek_report, side_from_map, side_from_set
 from .polyarith import IntPolynomial
-from .potential import CompactSetModel, DiscreteMeasure, green_eval
+from .potential import CompactSetModel, DiscreteMeasure, green_eval_many
 
 RUNNERS = {
     "bilu_rumely": run_bilu_rumely,
@@ -98,9 +97,10 @@ def _cmd_green(args, parser) -> int:
     z = _parse_point(args.at)
     poly = _resolve_poly(args, parser)
     if poly is not None:
-        _print_value(DynGreenEvaluator(poly, max_iter=args.max_iter).green(z))
+        vals, _ = DynGreenEvaluator(poly, max_iter=args.max_iter).green_many([z])
+        _print_value(vals[0])
     elif args.config:
-        _print_value(green_eval(_set_from_config_path(args.config), z))
+        _print_value(green_eval_many(_set_from_config_path(args.config), [z])[0])
     else:
         parser.error("green needs --poly, --poly-file, or --config")
     return 0
@@ -195,14 +195,9 @@ def _cmd_height(args, parser) -> int:
 def _cmd_experiment(args, parser) -> int:
     try:
         spec = spec_from_config(parse_config(args.config), seed_override=args.seed)
-        check_family(args.name, spec.family)
     except ValueError as exc:
         parser.error(str(exc))
-    try:
-        report = RUNNERS[args.name](spec, out_dir=args.out)
-    except ConfigError as exc:
-        # raised by the runners' checks, before any output is written
-        parser.error(str(exc))
+    report = RUNNERS[args.name](spec, out_dir=args.out)
     for path in emit(report, spec.outputs, args.out):
         print(path)
     if report.violations:
@@ -270,7 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args, parser)
+    try:
+        return args.fn(args, parser)
+    except ConfigError as exc:
+        # a set or experiment config refused before any output is written
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

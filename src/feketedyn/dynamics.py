@@ -124,7 +124,9 @@ class DynGreenEvaluator:
             if out.any():
                 ie = ia[out]
                 esc_u[ie] = np.log(mag[out])
-                esc_v[ie] = self._recip(za[out])
+                # 1/z of a modulus near the float max: numpy flags the underflow
+                with np.errstate(over="ignore"):
+                    esc_v[ie] = self._recip(za[out])
                 esc_k[ie] = k
                 escaped[ie] = True
                 active[ie] = False
@@ -151,14 +153,6 @@ class DynGreenEvaluator:
         if escaped.any():
             vals[escaped] = self._tail(esc_u[escaped], esc_v[escaped], esc_k[escaped])
         return vals.reshape(zin.shape), undecided.reshape(zin.shape)
-
-    def green(self, z) -> float:
-        vals, _ = self.green_many(np.array([z], dtype=np.complex128))
-        return float(vals[0])
-
-
-def dyn_green(poly, z, max_iter: int = DEFAULT_MAX_ITER) -> float:
-    return DynGreenEvaluator(poly, max_iter=max_iter).green(z)
 
 
 def julia_capacity(poly) -> float:
@@ -240,14 +234,18 @@ def write_pgm(ras: JuliaRaster, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(img[::-1, :].tobytes())
-    sidecar = {
+    write_json(f"{path}.json", {
         "bbox": list(ras.bbox),
         "g_max": g_max,
         "resolution": [w, h],
         "undecided_pixels": int(np.count_nonzero(ras.undecided)),
-    }
-    with open(f"{path}.json", "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
+    })
+
+
+def write_json(path, obj) -> None:
+    """obj as JSON with sorted keys, an indent of 2 and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -256,9 +254,10 @@ def write_pgm(ras: JuliaRaster, path) -> None:
 # --------------------------------------------------------------------------- #
 
 _ORBIT_CHUNK = 1024
+_BURN_IN = 20
 
 
-def brolin_sample(poly, n_points: int, burn_in: int = 20, seed: int = 0,
+def brolin_sample(poly, n_points: int, seed: int = 0,
                   preimages=None) -> DiscreteMeasure:
     """Backward random iteration: repeatedly jump to a uniformly chosen
     preimage, starting just outside the escape radius.
@@ -284,7 +283,7 @@ def brolin_sample(poly, n_points: int, burn_in: int = 20, seed: int = 0,
         z = complex(ev.escape_radius + 1.0)
         lo = j * _ORBIT_CHUNK
         hi = min(n_points, lo + _ORBIT_CHUNK)
-        for step in range(burn_in + (hi - lo)):
+        for step in range(_BURN_IN + (hi - lo)):
             try:
                 pre = np.asarray(preimages(z), dtype=np.complex128)
             except RootFindingError as err:
@@ -293,8 +292,8 @@ def brolin_sample(poly, n_points: int, burn_in: int = 20, seed: int = 0,
                     f"of orbit {j}: {err}"
                 ) from err
             z = complex(pre[int(rng.integers(len(pre)))])
-            if step >= burn_in:
-                pts[lo + step - burn_in] = z
+            if step >= _BURN_IN:
+                pts[lo + step - _BURN_IN] = z
     return DiscreteMeasure.uniform(pts)
 
 

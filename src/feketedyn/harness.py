@@ -40,9 +40,16 @@ from .dynamics import (
     chebyshev_preimages,
     power_preimages,
     raster,
+    write_json,
     write_pgm,
 )
-from .heights import AlgebraicNumber, canonical_height, rumely_height, weil_height
+from .heights import (
+    HEIGHT_GAP_TOL,
+    AlgebraicNumber,
+    canonical_height,
+    rumely_height,
+    weil_height,
+)
 from .metric import (
     GreenPair,
     klimek_distance,
@@ -84,7 +91,6 @@ TREND_SLACK = 0.10
 # bounded orbits on the large-coefficient exact path are certified well
 # before this many steps; keeps the per-sample cost flat
 CHEB_EXACT_MAX_ITER = 48
-PROBE_GAP_TOL = 1e-3
 
 
 # --------------------------------------------------------------------------- #
@@ -94,8 +100,8 @@ PROBE_GAP_TOL = 1e-3
 
 class ConfigError(ValueError):
     """A configuration the runners refuse in their checks before any work:
-    a set that cannot be built, or a target or degree range the experiment
-    does not take."""
+    a set that cannot be built, or a family, target or degree range the
+    experiment does not take."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -216,6 +222,8 @@ def build_set(config: dict, samples: int | None = None) -> CompactSetModel:
                 flat = [float(x) for x in iv]
                 pairs = list(zip(flat[0::2], flat[1::2]))
             return CompactSetModel.union_of_intervals(pairs, **kw)
+    except KeyError as exc:
+        raise ConfigError(f"set kind {kind!r} needs key {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"set kind {kind!r}: {exc}") from exc
     raise ConfigError(f"unknown set kind {kind!r}")
@@ -344,10 +352,10 @@ RUNNER_FAMILIES = {
 
 
 def check_family(runner: str, family: str) -> None:
-    """Raise ValueError unless the named runner takes the family."""
+    """Raise ConfigError unless the named runner takes the family."""
     takes = RUNNER_FAMILIES[runner]
     if family not in takes:
-        raise ValueError(f"{runner} takes family {', '.join(takes)}, not {family!r}")
+        raise ConfigError(f"{runner} takes family {', '.join(takes)}, not {family!r}")
 
 
 def _family_members(spec: ExperimentSpec) -> list:
@@ -358,20 +366,18 @@ def _family_members(spec: ExperimentSpec) -> list:
     return [(n, make(n), pre(n)) for n in spec.effective_checkpoints()]
 
 
-def _trend_violations(column: str, degrees, values, *, decreasing: bool = True,
-                      floor: float = TREND_FLOOR,
-                      slack: float = TREND_SLACK) -> list:
-    """One non-monotone step of relative size <= slack is tolerated; ties at
-    numerical zero are ignored. Failures become data, never exceptions."""
+def _trend_violations(column: str, degrees, values, *, decreasing: bool = True) -> list:
+    """One non-monotone step of relative size <= TREND_SLACK is tolerated; ties
+    at numerical zero are ignored. Failures become data, never exceptions."""
     out, budget = [], 1
     for i in range(1, len(values)):
         v0, v1 = values[i - 1], values[i]
         step = (v1 - v0) if decreasing else (v0 - v1)
         if step <= 0:
             continue
-        if v0 <= floor and v1 <= floor:
+        if v0 <= TREND_FLOOR and v1 <= TREND_FLOOR:
             continue
-        if budget > 0 and step <= slack * max(abs(v0), floor):
+        if budget > 0 and step <= TREND_SLACK * max(abs(v0), TREND_FLOOR):
             budget -= 1
             continue
         out.append({"kind": "trend", "column": column, "degree": int(degrees[i]),
@@ -477,7 +483,7 @@ def run_bilu_rumely(spec: ExperimentSpec, out_dir=None) -> Report:
             gap_notes.append({"degree": int(n), "probe": str(probe),
                               "canonical": hhat, "target": target, "gap": gap,
                               "gamma": gamma,
-                              "ok": bool(gap <= gamma + PROBE_GAP_TOL)})
+                              "ok": bool(gap <= gamma + HEIGHT_GAP_TOL)})
         return (int(n),
                 float(transfinite_diameter_of_points(orbit)),
                 float(rumely_height(alg, e).total),
@@ -620,23 +626,18 @@ def emit(report: Report, formats, out_dir) -> list:
                 "violations": report.violations,
                 "notes": report.notes,
             }
-            with open(out / name, "w") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            write_json(out / name, payload)
             files.append(name)
         if "pgm" in formats:
             for fname, ras in report.rasters:
                 write_pgm(ras, out / fname)
                 files.extend([fname, f"{fname}.json"])
     canon = json.dumps(report.config, sort_keys=True, separators=(",", ":"))
-    manifest = {
+    write_json(out / "MANIFEST.json", {
         "config_hash": hashlib.sha256(canon.encode()).hexdigest(),
         "files": sorted(files),
         "seed": report.seed,
         "version": __version__,
-    }
-    with open(out / "MANIFEST.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
     files.append("MANIFEST.json")
     return [str(out / f) for f in files]

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 TRIAL_DIVISION_BOUND = 10 ** 6
+HEIGHT_GAP_TOL = 1e-3
 
 
 class GoodReductionError(ValueError):
@@ -243,22 +244,21 @@ def canonical_height_limit(p: IntPolynomial, alpha, k_max: int,
 # --------------------------------------------------------------------------- #
 
 
-def height_gap(seq, e: CompactSetModel, probes, n_atoms: int = 1024,
-               seed: int = 0, tol: float = 1e-3, strict: bool = True) -> list[dict]:
+def height_gap(seq, e: CompactSetModel, probes) -> list[dict]:
     """Rows comparing the map-adapted height against the set height.
 
     The archimedean parts differ by at most the uniform distance between
     the two Green functions and the non-archimedean parts agree exactly,
-    so every row must satisfy gap <= gamma + tol; strict mode raises on a
-    violation, otherwise the row is flagged.
+    so every row must satisfy gap <= gamma + HEIGHT_GAP_TOL; a violation
+    raises ArithmeticError.
 
     conj_dist is the largest distance from a probe conjugate to the set's
     boundary samples, the bounded-conjugate hypothesis made quantitative."""
     rows: list[dict] = []
     e_side = side_from_set(e)
-    samples = e.hull_samples
+    samples = e.boundary_samples
     for idx, p in enumerate(seq):
-        j_side = side_from_map(p, brolin_sample(p, n_atoms, seed=seed).points)
+        j_side = side_from_map(p, brolin_sample(p, 1024).points)
         gamma = klimek_distance(GreenPair(j_side, e_side))
         for alpha in probes:
             a = AlgebraicNumber.of(alpha)
@@ -266,7 +266,7 @@ def height_gap(seq, e: CompactSetModel, probes, n_atoms: int = 1024,
             conj = np.asarray(a.conjugates.roots, dtype=np.complex128)
             conj_dist = float(np.max(np.min(
                 np.abs(conj[:, None] - samples[None, :]), axis=1)))
-            ok = bool(gap <= gamma + tol)
+            ok = bool(gap <= gamma + HEIGHT_GAP_TOL)
             rows.append({
                 "index": idx,
                 "degree": p.degree,
@@ -276,9 +276,9 @@ def height_gap(seq, e: CompactSetModel, probes, n_atoms: int = 1024,
                 "conj_dist": conj_dist,
                 "ok": ok,
             })
-            if strict and not ok:
+            if not ok:
                 raise ArithmeticError(
                     f"height gap {gap:.6g} exceeds the metric bound "
-                    f"{gamma + tol:.6g} for degree {p.degree} at probe "
+                    f"{gamma + HEIGHT_GAP_TOL:.6g} for degree {p.degree} at probe "
                     f"{a.minpoly.to_text()}")
     return rows

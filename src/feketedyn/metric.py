@@ -40,6 +40,7 @@ __all__ = [
 
 # boundary sampling below this cannot support a trustworthy sup
 MIN_SIDE_SAMPLES = 256
+GRID_AUDIT_RESOLUTION = 128
 GRID_AUDIT_TOL = 1e-3
 CONTRACTION_TOL = 1e-3
 # iterated pullbacks multiply sample counts by the degree; cap the source side
@@ -68,14 +69,10 @@ class GreenPair:
     left: GreenSide
     right: GreenSide
 
-    @property
-    def probe_points(self) -> np.ndarray:
-        return np.concatenate([self.left.samples, self.right.samples])
-
 
 def side_from_set(e: CompactSetModel) -> GreenSide:
     return GreenSide(
-        samples=e.hull_samples,
+        samples=e.boundary_samples,
         green_many=lambda z, e=e: green_eval_many(e, z),
         log_cap=float(e.log_capacity),
         regular=e.regular,
@@ -148,20 +145,17 @@ def klimek_report(pair: GreenPair) -> dict:
     }
 
 
-def grid_audit(pair: GreenPair, resolution: int = 128,
-               tol: float = GRID_AUDIT_TOL) -> dict:
+def grid_audit(pair: GreenPair) -> dict:
     """Cross-check the boundary formula on a coarse grid around the sets.
 
-    No grid point may exceed the formula value by more than tol."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    No grid point may exceed the formula value by more than GRID_AUDIT_TOL."""
     gamma = klimek_distance(pair)
-    pts = pair.probe_points
+    pts = np.concatenate([pair.left.samples, pair.right.samples])
     lo_x, hi_x = float(np.min(pts.real)), float(np.max(pts.real))
     lo_y, hi_y = float(np.min(pts.imag)), float(np.max(pts.imag))
     margin = 0.25 * max(hi_x - lo_x, hi_y - lo_y, 1.0)
-    xs = np.linspace(lo_x - margin, hi_x + margin, resolution)
-    ys = np.linspace(lo_y - margin, hi_y + margin, resolution)
+    xs = np.linspace(lo_x - margin, hi_x + margin, GRID_AUDIT_RESOLUTION)
+    ys = np.linspace(lo_y - margin, hi_y + margin, GRID_AUDIT_RESOLUTION)
     zs = (xs[None, :] + 1j * ys[:, None]).ravel()
     diff = np.abs(np.asarray(pair.left.green_many(zs), dtype=float)
                   - np.asarray(pair.right.green_many(zs), dtype=float))
@@ -170,8 +164,8 @@ def grid_audit(pair: GreenPair, resolution: int = 128,
         "gamma": gamma,
         "grid_max": float(diff[k]),
         "grid_argmax": (float(zs[k].real), float(zs[k].imag)),
-        "resolution": int(resolution),
-        "ok": bool(diff[k] <= gamma + tol),
+        "resolution": GRID_AUDIT_RESOLUTION,
+        "ok": bool(diff[k] <= gamma + GRID_AUDIT_TOL),
     }
 
 
@@ -180,8 +174,7 @@ def grid_audit(pair: GreenPair, resolution: int = 128,
 # --------------------------------------------------------------------------- #
 
 
-def pullback(p, e: CompactSetModel,
-             max_sources: int = MAX_PULLBACK_SOURCES) -> CompactSetModel:
+def pullback(p, e: CompactSetModel) -> CompactSetModel:
     """Preimage of a compact set under a polynomial of degree >= 2.
 
     Boundary samples are all roots of P(w) = z over the source boundary
@@ -194,11 +187,11 @@ def pullback(p, e: CompactSetModel,
     d = cp.degree
     if d < 2:
         raise ValueError("pullback needs degree at least 2")
-    src = e.hull_samples
+    src = e.boundary_samples
     if len(src) == 0:
         raise ValueError("source set has no boundary samples")
-    if len(src) > max_sources:
-        idx = np.unique(np.linspace(0, len(src) - 1, max_sources).round().astype(int))
+    if len(src) > MAX_PULLBACK_SOURCES:
+        idx = np.unique(np.linspace(0, len(src) - 1, MAX_PULLBACK_SOURCES).round().astype(int))
         src = src[idx]
     shifted = np.repeat(cp.coeffs[None, :], len(src), axis=0)
     shifted[:, 0] -= src
@@ -213,12 +206,11 @@ def pullback(p, e: CompactSetModel,
         w = np.where(np.isfinite(w), w, 1e300 + 0j)
         return green_eval_many(e, w) / d
 
-    sym = bool(np.allclose(np.sort(pts.imag), np.sort(-pts.imag), atol=1e-9))
     return CompactSetModel(
         kind="point-cloud",
         params={"count": len(pts), "pullback_degree": d},
         boundary_samples=pts, sample_t=None, sample_comp=None,
-        symmetric=sym, regular=e.regular, log_capacity=log_cap,
+        regular=e.regular, log_capacity=log_cap,
         green_fn=gfn,
     )
 
@@ -229,16 +221,15 @@ class ContractionResult(NamedTuple):
     ok: bool
 
 
-def contraction_check(p, e: CompactSetModel, f: CompactSetModel,
-                      tol: float = CONTRACTION_TOL) -> ContractionResult:
-    """Check dist(P^{-1}E, P^{-1}F) <= dist(E, F) / deg(P)."""
+def contraction_check(p, e: CompactSetModel, f: CompactSetModel) -> ContractionResult:
+    """Check dist(P^{-1}E, P^{-1}F) <= dist(E, F) / deg(P) + CONTRACTION_TOL."""
     cp = ComplexPolynomial.of(p)
     base = klimek_distance(GreenPair(side_from_set(e), side_from_set(f)))
     pe = pullback(cp, e)
     pf = pullback(cp, f)
     lhs = klimek_distance(GreenPair(side_from_set(pe), side_from_set(pf)))
     rhs = base / cp.degree
-    return ContractionResult(lhs, rhs, bool(lhs <= rhs + tol))
+    return ContractionResult(lhs, rhs, bool(lhs <= rhs + CONTRACTION_TOL))
 
 
 # --------------------------------------------------------------------------- #

@@ -14,10 +14,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-# Exact arbitrary-precision rationals. The stdlib type already provides the
-# whole contract (normalized lowest terms, exact field arithmetic).
-BigRational = Fraction
-
 
 class RootFindingError(RuntimeError):
     """Simultaneous iteration failed to reach the requested residual."""
@@ -221,20 +217,8 @@ def _big_to_float(n: int, shift: int) -> float:
         return math.inf if n > 0 else -math.inf
 
 
-def eval_intpoly_real_exact(coeffs: tuple[int, ...], x: float) -> float:
-    """Exact Horner of an integer polynomial at a dyadic float."""
-    num, den = float(x).as_integer_ratio()
-    k = den.bit_length() - 1  # den == 2**k
-    d = len(coeffs) - 1
-    acc = coeffs[-1]
-    for i in range(d - 1, -1, -1):
-        acc *= num
-        if coeffs[i]:
-            acc += coeffs[i] << (k * (d - i))
-    return _big_to_float(acc, -k * d)
-
-
 def eval_intpoly_complex_exact(coeffs: tuple[int, ...], z: complex) -> complex:
+    """Exact Horner of an integer polynomial at a point with dyadic parts."""
     nr, dr = float(z.real).as_integer_ratio()
     ni, di = float(z.imag).as_integer_ratio()
     kr, ki = dr.bit_length() - 1, di.bit_length() - 1
@@ -257,7 +241,7 @@ def _chebyshev_real_exact(n: int, x: float) -> float:
     With x = num / 2^k and V_m = 2 T_m(x/2), the integers N_m = 2^(km) V_m
     obey N_2m = N_m^2 - 2^(2km+1) and N_2m+1 = N_m N_m+1 - num 2^(2km)
     (from V_2m = V_m^2 - 2 and V_2m+1 = V_m V_m+1 - x). N_n is the integer
-    eval_intpoly_real_exact builds by Horner, so the float is the same.
+    eval_intpoly_complex_exact builds by Horner, so the float is the same.
     """
     num, den = float(x).as_integer_ratio()
     k = den.bit_length() - 1  # den == 2**k
@@ -276,10 +260,8 @@ def _chebyshev_real_exact(n: int, x: float) -> float:
 
 
 def _eval_exact_point(p: IntPolynomial, w: complex) -> complex:
-    if w.imag == 0.0:
-        if p.exact_plan == "chebyshev":
-            return complex(_chebyshev_real_exact(p.degree, w.real))
-        return complex(eval_intpoly_real_exact(p.coeffs, w.real))
+    if w.imag == 0.0 and p.exact_plan == "chebyshev":
+        return complex(_chebyshev_real_exact(p.degree, w.real))
     return eval_intpoly_complex_exact(p.coeffs, w)
 
 
@@ -319,9 +301,6 @@ class RootSet:
     roots: np.ndarray  # complex128, (degree,) or (K, degree)
     residual_bound: float
     iterations: int = 0
-
-    def __len__(self) -> int:
-        return len(self.roots)
 
     @property
     def max_modulus(self) -> float:
@@ -381,9 +360,9 @@ def _newton_polygon(y: np.ndarray):
     return log_r, turn
 
 
-def _aberth(a: np.ndarray, tol_abs: np.ndarray, z: np.ndarray, max_iter: int = 500):
+def _aberth(a: np.ndarray, tol_abs: np.ndarray, z: np.ndarray):
     """Aberth simultaneous iteration on a (K, d+1) stack of monic rows from
-    the (K, d) starting points z.
+    the (K, d) starting points z, for at most 500 sweeps.
 
     A row leaves the sweep once none of its roots moves or its largest |p|
     is below 0.01 tol_abs. Returns the (K, d) roots and the sweep count of
@@ -398,7 +377,7 @@ def _aberth(a: np.ndarray, tol_abs: np.ndarray, z: np.ndarray, max_iter: int = 5
     live = np.arange(len(a))
     diag = np.arange(d)
     sweeps = 0
-    while len(live) and sweeps < max_iter:
+    while len(live) and sweeps < 500:
         sweeps += 1
         zl, coef = z[live], pair[live]
         pv = _powers(zl, d) @ coef

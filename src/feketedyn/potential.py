@@ -68,7 +68,7 @@ class CompactSetModel:
     """Sampled compact set. Construct through the kind classmethods."""
 
     def __init__(self, kind, params, boundary_samples, sample_t, sample_comp,
-                 symmetric, regular, log_capacity=None,
+                 regular, symmetric=None, log_capacity=None,
                  green_fn=None, contains_fn=None, distance_fn=None,
                  point_at=None, ring_fn=None):
         self.kind = kind
@@ -76,6 +76,9 @@ class CompactSetModel:
         self.boundary_samples = np.asarray(boundary_samples, dtype=np.complex128)
         self.sample_t = None if sample_t is None else np.asarray(sample_t, dtype=float)
         self.sample_comp = None if sample_comp is None else np.asarray(sample_comp, dtype=int)
+        if symmetric is None:  # conjugation symmetry read off the samples
+            im = self.boundary_samples.imag
+            symmetric = np.allclose(np.sort(im), np.sort(-im), atol=1e-9)
         self.symmetric = bool(symmetric)
         self.regular = bool(regular)
         self._log_capacity = log_capacity
@@ -86,11 +89,6 @@ class CompactSetModel:
         self._ring_fn = ring_fn
         self._fekete_cache: dict[int, np.ndarray] = {}
         self._measure_cache: dict[int, DiscreteMeasure] = {}
-
-    # hull boundary approximates the polynomially convex hull's boundary
-    @property
-    def hull_samples(self) -> np.ndarray:
-        return self.boundary_samples
 
     @property
     def log_capacity(self) -> float:
@@ -182,8 +180,7 @@ class CompactSetModel:
 
     @classmethod
     def _segments(cls, kind, params, ivs, samples, **closed_forms):
-        """Union of real segments ivs, samples points on each; real sets are
-        symmetric about the real axis."""
+        """Union of real segments ivs, samples points on each."""
         t = np.concatenate([np.linspace(a, b, samples) for a, b in ivs])
         pts = t.astype(np.complex128)
         contains, distance, ring = _segments_geometry(ivs, _membership_tol(pts))
@@ -195,7 +192,7 @@ class CompactSetModel:
         return cls(
             kind=kind, params=params, boundary_samples=pts, sample_t=t,
             sample_comp=np.repeat(np.arange(len(ivs)), samples),
-            symmetric=True, regular=True, point_at=point_at,
+            regular=True, point_at=point_at,
             contains_fn=contains, distance_fn=distance, ring_fn=ring,
             **closed_forms,
         )
@@ -220,13 +217,12 @@ class CompactSetModel:
             return complex(loop[k] + frac * (loop[k + 1] - loop[k]))
 
         pts = np.array([point_at(0, s) for s in t])
-        symmetric = np.allclose(np.sort(pts.imag), np.sort(-pts.imag), atol=1e-9)
         tol = _membership_tol(pts)
         return cls(
             kind="polyline-boundary", params={"vertices": verts},
             boundary_samples=pts, sample_t=t,
             sample_comp=np.zeros(samples, dtype=int),
-            symmetric=bool(symmetric), regular=True, point_at=point_at,
+            regular=True, point_at=point_at,
             contains_fn=lambda z: _polygon_contains(verts, z, tol),
         )
 
@@ -235,11 +231,10 @@ class CompactSetModel:
         pts = np.asarray(points, dtype=np.complex128)
         if len(pts) < 2:
             raise ValueError("need at least two points")
-        symmetric = np.allclose(np.sort(pts.imag), np.sort(-pts.imag), atol=1e-9)
         return cls(
             kind="point-cloud", params={"count": len(pts)},
             boundary_samples=pts, sample_t=None, sample_comp=None,
-            symmetric=bool(symmetric), regular=False,
+            regular=False,
         )
 
     # ------------------------------------------------------------------ geometry
@@ -440,10 +435,6 @@ def green_eval_many(e: CompactSetModel, z) -> np.ndarray:
     return np.maximum(vals, 0.0)
 
 
-def green_eval(e: CompactSetModel, z) -> float:
-    return float(green_eval_many(e, np.array([z]))[0])
-
-
 # --------------------------------------------------------------------------- #
 # sup norms
 # --------------------------------------------------------------------------- #
@@ -477,13 +468,13 @@ def supnorm(p, e: CompactSetModel) -> float:
     return best
 
 
-def _golden_max(f, lo, hi, iters: int = 80) -> float:
+def _golden_max(f, lo, hi) -> float:
     gr = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
     c = b - gr * (b - a)
     d = a + gr * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(80):
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + gr * (b - a)
@@ -545,8 +536,7 @@ def minimality_diagnostics(seq, e: CompactSetModel, tol: float = 0.05) -> Minima
 # --------------------------------------------------------------------------- #
 
 
-def subset_with_unit_capacity(e: CompactSetModel, n: int = 64,
-                              tol: float = 0.01) -> CompactSetModel:
+def subset_with_unit_capacity(e: CompactSetModel) -> CompactSetModel:
     """Shrink each interval about its own center until the capacity estimate
     hits 1. Only union-of-intervals models support the search."""
     if e.kind != "union-of-intervals":
@@ -563,10 +553,10 @@ def subset_with_unit_capacity(e: CompactSetModel, n: int = 64,
         return CompactSetModel.union_of_intervals(out, samples=samples)
 
     def est(s: float) -> float:
-        return capacity_estimate(scaled(s), n)
+        return capacity_estimate(scaled(s), 64)
 
     hi = est(1.0)
-    if hi < 1.0 - tol:
+    if hi < 0.99:
         raise ValueError(
             f"cannot reach unit capacity: the full union estimates {hi:.6g} < 1"
         )
@@ -574,7 +564,7 @@ def subset_with_unit_capacity(e: CompactSetModel, n: int = 64,
     for _ in range(60):
         mid = 0.5 * (lo_s + hi_s)
         v = est(mid)
-        if abs(v - 1.0) <= tol:
+        if abs(v - 1.0) <= 0.01:
             lo_s = hi_s = mid
             break
         if v < 1.0:

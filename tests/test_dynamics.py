@@ -18,14 +18,12 @@ from feketedyn.polyarith import (
     RootFindingError,
     chebyshev_monic,
     eval_intpoly_complex_exact,
-    eval_intpoly_real_exact,
     roots,
 )
 from feketedyn.dynamics import (
     DynGreenEvaluator,
     brolin_sample,
     chebyshev_preimages,
-    dyn_green,
     julia_capacity,
     laplacian_crosscheck,
     raster,
@@ -45,6 +43,11 @@ Z2M1 = ComplexPolynomial([-1, 0, 1])
 Z2M2 = ComplexPolynomial([-2, 0, 1])
 
 
+def _green_at(poly, z):
+    # the Green value at one point, through the array form
+    return DynGreenEvaluator(poly).green_many([z])[0][0]
+
+
 # ----------------------------------------------------------- green evaluator
 
 def test_evaluator_fields():
@@ -60,22 +63,22 @@ def test_evaluator_fields():
 
 
 def test_green_squaring_map_is_log_plus():
-    assert dyn_green(Z2, 3.0) == pytest.approx(math.log(3), abs=1e-12)
-    assert dyn_green(Z2, 0.5) == 0.0
-    assert dyn_green(Z2, 1e6) == pytest.approx(math.log(1e6), abs=1e-9)
+    assert _green_at(Z2, 3.0) == pytest.approx(math.log(3), abs=1e-12)
+    assert _green_at(Z2, 0.5) == 0.0
+    assert _green_at(Z2, 1e6) == pytest.approx(math.log(1e6), abs=1e-9)
     # complex probe
-    assert dyn_green(Z2, 1 + 1j) == pytest.approx(0.5 * math.log(2), abs=1e-12)
+    assert _green_at(Z2, 1 + 1j) == pytest.approx(0.5 * math.log(2), abs=1e-12)
 
 
 def test_green_z2m2_matches_interval_oracle():
-    assert dyn_green(Z2M2, 3.0) == pytest.approx(0.9624236501192069, abs=1e-9)
-    assert dyn_green(Z2M2, 1.5) == 0.0
+    assert _green_at(Z2M2, 3.0) == pytest.approx(0.9624236501192069, abs=1e-9)
+    assert _green_at(Z2M2, 1.5) == 0.0
     rng = np.random.default_rng(7)
     for _ in range(64):
         z = complex(rng.uniform(-4, 4), rng.uniform(-3, 3))
         if abs(z.imag) < 0.05:
             z += 0.1j
-        assert dyn_green(Z2M2, z) == pytest.approx(_interval_green(z), abs=1e-6), z
+        assert _green_at(Z2M2, z) == pytest.approx(_interval_green(z), abs=1e-6), z
 
 
 def test_green_undecided_flag():
@@ -106,7 +109,7 @@ def test_far_field_asymptotics():
         p = ComplexPolynomial(coeffs)
         ev = DynGreenEvaluator(p)
         z = 1e6 * np.exp(0.3j)
-        g = ev.green(z)
+        g = ev.green_many([z])[0][0]
         assert abs(g - math.log(1e6) - ev.tail_constant) <= 1e-5, coeffs
 
 
@@ -119,8 +122,8 @@ def test_green_exact_eval_big_chebyshev():
     vals, _ = ev.green_many(xs.astype(np.complex128))
     assert np.max(vals) == 0.0
     # and an escaping probe still matches the interval oracle
-    assert ev.green(3.0) == pytest.approx(_interval_green(3.0), abs=1e-8)
-    assert ev.green(2.5) == pytest.approx(_interval_green(2.5), abs=1e-8)
+    assert ev.green_many([3.0])[0][0] == pytest.approx(_interval_green(3.0), abs=1e-8)
+    assert ev.green_many([2.5])[0][0] == pytest.approx(_interval_green(2.5), abs=1e-8)
 
 
 def test_green_exact_chebyshev_matches_horner_reference(monkeypatch):
@@ -134,8 +137,6 @@ def test_green_exact_chebyshev_matches_horner_reference(monkeypatch):
     vals, und = ev.green_many(zs)
 
     def horner(p, z):
-        if z.imag == 0.0:
-            return complex(eval_intpoly_real_exact(p.coeffs, z.real))
         return eval_intpoly_complex_exact(p.coeffs, z)
 
     monkeypatch.setattr(dynamics, "eval_intpoly", horner)
@@ -284,7 +285,7 @@ def test_brolin_potential_identity():
     # (1/N) sum log|z0 - atom| = g(z0) + log cap
     m = brolin_sample(Z2, 4096, seed=9)
     pot = float(np.mean(np.log(np.abs(2.5 - m.points))))
-    assert pot == pytest.approx(dyn_green(Z2, 2.5) + math.log(julia_capacity(Z2)), abs=0.01)
+    assert pot == pytest.approx(_green_at(Z2, 2.5) + math.log(julia_capacity(Z2)), abs=0.01)
 
 
 def test_brolin_deterministic_and_seed_sensitive():

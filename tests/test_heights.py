@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from feketedyn import heights
 from feketedyn.heights import (
     AlgebraicNumber,
     GoodReductionError,
@@ -313,6 +314,15 @@ def test_height_gap_surrogates_towards_disk():
     gammas = [row["gamma"] for row in rows]
     assert all(row["ok"] for row in rows)
     assert gammas[0] > gammas[1] > gammas[2]
+
+
+def test_height_gap_violation_raises(monkeypatch):
+    # at the probe 3 the heights of z^2 and of [-2, 2] differ by
+    # log 3 - log((3 + sqrt 5)/2) ~ 0.136, above a Green distance of 0
+    monkeypatch.setattr(heights, "klimek_distance", lambda pair: 0.0)
+    with pytest.raises(ArithmeticError, match="for degree 2 at probe -3 1"):
+        height_gap([Z2], CompactSetModel.interval(-2.0, 2.0),
+                   [AlgebraicNumber.from_rational(Fraction(3))])
 
 
 # --------------------------------------------------------------------------- #

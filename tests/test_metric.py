@@ -156,7 +156,7 @@ def test_report_flags_unverified_regularity():
 def test_grid_audit_two_disks():
     d1 = CompactSetModel.disk(0.0, 1.0)
     d2 = CompactSetModel.disk(0.0, 2.0)
-    audit = grid_audit(set_pair(d1, d2), resolution=128)
+    audit = grid_audit(set_pair(d1, d2))
     assert audit["ok"]
     assert audit["grid_max"] <= audit["gamma"] + 1e-3
     # the difference of the two disk Green functions equals log 2 far out,
@@ -168,7 +168,7 @@ def test_grid_audit_julia_vs_interval():
     left = side_from_map(Z2M2, brolin_sample(Z2M2, 2048, seed=4).points)
     right = side_from_set(CompactSetModel.interval(-2.0, 2.0))
     pair = GreenPair(left, right)
-    audit = grid_audit(pair, resolution=128)
+    audit = grid_audit(pair)
     assert audit["ok"]
     assert audit["grid_max"] <= audit["gamma"] + 1e-3
 
@@ -181,10 +181,10 @@ def test_grid_audit_julia_vs_interval():
 def test_pullback_disk_square_root():
     big = CompactSetModel.disk(0.0, 4.0)
     pulled = pullback(Z2, big)
-    r = np.abs(pulled.hull_samples)
+    r = np.abs(pulled.boundary_samples)
     assert np.max(np.abs(r - 2.0)) <= 1e-6
     # angular coverage of the circle of radius 2
-    ang = np.sort(np.angle(pulled.hull_samples))
+    ang = np.sort(np.angle(pulled.boundary_samples))
     gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
     assert np.max(gaps) < 0.02
     assert pulled.log_capacity == pytest.approx(LOG2, abs=1e-12)
@@ -195,7 +195,7 @@ def test_pullback_disk_square_root():
 def test_pullback_unit_disk_is_fixed():
     d1 = CompactSetModel.disk(0.0, 1.0)
     pulled = pullback(Z2, d1)
-    assert np.max(np.abs(np.abs(pulled.hull_samples) - 1.0)) <= 1e-9
+    assert np.max(np.abs(np.abs(pulled.boundary_samples) - 1.0)) <= 1e-9
     assert pulled.log_capacity == pytest.approx(0.0, abs=1e-12)
     assert klimek_distance(GreenPair(side_from_set(pulled), side_from_set(d1))) <= 1e-9
 

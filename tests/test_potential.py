@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feketedyn.heights import AlgebraicNumber, rumely_height
+from feketedyn.metric import pullback
 from feketedyn.polyarith import IntPolynomial, chebyshev_monic
 from feketedyn.potential import (
     CompactSetModel,
@@ -16,7 +17,6 @@ from feketedyn.potential import (
     capacity_estimate,
     equilibrium_measure,
     fekete_points,
-    green_eval,
     green_eval_many,
     minimality_diagnostics,
     subset_with_unit_capacity,
@@ -50,6 +50,25 @@ def test_symmetry_flag():
     assert CompactSetModel.interval(-2, 2).symmetric
     assert CompactSetModel.disk(0, 1).symmetric
     assert not CompactSetModel.disk(1j, 1).symmetric
+
+
+SQUARE = (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)
+
+
+@pytest.mark.parametrize("build, symmetric", [
+    (lambda: CompactSetModel.polyline_boundary(SQUARE), True),
+    (lambda: CompactSetModel.polyline_boundary([0, 1, 1j]), False),
+    (lambda: CompactSetModel.point_cloud([1 + 1j, 1 - 1j, -2, 3j, -3j]), True),
+    (lambda: CompactSetModel.point_cloud([1 + 1j, 1 - 1j, -2, 3j]), False),
+    (lambda: pullback(IntPolynomial((0, 0, 1)), CompactSetModel.disk(0, 1)), True),
+    # the roots +-sqrt(w) of z^2 = w have opposite imaginary parts, so the
+    # samples' test reads any pullback by z^2 as symmetric; z^3 does not
+    (lambda: pullback(IntPolynomial((0, 0, 0, 1)), CompactSetModel.disk(0.5j, 0.25)),
+     False),
+], ids=["square", "triangle", "paired-cloud", "unpaired-cloud", "pullback-z2-disk",
+        "pullback-z3-off-axis-disk"])
+def test_symmetry_derived_from_samples(build, symmetric):
+    assert build().symmetric is symmetric
 
 
 def test_real_unions_are_symmetric():
@@ -259,30 +278,30 @@ def test_equilibrium_measure_interval_arcsine_histogram():
 def test_green_interval_against_joukowski_oracle():
     e = CompactSetModel.interval(-2, 2)
     for z in (3.0, -2.5, 1j, 2 + 1j, 0.5 + 0.25j, -1 - 3j, 5.0):
-        assert green_eval(e, z) == pytest.approx(_interval_green(z), abs=1e-6), z
+        assert green_eval_many(e, [z])[0] == pytest.approx(_interval_green(z), abs=1e-6), z
 
 
 def test_green_value_at_three():
     e = CompactSetModel.interval(-2, 2)
-    assert green_eval(e, 3.0) == pytest.approx(0.9624236501192069, abs=1e-6)
+    assert green_eval_many(e, [3.0])[0] == pytest.approx(0.9624236501192069, abs=1e-6)
 
 
 def test_green_clamps_to_zero_inside():
     e = CompactSetModel.interval(-2, 2)
-    assert green_eval(e, 0.7) == 0.0
-    assert green_eval(e, -2.0) == 0.0
+    assert green_eval_many(e, [0.7])[0] == 0.0
+    assert green_eval_many(e, [-2.0])[0] == 0.0
     d = CompactSetModel.disk(0, 1)
-    assert green_eval(d, 0.3 + 0.4j) == 0.0
+    assert green_eval_many(d, [0.3 + 0.4j])[0] == 0.0
     c = CompactSetModel.circle(0, 1)
-    assert green_eval(c, 0.0) == 0.0  # hull of the circle is the disk
+    assert green_eval_many(c, [0.0])[0] == 0.0  # hull of the circle is the disk
 
 
 def test_green_disk_matches_log_plus():
     d = CompactSetModel.disk(0, 1)
     for r in (1.2, 1.5, 2.0, 3.0):
-        assert green_eval(d, r) == pytest.approx(math.log(r), abs=1e-5)
+        assert green_eval_many(d, [r])[0] == pytest.approx(math.log(r), abs=1e-5)
     big = CompactSetModel.disk(0, 2)
-    assert green_eval(big, 4.0) == pytest.approx(math.log(2.0), abs=1e-6)
+    assert green_eval_many(big, [4.0])[0] == pytest.approx(math.log(2.0), abs=1e-6)
 
 
 def test_green_far_field_asymptotics():
