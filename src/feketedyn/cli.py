@@ -148,9 +148,11 @@ def _klimek_side(cfg: dict, name: str, parser):
     key = f"{name}_poly"
     if key in cfg:
         poly = _read_poly(str(cfg[key]), parser)
-        atoms = brolin_sample(poly, int(cfg.get("n_atoms", 1024)),
-                              seed=int(cfg.get("seed", 0))).points
-        return side_from_map(poly, atoms)
+        try:
+            n, seed = int(cfg.get("n_atoms", 1024)), int(cfg.get("seed", 0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"klimek config: {exc}") from exc
+        return side_from_map(poly, brolin_sample(poly, n, seed=seed).points)
     parser.error(f"klimek config needs '{name} = {{...}}' or '{key} = ...'")
 
 
@@ -193,10 +195,7 @@ def _cmd_height(args, parser) -> int:
 
 
 def _cmd_experiment(args, parser) -> int:
-    try:
-        spec = spec_from_config(parse_config(args.config), seed_override=args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
+    spec = spec_from_config(parse_config(args.config), seed_override=args.seed)
     report = RUNNERS[args.name](spec, out_dir=args.out)
     for path in emit(report, spec.outputs, args.out):
         print(path)
@@ -268,7 +267,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args, parser)
     except ConfigError as exc:
-        # a set or experiment config refused before any output is written
+        # a config file refused before any output is written
         parser.error(str(exc))
 
 

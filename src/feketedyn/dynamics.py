@@ -173,7 +173,8 @@ def julia_capacity(poly) -> float:
 class JuliaRaster:
     """Grid of Green values over a bbox; zero encodes filled-set membership.
 
-    values[i, j] is the point xs[j] + 1j*ys[i] with both axes ascending.
+    values[i, j] is the centre of pixel column j, row i of the bbox, with
+    both axes ascending.
     undecided marks pixels whose orbit never escaped within max_iter.
     """
 
@@ -181,12 +182,6 @@ class JuliaRaster:
     resolution: tuple  # (width, height)
     values: np.ndarray
     undecided: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
-
-    @property
-    def membership(self) -> np.ndarray:
-        return self.values == 0.0
 
 
 def raster(poly, bbox, resolution, max_iter: int = DEFAULT_MAX_ITER) -> JuliaRaster:
@@ -202,7 +197,7 @@ def raster(poly, bbox, resolution, max_iter: int = DEFAULT_MAX_ITER) -> JuliaRas
     ev = DynGreenEvaluator(poly, max_iter=max_iter)
     vals, und = ev.green_many(grid)
     return JuliaRaster(bbox=(re_min, re_max, im_min, im_max), resolution=(w, h),
-                       values=vals, undecided=und, xs=xs, ys=ys)
+                       values=vals, undecided=und)
 
 
 def _centres(lo: float, hi: float, k: int) -> np.ndarray:
@@ -327,25 +322,3 @@ def power_preimages(n: int):
 
     return pre
 
-
-def laplacian_crosscheck(poly, bbox, resolution) -> DiscreteMeasure:
-    """Independent estimate of the maximal-entropy measure: five-point
-    discrete Laplacian of the Green raster, positive part, renormalized."""
-    w, h = (int(r) for r in resolution)
-    if w < 128 or h < 128:
-        raise ValueError("laplacian crosscheck needs at least 128x128")
-    ras = raster(poly, bbox, (w, h))
-    member = ras.membership
-    if member[0, :].any() or member[-1, :].any() \
-            or member[:, 0].any() or member[:, -1].any():
-        raise ValueError("filled set touches the bbox boundary; enlarge the bbox")
-    v = ras.values
-    lap = (v[:-2, 1:-1] + v[2:, 1:-1] + v[1:-1, :-2] + v[1:-1, 2:]
-           - 4.0 * v[1:-1, 1:-1])
-    lap = np.maximum(lap, 0.0)
-    total = float(np.sum(lap))
-    if total <= 0:
-        raise ValueError("no positive curvature found; bbox misses the boundary")
-    grid = ras.xs[None, 1:-1] + 1j * ras.ys[1:-1, None]
-    keep = lap > 0
-    return DiscreteMeasure(grid[keep], lap[keep] / total)

@@ -99,9 +99,9 @@ CHEB_EXACT_MAX_ITER = 48
 
 
 class ConfigError(ValueError):
-    """A configuration the runners refuse in their checks before any work:
-    a set that cannot be built, or a family, target or degree range the
-    experiment does not take."""
+    """A configuration refused before any work: a file that does not parse,
+    a set that cannot be built, or a spec, family, target or degree range
+    the experiment does not take."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -200,8 +200,10 @@ class Report:
 
 def build_set(config: dict, samples: int | None = None) -> CompactSetModel:
     """Catalog set from a flat config block, e.g. {kind = disk, radius = 1}.
-    An unknown kind, or values the kind's constructor refuses, raise
-    ConfigError."""
+    A block that is not a dict, an unknown kind, or values the kind's
+    constructor refuses, raise ConfigError."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"set config must be a {{...}} block, not {config!r}")
     cfg = dict(config)
     kind = cfg.get("kind")
     try:
@@ -224,7 +226,7 @@ def build_set(config: dict, samples: int | None = None) -> CompactSetModel:
             return CompactSetModel.union_of_intervals(pairs, **kw)
     except KeyError as exc:
         raise ConfigError(f"set kind {kind!r} needs key {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"set kind {kind!r}: {exc}") from exc
     raise ConfigError(f"unknown set kind {kind!r}")
 
@@ -240,17 +242,21 @@ def _as_center(v) -> complex:
 
 def parse_config(path) -> dict:
     """Flat key-value text (`key = value`, `{...}` blocks, `[...]` lists,
-    `#` comments); a file whose first non-blank byte is `{` is read as JSON."""
-    text = pathlib.Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        return json.loads(text)
+    `#` comments); a file whose first non-blank byte is `{` is read as JSON.
+    A file that cannot be read or parsed raises ConfigError."""
+    try:
+        text = pathlib.Path(path).read_text()
+        if text.lstrip().startswith("{"):
+            return json.loads(text)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config {str(path)!r}: {exc}") from exc
     out = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"expected 'key = value', got {line!r}")
+            raise ConfigError(f"expected 'key = value', got {line!r}")
         key, _, val = line.partition("=")
         out[key.strip()] = _parse_value(val.strip())
     return out
@@ -298,25 +304,30 @@ def _parse_value(s: str):
 
 
 def spec_from_config(cfg: dict, seed_override: int | None = None) -> ExperimentSpec:
+    """The spec a parsed config describes; a value of the wrong type or one
+    the spec refuses raises ConfigError."""
     rng = cfg.get("degree_range", [4, 128])
     cps = cfg.get("checkpoints")
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
-    return ExperimentSpec(
-        name=str(cfg.get("name", "experiment")),
-        family=str(cfg.get("family", "")),
-        set_config=dict(cfg.get("set", {})),
-        degree_range=(int(rng[0]), int(rng[1])),
-        checkpoints=None if cps is None else tuple(int(c) for c in cps),
-        probes=tuple(str(p) for p in cfg.get("probes", [])),
-        outputs=tuple(cfg.get("outputs", ["csv", "json"])),
-        seed=int(seed),
-        epsilon=float(cfg.get("epsilon", 0.1)),
-        n_atoms=int(cfg.get("n_atoms", 1024)),
-        budget_seconds=(None if cfg.get("budget_seconds") is None
-                        else float(cfg["budget_seconds"])),
-        user_polys=tuple(IntPolynomial.from_text(t)
-                         for t in cfg.get("user_polys", [])),
-    )
+    try:
+        return ExperimentSpec(
+            name=str(cfg.get("name", "experiment")),
+            family=str(cfg.get("family", "")),
+            set_config=dict(cfg.get("set", {})),
+            degree_range=(int(rng[0]), int(rng[1])),
+            checkpoints=None if cps is None else tuple(int(c) for c in cps),
+            probes=tuple(str(p) for p in cfg.get("probes", [])),
+            outputs=tuple(cfg.get("outputs", ["csv", "json"])),
+            seed=int(seed),
+            epsilon=float(cfg.get("epsilon", 0.1)),
+            n_atoms=int(cfg.get("n_atoms", 1024)),
+            budget_seconds=(None if cfg.get("budget_seconds") is None
+                            else float(cfg["budget_seconds"])),
+            user_polys=tuple(IntPolynomial.from_text(t)
+                             for t in cfg.get("user_polys", [])),
+        )
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"experiment config: {exc}") from exc
 
 
 # --------------------------------------------------------------------------- #

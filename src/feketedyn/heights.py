@@ -66,11 +66,11 @@ class AlgebraicNumber:
         return self.minpoly.degree
 
     @classmethod
-    def from_minpoly(cls, p: IntPolynomial, tol: float = 1e-10) -> "AlgebraicNumber":
+    def from_minpoly(cls, p: IntPolynomial) -> "AlgebraicNumber":
         q = p.primitive_normalized()
         if q.degree < 1:
             raise ValueError("minimal polynomial must be nonconstant")
-        return cls(q, roots(q, tol=tol))
+        return cls(q, roots(q))
 
     @classmethod
     def from_rational(cls, x) -> "AlgebraicNumber":

@@ -181,7 +181,9 @@ def pullback(p, e: CompactSetModel) -> CompactSetModel:
     samples, solved as stacked root problems.  The capacity comes from the
     exact identity cap(P^{-1}E) = (cap E / |lead|)^{1/d}, and the Green
     function from g(P(z)) / d; neither is re-estimated from the new samples,
-    so iterated pullbacks do not compound search error.
+    so iterated pullbacks do not compound search error.  For a real P,
+    conj(P^{-1}E) = P^{-1}(conj E), so the preimage is conjugation-symmetric
+    exactly when E is; a non-real P is reported as not symmetric.
     """
     cp = ComplexPolynomial.of(p)
     d = cp.degree
@@ -209,8 +211,9 @@ def pullback(p, e: CompactSetModel) -> CompactSetModel:
     return CompactSetModel(
         kind="point-cloud",
         params={"count": len(pts), "pullback_degree": d},
-        boundary_samples=pts, sample_t=None, sample_comp=None,
-        regular=e.regular, log_capacity=log_cap,
+        boundary_samples=pts, regular=e.regular,
+        symmetric=e.symmetric and not np.any(cp.coeffs.imag),
+        log_capacity=log_cap,
         green_fn=gfn,
     )
 

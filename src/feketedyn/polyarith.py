@@ -586,12 +586,6 @@ def power_map(n: int) -> IntPolynomial:
     return IntPolynomial((0,) * n + (1,))
 
 
-def power_map_plus_z(n: int) -> IntPolynomial:
-    if n < 2:
-        raise ValueError("degree must be at least 2")
-    return IntPolynomial((0, 1) + (0,) * (n - 2) + (1,))
-
-
 # --------------------------------------------------------------------------- #
 # exact orbits
 # --------------------------------------------------------------------------- #

@@ -14,8 +14,6 @@ import math
 
 import numpy as np
 
-from .polyarith import ComplexPolynomial, IntPolynomial, eval_intpoly
-
 DEFAULT_BOUNDARY_SAMPLES = 4096
 DEFAULT_EQUILIBRIUM_N = 64
 # points on the containment ring of probe_ring
@@ -58,24 +56,16 @@ class DiscreteMeasure:
             for p, w in zip(self.points, self.weights):
                 fh.write(f"{p.real:.12g},{p.imag:.12g},{w:.12g}\n")
 
-    @classmethod
-    def from_csv(cls, path) -> "DiscreteMeasure":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(rows[:, 0] + 1j * rows[:, 1], rows[:, 2])
-
 
 class CompactSetModel:
     """Sampled compact set. Construct through the kind classmethods."""
 
-    def __init__(self, kind, params, boundary_samples, sample_t, sample_comp,
-                 regular, symmetric=None, log_capacity=None,
-                 green_fn=None, contains_fn=None, distance_fn=None,
-                 point_at=None, ring_fn=None):
+    def __init__(self, kind, params, boundary_samples, regular, symmetric=None,
+                 log_capacity=None, green_fn=None, contains_fn=None,
+                 distance_fn=None, ring_fn=None):
         self.kind = kind
         self.params = params
         self.boundary_samples = np.asarray(boundary_samples, dtype=np.complex128)
-        self.sample_t = None if sample_t is None else np.asarray(sample_t, dtype=float)
-        self.sample_comp = None if sample_comp is None else np.asarray(sample_comp, dtype=int)
         if symmetric is None:  # conjugation symmetry read off the samples
             im = self.boundary_samples.imag
             symmetric = np.allclose(np.sort(im), np.sort(-im), atol=1e-9)
@@ -85,7 +75,6 @@ class CompactSetModel:
         self._green_fn = green_fn
         self._contains_fn = contains_fn
         self._distance_fn = distance_fn
-        self._point_at = point_at
         self._ring_fn = ring_fn
         self._fekete_cache: dict[int, np.ndarray] = {}
         self._measure_cache: dict[int, DiscreteMeasure] = {}
@@ -159,12 +148,9 @@ class CompactSetModel:
 
         return cls(
             kind=kind, params={"center": c, "radius": r},
-            boundary_samples=pts, sample_t=theta,
-            sample_comp=np.zeros(samples, dtype=int),
-            symmetric=(c.imag == 0.0), regular=True,
+            boundary_samples=pts, symmetric=(c.imag == 0.0), regular=True,
             log_capacity=math.log(radius), green_fn=gfn,
             contains_fn=contains, distance_fn=distance,
-            point_at=lambda comp, s, c=c, r=radius: c + r * complex(math.cos(s), math.sin(s)),
             ring_fn=lambda eps: c + (r + eps) * np.exp(1j * th),
         )
 
@@ -184,15 +170,8 @@ class CompactSetModel:
         t = np.concatenate([np.linspace(a, b, samples) for a, b in ivs])
         pts = t.astype(np.complex128)
         contains, distance, ring = _segments_geometry(ivs, _membership_tol(pts))
-
-        def point_at(comp, s):
-            a, b = ivs[comp]
-            return complex(min(max(s, a), b), 0.0)
-
         return cls(
-            kind=kind, params=params, boundary_samples=pts, sample_t=t,
-            sample_comp=np.repeat(np.arange(len(ivs)), samples),
-            regular=True, point_at=point_at,
+            kind=kind, params=params, boundary_samples=pts, regular=True,
             contains_fn=contains, distance_fn=distance, ring_fn=ring,
             **closed_forms,
         )
@@ -208,21 +187,18 @@ class CompactSetModel:
         total = cum[-1]
         t = total * np.arange(samples) / samples
 
-        def point_at(comp, s, loop=loop, cum=cum, total=total):
-            s = s % total
+        def point_at(s):
             k = int(np.searchsorted(cum, s, side="right")) - 1
             k = min(k, len(loop) - 2)
             seg_len = cum[k + 1] - cum[k]
             frac = 0.0 if seg_len == 0 else (s - cum[k]) / seg_len
             return complex(loop[k] + frac * (loop[k + 1] - loop[k]))
 
-        pts = np.array([point_at(0, s) for s in t])
+        pts = np.array([point_at(s) for s in t])
         tol = _membership_tol(pts)
         return cls(
             kind="polyline-boundary", params={"vertices": verts},
-            boundary_samples=pts, sample_t=t,
-            sample_comp=np.zeros(samples, dtype=int),
-            regular=True, point_at=point_at,
+            boundary_samples=pts, regular=True,
             contains_fn=lambda z: _polygon_contains(verts, z, tol),
         )
 
@@ -233,8 +209,7 @@ class CompactSetModel:
             raise ValueError("need at least two points")
         return cls(
             kind="point-cloud", params={"count": len(pts)},
-            boundary_samples=pts, sample_t=None, sample_comp=None,
-            regular=False,
+            boundary_samples=pts, regular=False,
         )
 
     # ------------------------------------------------------------------ geometry
@@ -433,142 +408,3 @@ def green_eval_many(e: CompactSetModel, z) -> np.ndarray:
     vals = pot - e.log_capacity
     vals = np.where(e.contains_many(z), 0.0, vals)
     return np.maximum(vals, 0.0)
-
-
-# --------------------------------------------------------------------------- #
-# sup norms
-# --------------------------------------------------------------------------- #
-
-
-def _abs_eval(p, z):
-    if isinstance(p, IntPolynomial):
-        return np.abs(eval_intpoly(p, z))
-    return np.abs(ComplexPolynomial.of(p)(z))
-
-
-def supnorm(p, e: CompactSetModel) -> float:
-    """Max of |p| over the boundary samples, refined by golden-section search
-    along the boundary parameterization near the best sample."""
-    vals = np.asarray(_abs_eval(p, e.boundary_samples), dtype=float)
-    k = int(np.argmax(vals))
-    best = float(vals[k])
-    if e._point_at is None or e.sample_t is None:
-        return best
-    comp = int(e.sample_comp[k])
-    same = np.nonzero(e.sample_comp == comp)[0]
-    ts = e.sample_t[same]
-    spacing = float(np.median(np.diff(np.sort(ts)))) if len(ts) > 1 else 0.0
-    lo = e.sample_t[k] - spacing
-    hi = e.sample_t[k] + spacing
-
-    def f(t):
-        return float(_abs_eval(p, np.array([e._point_at(comp, t)]))[0])
-
-    best = max(best, _golden_max(f, lo, hi))
-    return best
-
-
-def _golden_max(f, lo, hi) -> float:
-    gr = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(80):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        if b - a < 1e-14 * (1 + abs(a)):
-            break
-    return max(fc, fd)
-
-
-# --------------------------------------------------------------------------- #
-# minimality diagnostics
-# --------------------------------------------------------------------------- #
-
-
-@dataclasses.dataclass(frozen=True)
-class MinimalityReport:
-    rows: tuple  # (degree, log|lead|/degree, log sup / degree)
-    leading_target: float
-    leading_deviation: float
-    supnorm_deviation: float
-    minimal_leading: bool
-    minimal_supnorm: bool
-    tol: float
-
-
-def minimality_diagnostics(seq, e: CompactSetModel, tol: float = 0.05) -> MinimalityReport:
-    """Per-degree leading-coefficient and sup-norm growth columns with trend
-    flags: a candidate minimal sequence drives log|a_n|/d_n to -log cap(E)
-    and log ||P_n||_E / d_n to zero."""
-    rows = []
-    for p in seq:
-        d = p.degree
-        if d < 1:
-            raise ValueError("need nonconstant polynomials")
-        lead = abs(p.leading) if isinstance(p, IntPolynomial) else abs(p.coeffs[-1])
-        s = supnorm(p, e)
-        rows.append((d, math.log(lead) / d, math.log(s) / d))
-    rows.sort(key=lambda r: r[0])
-    target = -e.log_capacity
-    lead_dev = abs(rows[-1][1] - target)
-    sup_dev = abs(rows[-1][2])
-    return MinimalityReport(
-        rows=tuple(rows),
-        leading_target=target,
-        leading_deviation=lead_dev,
-        supnorm_deviation=sup_dev,
-        minimal_leading=lead_dev <= tol,
-        minimal_supnorm=sup_dev <= tol,
-        tol=tol,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# unit-capacity subset search (union-of-intervals only)
-# --------------------------------------------------------------------------- #
-
-
-def subset_with_unit_capacity(e: CompactSetModel) -> CompactSetModel:
-    """Shrink each interval about its own center until the capacity estimate
-    hits 1. Only union-of-intervals models support the search."""
-    if e.kind != "union-of-intervals":
-        raise UnsupportedSetError(
-            "unit-capacity subset search is implemented for union-of-intervals only"
-        )
-    ivs = e.params["intervals"]
-
-    def scaled(s: float, samples: int = 1024) -> CompactSetModel:
-        out = []
-        for a, b in ivs:
-            c, h = (a + b) / 2, (b - a) / 2
-            out.append((c - s * h, c + s * h))
-        return CompactSetModel.union_of_intervals(out, samples=samples)
-
-    def est(s: float) -> float:
-        return capacity_estimate(scaled(s), 64)
-
-    hi = est(1.0)
-    if hi < 0.99:
-        raise ValueError(
-            f"cannot reach unit capacity: the full union estimates {hi:.6g} < 1"
-        )
-    lo_s, hi_s = 1e-6, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo_s + hi_s)
-        v = est(mid)
-        if abs(v - 1.0) <= 0.01:
-            lo_s = hi_s = mid
-            break
-        if v < 1.0:
-            lo_s = mid
-        else:
-            hi_s = mid
-    return scaled(0.5 * (lo_s + hi_s), DEFAULT_BOUNDARY_SAMPLES)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from feketedyn.cli import main
-from feketedyn.potential import DiscreteMeasure
 
 
 def run(capsys, *argv):
@@ -109,12 +108,12 @@ def test_brolin_csv(capsys, tmp_path):
     assert code == 0
     path = out_dir / "brolin.csv"
     assert path.read_text().splitlines()[0] == "re,im,weight"
-    mu = DiscreteMeasure.from_csv(path)
-    assert len(mu.points) == 512
-    assert float(np.sum(mu.weights)) == pytest.approx(1.0, abs=1e-12)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (512, 3)
+    assert float(np.sum(rows[:, 2])) == pytest.approx(1.0, abs=1e-12)
     # K_{z^2-2} = [-2,2]
-    assert float(np.max(np.abs(mu.points.real))) <= 2.0 + 1e-6
-    assert float(np.max(np.abs(mu.points.imag))) <= 1e-5
+    assert float(np.max(np.abs(rows[:, 0]))) <= 2.0 + 1e-6
+    assert float(np.max(np.abs(rows[:, 1]))) <= 1e-5
 
 
 # ------------------------------------------------------------------- klimek
@@ -320,34 +319,52 @@ def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config
     ("dynamical_fs", "name = x\nfamily = power_maps\n"
                      "set = { kind = interval, a = -1, b = 1 }\n", "below 1"),
     ("runaway", "name = x\nfamily = runaway\ndegree_range = [2, 6]\n", "[4, 14]"),
+    # a value of the wrong type
+    ("runaway", "name = x\nfamily = runaway\ndegree_range = 6\n", "experiment config: "),
 ], ids=["unknown-kind", "missing-key", "constructor", "bilu-target", "fs-capacity",
-        "runaway-range"])
+        "runaway-range", "degree-range-type"])
 def test_experiment_set_config_error_is_usage_error(capsys, tmp_path, runner, config,
                                                     needle):
     assert needle in _usage_error(capsys, tmp_path, runner, config)
 
 
-@pytest.mark.parametrize("block, needle", [
-    ("{ kind = interval, a = -2 }", "set kind 'interval' needs key 'b'"),
-    ("{ kind = hexagon }", "unknown set kind 'hexagon'"),
-], ids=["missing-key", "unknown-kind"])
+def _every_side(block: str) -> str:
+    # one file for every command; each reads only its own keys
+    return (f"name = x\nfamily = power_maps\n"
+            f"set = {block}\nleft = {block}\nright = {block}\n")
+
+
+@pytest.mark.parametrize("text, needle", [
+    (_every_side("{ kind = interval, a = -2 }"), "set kind 'interval' needs key 'b'"),
+    (_every_side("{ kind = hexagon }"), "unknown set kind 'hexagon'"),
+    ("garbage\n", "expected 'key = value', got 'garbage'"),
+    ('{ "set":', "Expecting value"),
+    (_every_side("{ kind = union_of_intervals, intervals = 3 }"),
+     "set kind 'union_of_intervals': "),
+    # klimek and experiment read n_atoms; the others fail on the radius
+    ("name = x\nfamily = power_maps\nset = { kind = disk, center = 0, radius = abc }\n"
+     "left_poly = 0 0 1\nright_poly = 0 0 1\nn_atoms = abc\n", "'abc'"),
+], ids=["missing-key", "unknown-kind", "not-key-value", "malformed-json",
+        "intervals-type", "value-type"])
 @pytest.mark.parametrize("argv", [
     ("capacity", "--config", "{cfg}"),
     ("green", "--config", "{cfg}", "--at", "3,0"),
     ("height", "rumely", "--poly", "-3 1", "--set", "{cfg}"),
     ("klimek", "--config", "{cfg}"),
-], ids=["capacity", "green", "height-rumely", "klimek"])
-def test_set_config_error_is_usage_error(capsys, tmp_path, argv, block, needle):
-    # one file for every command; each reads only its own keys
+    ("experiment", "dynamical_fs", "--config", "{cfg}", "--out", "{out}"),
+], ids=["capacity", "green", "height-rumely", "klimek", "experiment"])
+def test_set_config_error_is_usage_error(capsys, tmp_path, argv, text, needle):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"set = {block}\nleft = {block}\nright = {block}\n")
+    cfg.write_text(text)
+    out_dir = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_info:
-        main([a.format(cfg=cfg) for a in argv])
+        main([a.format(cfg=cfg, out=out_dir) for a in argv])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     last = err.strip().splitlines()[-1]
     assert last.startswith("fekete-dyn: error: ") and needle in last
+    assert not out_dir.exists()
 
 
 def test_no_subcommand_errors(capsys):

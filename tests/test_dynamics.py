@@ -25,7 +25,6 @@ from feketedyn.dynamics import (
     brolin_sample,
     chebyshev_preimages,
     julia_capacity,
-    laplacian_crosscheck,
     raster,
     write_pgm,
 )
@@ -325,29 +324,6 @@ def test_brolin_chebyshev_64_stays_on_segment():
                       preimages=chebyshev_preimages(64))
     assert np.max(np.abs(m.points.imag)) <= 1e-9
     assert np.max(np.abs(m.points.real)) <= 2 + 1e-9
-
-
-# ------------------------------------------------------ Laplacian crosscheck
-
-def test_laplacian_squaring_annulus():
-    m = laplacian_crosscheck(Z2, (-2, 2, -2, 2), (256, 256))
-    r = np.abs(m.points)
-    mass = float(np.sum(m.weights[(r >= 0.9) & (r <= 1.1)]))
-    assert mass >= 0.95
-    assert abs(np.sum(m.weights * m.points)) <= 0.02
-
-
-def test_laplacian_agrees_with_brolin_moment():
-    m1 = laplacian_crosscheck(Z2M1, (-2.2, 2.2, -1.8, 1.8), (256, 256))
-    m2 = brolin_sample(Z2M1, 4096, seed=2)
-    mom1 = np.sum(m1.weights * m1.points)
-    mom2 = np.mean(m2.points)
-    assert abs(mom1 - mom2) <= 0.05
-
-
-def test_laplacian_rejects_touching_bbox():
-    with pytest.raises(ValueError):
-        laplacian_crosscheck(Z2, (-1.0, 1.0, -1.0, 1.0), (128, 128))
 
 
 # ----------------------------------------- capacity consistency (atoms vs formula)

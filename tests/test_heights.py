@@ -32,10 +32,8 @@ from feketedyn.polyarith import (
     IntPolynomial,
     chebyshev_monic,
     cyclotomic,
-    power_map,
-    power_map_plus_z,
 )
-from feketedyn.potential import CompactSetModel, minimality_diagnostics
+from feketedyn.potential import CompactSetModel
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -305,7 +303,8 @@ def test_height_gap_chebyshev_interval():
 
 
 def test_height_gap_surrogates_towards_disk():
-    seq = [power_map_plus_z(n) for n in (2, 4, 8)]
+    # z^n + z
+    seq = [IntPolynomial((0, 1) + (0,) * (n - 2) + (1,)) for n in (2, 4, 8)]
     rows = height_gap(
         seq,
         CompactSetModel.disk(0.0, 1.0),
@@ -326,7 +325,7 @@ def test_height_gap_violation_raises(monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
-# asymptotic minimality of the cyclotomic sequence on the unit circle
+# roots of unity have Rumely height zero on the unit circle
 # --------------------------------------------------------------------------- #
 
 
@@ -335,12 +334,3 @@ def test_cyclotomic_minimality_on_circle():
     for n in (8, 16, 64, 256):
         zeta = AlgebraicNumber.from_minpoly(cyclotomic(n))
         assert rumely_height(zeta, circle).total <= 1e-12
-    report = minimality_diagnostics([cyclotomic(n) for n in (8, 16, 64, 256)],
-                                    circle, tol=0.01)
-    sup_cols = [row[2] for row in report.rows]
-    assert all(a > b for a, b in zip(sup_cols, sup_cols[1:]))
-    assert report.minimal_leading
-    assert report.minimal_supnorm
-    # a prime index keeps the sup-norm column small as well
-    tall = minimality_diagnostics([cyclotomic(199)], circle, tol=0.03)
-    assert tall.minimal_supnorm

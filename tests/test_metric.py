@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feketedyn.dynamics import brolin_sample
 from feketedyn.metric import (
@@ -203,6 +205,24 @@ def test_pullback_unit_disk_is_fixed():
 def test_pullback_rejects_degree_one():
     with pytest.raises(ValueError):
         pullback(ComplexPolynomial([1.0, 2.0]), CompactSetModel.disk(0.0, 1.0))
+
+
+real_maps = st.integers(2, 4).flatmap(
+    lambda d: st.lists(st.integers(-6, 6), min_size=d + 1, max_size=d + 1)
+).filter(lambda c: c[-1] != 0).map(lambda c: IntPolynomial(tuple(c)))
+real_sets = st.one_of(
+    st.builds(lambda a, w: CompactSetModel.interval(a, a + w),
+              st.integers(-8, 8).map(lambda k: k / 4), st.integers(1, 16).map(lambda k: k / 4)),
+    st.builds(CompactSetModel.disk,
+              st.integers(-8, 8).map(lambda k: k / 4), st.integers(1, 12).map(lambda k: k / 4)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(real_maps, real_sets)
+def test_pullback_of_real_set_under_real_map_is_symmetric(p, e):
+    # conj(P^{-1}E) = P^{-1}(conj E) = P^{-1}E for real P and E
+    assert pullback(p, e).symmetric
 
 
 def test_iterated_pullback_contracts_to_julia():

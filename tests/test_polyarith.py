@@ -18,7 +18,6 @@ from feketedyn.polyarith import (
     eval_intpoly,
     iterate_exact,
     power_map,
-    power_map_plus_z,
     roots,
     runaway_drift,
     runaway_family,
@@ -412,7 +411,6 @@ def test_runaway_root_count_inside_unit_disk():
 
 def test_power_map_generators():
     assert power_map(5).coeffs == (0, 0, 0, 0, 0, 1)
-    assert power_map_plus_z(5).coeffs == (0, 1, 0, 0, 0, 1)
 
 
 # -------------------------------------------------------------- exact orbits

@@ -1,4 +1,4 @@
-"""Compact set models: Fekete search, capacity, equilibrium, Green values, sup norms."""
+"""Compact set models: Fekete search, capacity, equilibrium, Green values."""
 
 import math
 import warnings
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from feketedyn.heights import AlgebraicNumber, rumely_height
 from feketedyn.metric import pullback
-from feketedyn.polyarith import IntPolynomial, chebyshev_monic
+from feketedyn.polyarith import IntPolynomial
 from feketedyn.potential import (
     CompactSetModel,
     UnsupportedSetError,
@@ -18,9 +18,6 @@ from feketedyn.potential import (
     equilibrium_measure,
     fekete_points,
     green_eval_many,
-    minimality_diagnostics,
-    subset_with_unit_capacity,
-    supnorm,
 )
 
 
@@ -60,15 +57,27 @@ SQUARE = (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)
     (lambda: CompactSetModel.polyline_boundary([0, 1, 1j]), False),
     (lambda: CompactSetModel.point_cloud([1 + 1j, 1 - 1j, -2, 3j, -3j]), True),
     (lambda: CompactSetModel.point_cloud([1 + 1j, 1 - 1j, -2, 3j]), False),
+    # a pullback under a real P is symmetric exactly when its source is; its
+    # samples would mislead: the roots +-sqrt(w) of z^2 = w pair up for any
+    # w, and the subsampled source angles of the unit disk are not
+    # conjugation-closed
     (lambda: pullback(IntPolynomial((0, 0, 1)), CompactSetModel.disk(0, 1)), True),
-    # the roots +-sqrt(w) of z^2 = w have opposite imaginary parts, so the
-    # samples' test reads any pullback by z^2 as symmetric; z^3 does not
+    (lambda: pullback(IntPolynomial((0, 0, 1)), CompactSetModel.disk(0.5j, 0.25)), False),
+    (lambda: pullback(IntPolynomial((0, 0, 0, 1)), CompactSetModel.disk(0, 1)), True),
     (lambda: pullback(IntPolynomial((0, 0, 0, 1)), CompactSetModel.disk(0.5j, 0.25)),
      False),
 ], ids=["square", "triangle", "paired-cloud", "unpaired-cloud", "pullback-z2-disk",
-        "pullback-z3-off-axis-disk"])
+        "pullback-z2-off-axis-disk", "pullback-z3-disk", "pullback-z3-off-axis-disk"])
 def test_symmetry_derived_from_samples(build, symmetric):
     assert build().symmetric is symmetric
+
+
+def test_rumely_height_on_real_pullback_does_not_warn():
+    # P^{-1}(unit disk) for P = z^3 is the unit disk: symmetric, capacity one
+    e = pullback(IntPolynomial((0, 0, 0, 1)), CompactSetModel.disk(0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        rumely_height(AlgebraicNumber.from_rational(3), e)
 
 
 def test_real_unions_are_symmetric():
@@ -322,46 +331,6 @@ def test_green_nonnegative_everywhere():
     assert np.min(green_eval_many(e, z)) >= 0.0
 
 
-# --------------------------------------------------------------------- supnorm
-
-def test_supnorm_chebyshev_equioscillation():
-    e = CompactSetModel.interval(-2, 2)
-    assert supnorm(chebyshev_monic(5), e) == pytest.approx(2.0, abs=1e-6)
-    assert supnorm(IntPolynomial((-2, 0, 1)), e) == pytest.approx(2.0, abs=1e-6)
-
-
-def test_supnorm_large_coefficients_stable():
-    # coefficient-form evaluation of this polynomial is cancellation-hostile;
-    # the exact path must still see the true sup of 2
-    e = CompactSetModel.interval(-2, 2)
-    assert supnorm(chebyshev_monic(64), e) == pytest.approx(2.0, rel=1e-9)
-
-
-def test_supnorm_identity_on_disk():
-    e = CompactSetModel.disk(0, 1)
-    assert supnorm(IntPolynomial((0, 1)), e) == pytest.approx(1.0, abs=1e-9)
-
-
-# ----------------------------------------------------------------- diagnostics
-
-def test_minimality_chebyshev_family():
-    e = CompactSetModel.interval(-2, 2)
-    seq = [chebyshev_monic(n) for n in (2, 4, 8, 16, 32, 64)]
-    rep = minimality_diagnostics(seq, e)
-    assert rep.minimal_leading and rep.minimal_supnorm
-    assert rep.rows[-1][1] == pytest.approx(0.0, abs=1e-12)  # monic column
-    assert rep.rows[-1][2] == pytest.approx(math.log(2) / 64, abs=1e-3)
-
-
-def test_minimality_flags_bad_leading_growth():
-    # 2^n z^n on the closed unit disk: leading column sits at log 2, not 0
-    e = CompactSetModel.disk(0, 1)
-    seq = [IntPolynomial((0,) * n + (2 ** n,)) for n in (1, 2, 4, 8)]
-    rep = minimality_diagnostics(seq, e)
-    assert not rep.minimal_leading
-    assert rep.leading_deviation == pytest.approx(math.log(2), abs=1e-9)
-
-
 # ------------------------------------------------------------------ geometry
 
 def test_distance_to_set():
@@ -516,21 +485,3 @@ def test_probe_ring_needs_a_ring_kind():
     square = CompactSetModel.polyline_boundary([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
     with pytest.raises(UnsupportedSetError):
         square.probe_ring(0.1)
-
-
-# -------------------------------------------------------- unit-capacity search
-
-def test_subset_shrink_reaches_unit_capacity():
-    e = CompactSetModel.union_of_intervals([(-3, -1), (1, 3)])
-    shrunk = subset_with_unit_capacity(e)
-    assert abs(capacity_estimate(shrunk, 64) - 1.0) <= 0.05
-    for (a, b), (a0, b0) in zip(shrunk.params["intervals"], e.params["intervals"]):
-        assert a >= a0 - 1e-9 and b <= b0 + 1e-9
-
-
-def test_subset_shrink_reports_failure():
-    small = CompactSetModel.union_of_intervals([(-1, 0), (0.5, 1)])
-    with pytest.raises(ValueError):
-        subset_with_unit_capacity(small)
-    with pytest.raises(UnsupportedSetError):
-        subset_with_unit_capacity(CompactSetModel.disk(0, 2))
