@@ -61,6 +61,12 @@ class DynGreenEvaluator:
             self._recip = _pointwise(lambda w: 1.0 / w)
         else:
             self._step, self._abs, self._recip = self.poly, np.abs, lambda za: 1.0 / za
+        # the points certified in K at step 0, which skip the loop: 2 T_n(x/2)
+        # maps [-2, 2] into itself, and each exact step rounds into [-2, 2]
+        # again, so these orbits would stay below the radius (>= 2) to max_iter
+        self._in_k = None
+        if self._exact and self.int_poly.exact_plan == "chebyshev":
+            self._in_k = lambda za: (za.imag == 0.0) & (np.abs(za.real) <= 2.0)
 
     def _eps(self, v):
         # (c_{d-1} v + c_{d-2} v^2 + ... + c_0 v^d) / a_d  on v = 1/w
@@ -94,12 +100,12 @@ class DynGreenEvaluator:
         flat = zin.ravel()
         n = len(flat)
         vals = np.zeros(n)
-        undecided = np.zeros(n, dtype=bool)
         esc_u = np.zeros(n)
         esc_v = np.zeros(n, dtype=np.complex128)
         esc_k = np.zeros(n)
         escaped = np.zeros(n, dtype=bool)
-        active = np.ones(n, dtype=bool)
+        held = np.zeros(n, dtype=bool) if self._in_k is None else self._in_k(flat)
+        active = ~held
         z = flat.copy()
         with np.errstate(over="ignore"):
             z_abs = self._abs(z)
@@ -149,10 +155,9 @@ class DynGreenEvaluator:
                 escaped[ib] = True
                 active[ib] = False
             z[ia], z_abs[ia] = znew, znew_abs
-        undecided[:] = active
         if escaped.any():
             vals[escaped] = self._tail(esc_u[escaped], esc_v[escaped], esc_k[escaped])
-        return vals.reshape(zin.shape), undecided.reshape(zin.shape)
+        return vals.reshape(zin.shape), (active | held).reshape(zin.shape)
 
 
 def julia_capacity(poly) -> float:

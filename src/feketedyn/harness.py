@@ -88,8 +88,10 @@ TARGET_SAMPLES = 1024
 RASTER_RESOLUTION = (256, 256)
 TREND_FLOOR = 1e-9
 TREND_SLACK = 0.10
-# bounded orbits on the large-coefficient exact path are certified well
-# before this many steps; keeps the per-sample cost flat
+# escape-loop cap of every Chebyshev rung. On the exact plan, points of
+# [-2, 2] are certified at step 0, so it bounds only the orbits off the
+# segment; on the float rungs, Horner rounds [-2, 2] orbits outward, and the
+# cap decides how many escape in time, and so their gamma
 CHEB_EXACT_MAX_ITER = 48
 
 
@@ -145,6 +147,8 @@ class ExperimentSpec:
             raise ValueError("need n_atoms >= 256 for the sup-norm formula")
         if self.budget_seconds is not None and not self.budget_seconds > 0:
             raise ValueError("budget_seconds must be positive when given")
+        for p in self.probes:
+            AlgebraicNumber.parse(p)
         if self.family == "user" and not self.user_polys:
             raise ValueError("user family needs user_polys")
         for p in self.user_polys:
@@ -202,9 +206,7 @@ def build_set(config: dict, samples: int | None = None) -> CompactSetModel:
     """Catalog set from a flat config block, e.g. {kind = disk, radius = 1}.
     A block that is not a dict, an unknown kind, or values the kind's
     constructor refuses, raise ConfigError."""
-    if not isinstance(config, dict):
-        raise ConfigError(f"set config must be a {{...}} block, not {config!r}")
-    cfg = dict(config)
+    cfg = _set_block(config)
     kind = cfg.get("kind")
     try:
         m = cfg.get("samples", samples)
@@ -229,6 +231,13 @@ def build_set(config: dict, samples: int | None = None) -> CompactSetModel:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"set kind {kind!r}: {exc}") from exc
     raise ConfigError(f"unknown set kind {kind!r}")
+
+
+def _set_block(config) -> dict:
+    # a copy of a set config, which must be a {...} block
+    if not isinstance(config, dict):
+        raise ConfigError(f"set config must be a {{...}} block, not {config!r}")
+    return dict(config)
 
 
 def _as_center(v) -> complex:
@@ -309,11 +318,12 @@ def spec_from_config(cfg: dict, seed_override: int | None = None) -> ExperimentS
     rng = cfg.get("degree_range", [4, 128])
     cps = cfg.get("checkpoints")
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
+    set_config = _set_block(cfg.get("set", {}))
     try:
         return ExperimentSpec(
             name=str(cfg.get("name", "experiment")),
             family=str(cfg.get("family", "")),
-            set_config=dict(cfg.get("set", {})),
+            set_config=set_config,
             degree_range=(int(rng[0]), int(rng[1])),
             checkpoints=None if cps is None else tuple(int(c) for c in cps),
             probes=tuple(str(p) for p in cfg.get("probes", [])),

@@ -77,15 +77,28 @@ class AlgebraicNumber:
         r = Fraction(x)
         return cls.from_minpoly(IntPolynomial((-r.numerator, r.denominator)))
 
+    @staticmethod
+    def parse(x) -> Fraction | IntPolynomial:
+        """What `of` reads x as, with no root solve: a rational (a number, a
+        Fraction, or text such as "5/2"), or the polynomial of
+        minimal-polynomial text "c0 c1 ... cd". ValueError if x is neither."""
+        if isinstance(x, str) and " " in x.strip():
+            p = IntPolynomial.from_text(x)
+            if p.degree < 1:
+                raise ValueError("minimal polynomial must be nonconstant")
+            return p
+        try:
+            return Fraction(x)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"{x!r} has a zero denominator") from exc
+
     @classmethod
     def of(cls, x) -> "AlgebraicNumber":
-        """x itself, a rational (a number, a Fraction, or text such as
-        "5/2"), or minimal-polynomial text "c0 c1 ... cd"."""
+        """x itself, or the number that `parse` reads x as."""
         if isinstance(x, AlgebraicNumber):
             return x
-        if isinstance(x, str) and " " in x.strip():
-            return cls.from_minpoly(IntPolynomial.from_text(x))
-        return cls.from_rational(x)
+        v = cls.parse(x)
+        return cls.from_rational(v) if isinstance(v, Fraction) else cls.from_minpoly(v)
 
 
 @dataclasses.dataclass(frozen=True)

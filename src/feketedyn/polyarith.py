@@ -480,7 +480,7 @@ def _solve_rows(c: np.ndarray, tol: float):
     # exact zero constant coefficients peel off roots at the origin
     n_zero = np.argmax(c != 0, axis=1)
     with np.errstate(all="ignore"):
-        for m in np.unique(n_zero):
+        for m in sorted(set(n_zero.tolist())):
             rows = np.nonzero(n_zero == m)[0]
             work = c[rows, m:]
             if d - m == 1:

@@ -321,11 +321,22 @@ def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config
     ("runaway", "name = x\nfamily = runaway\ndegree_range = [2, 6]\n", "[4, 14]"),
     # a value of the wrong type
     ("runaway", "name = x\nfamily = runaway\ndegree_range = 6\n", "experiment config: "),
+    ("dynamical_fs", "name = x\nfamily = power_maps\nset = hexagon\n",
+     "set config must be a {...} block"),
+    # a probe that names no number, refused before the runner writes anything
+    ("bilu_rumely", "name = x\nfamily = chebyshev\n"
+                    "set = { kind = interval, a = -2, b = 2 }\nprobes = [3, abc]\n",
+     "Invalid literal for Fraction: 'abc'"),
+    ("bilu_rumely", "name = x\nfamily = chebyshev\n"
+                    "set = { kind = interval, a = -2, b = 2 }\nprobes = [1/0]\n",
+     "zero denominator"),
 ], ids=["unknown-kind", "missing-key", "constructor", "bilu-target", "fs-capacity",
-        "runaway-range", "degree-range-type"])
+        "runaway-range", "degree-range-type", "set-not-block", "probe-literal",
+        "probe-zero-denominator"])
 def test_experiment_set_config_error_is_usage_error(capsys, tmp_path, runner, config,
                                                     needle):
     assert needle in _usage_error(capsys, tmp_path, runner, config)
+    assert not (tmp_path / "out" / "MANIFEST.json").exists()
 
 
 def _every_side(block: str) -> str:

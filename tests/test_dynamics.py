@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from feketedyn import dynamics
+from feketedyn import dynamics, polyarith
 from feketedyn.polyarith import (
     ComplexPolynomial,
     IntPolynomial,
@@ -126,23 +128,80 @@ def test_green_exact_eval_big_chebyshev():
 
 
 def test_green_exact_chebyshev_matches_horner_reference(monkeypatch):
-    # the doubling ladder changes no output: values and undecided flags on
-    # the interval's target samples and off-segment probes equal those of an
-    # orbit stepped by exact Horner, the reference path
+    # neither the step-0 certificate nor the doubling ladder changes an
+    # output. Each target sample of the interval is certified, value 0 and
+    # flag set, and its own 48-step orbit by exact Horner, the reference
+    # path, never leaves the escape radius, so the loop reports it so too.
+    # The off-segment probes still step, and match their Horner orbits.
     seg = CompactSetModel.interval(-2.0, 2.0, samples=1024)
-    zs = np.concatenate([seg.boundary_samples, [3, 2.5, 2 + 1e-7, -2.01, 1.5 + 0.3j]])
-    ev = DynGreenEvaluator(chebyshev_monic(64), max_iter=48)
-    assert ev.int_poly.exact_plan == "chebyshev"
-    vals, und = ev.green_many(zs)
+    probes = np.array([3, 2.5, 2 + 1e-7, -2.01, 1.5 + 0.3j])
+    p = chebyshev_monic(64)
+    ev = DynGreenEvaluator(p, max_iter=48)
+    assert p.exact_plan == "chebyshev"
+    vals, und = ev.green_many(np.concatenate([seg.boundary_samples, probes]))
+
+    def stays_bounded(w):
+        for _ in range(48):
+            if abs(w) > ev.escape_radius:
+                return False
+            w = eval_intpoly_complex_exact(p.coeffs, w)
+        return abs(w) <= ev.escape_radius
+
+    assert all(stays_bounded(w) for w in seg.boundary_samples.tolist())
+    assert und[:1024].all() and not vals[:1024].any()
 
     def horner(p, z):
         return eval_intpoly_complex_exact(p.coeffs, z)
 
     monkeypatch.setattr(dynamics, "eval_intpoly", horner)
-    ref_vals, ref_und = ev.green_many(zs)
-    assert vals.tobytes() == ref_vals.tobytes()
-    assert np.array_equal(und, ref_und)
-    assert und[:1024].all() and not und[1024:].any()
+    ref_vals, ref_und = ev.green_many(probes)
+    assert vals[1024:].tobytes() == ref_vals.tobytes()
+    assert np.array_equal(und[1024:], ref_und)
+    assert not ref_und.any() and np.all(ref_vals > 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(-2.0, 2.0), st.integers(44, 200))
+def test_chebyshev_exact_steps_stay_on_segment(x, n):
+    # the certificate's premise: on the "chebyshev" plan, each exact step of
+    # a real point of [-2, 2] rounds back into [-2, 2], through the shifted
+    # conversion of integers past 1,000 bits too
+    p = chebyshev_monic(n)
+    assert p.exact_plan == "chebyshev"
+    w = complex(x)
+    for _ in range(48):
+        w = polyarith._eval_exact_point(p, w)
+        assert w.imag == 0.0 and -2.0 <= w.real <= 2.0, (x, n)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_green_chebyshev_certifies_segment_at_step_0(monkeypatch, n):
+    # real points of [-2, 2] leave before the loop: no eval_intpoly call,
+    # value 0 and the never-escaped flag. Points just off the segment, and
+    # NaN, still enter the loop and call the step
+    certified = [2.0, -2.0, complex(1.5, -0.0)]
+    stepped = [math.nextafter(2.0, 3.0), -2.01, 1.5 + 1e-300j, math.nan]
+    ev = DynGreenEvaluator(chebyshev_monic(n), max_iter=48)
+    vals, und = ev.green_many(stepped[:3])
+    assert np.all(vals[:2] > 0) and not und[:2].any()
+    assert vals[2] == 0.0 and und[2]
+    calls = []
+
+    def counting(p, w):
+        calls.append(w)
+        return w
+
+    monkeypatch.setattr(dynamics, "eval_intpoly", counting)
+    for z in certified:
+        vals, und = ev.green_many([z])
+        assert vals[0] == 0.0 and und[0] and not calls, z
+    seg = CompactSetModel.interval(-2.0, 2.0, samples=1024).boundary_samples
+    vals, und = ev.green_many(seg)
+    assert und.all() and not vals.any() and not calls
+    for z in stepped:
+        calls.clear()
+        ev.green_many([z])
+        assert calls, z
 
 
 def test_green_exact_plan_escape_overflow_undecided():

@@ -1,6 +1,10 @@
 """Integer/rational polynomial layer: exact structures, root finding, generators."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -233,6 +237,19 @@ def test_roots_stack_slices_match_one_slice(monkeypatch):
     assert np.array_equal(sliced.roots, whole.roots)
     assert sliced.residual_bound == whole.residual_bound
     assert sliced.iterations == whole.iterations
+
+
+def test_roots_does_not_import_numpy_ma():
+    # numpy.unique imports numpy.ma on first use, a cost every command-line
+    # run that solves roots would pay; a fresh interpreter shows the import
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys\nfrom feketedyn.polyarith import roots\n"
+            "roots([1, 0, 1])\nprint('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
 
 
 # fixed examples keep the suite deterministic
