@@ -95,7 +95,8 @@ class DynGreenEvaluator:
         return np.maximum(g_acc * np.exp(-k * math.log(d)), 0.0)
 
     def green_many(self, zs):
-        """Green values and the per-point never-escaped flag."""
+        """Green values and the per-point never-escaped flag; an input with a
+        NaN part gets value NaN and the flag."""
         zin = np.asarray(zs, dtype=np.complex128)
         flat = zin.ravel()
         n = len(flat)
@@ -109,6 +110,10 @@ class DynGreenEvaluator:
         z = flat.copy()
         with np.errstate(over="ignore"):
             z_abs = self._abs(z)
+        # an input with a NaN part (its modulus may still be inf) never
+        # escapes: its orbit stays NaN to max_iter, and its value is NaN
+        lost = np.flatnonzero(np.isnan(flat))
+        z_abs[lost] = np.nan
         # an input with finite parts whose modulus overflows escapes at step
         # 0, with the log-modulus log s + log|z/s|, s = max(|Re z|, |Im z|)
         huge = np.isfinite(flat) & ~np.isfinite(z_abs)
@@ -142,9 +147,11 @@ class DynGreenEvaluator:
             with np.errstate(over="ignore", invalid="ignore"):
                 znew = self._step(za)
                 znew_abs = self._abs(znew)
-            # a step with finite parts can still overflow in modulus
+            # a step with finite parts can still overflow in modulus; a NaN
+            # orbit is no overflow
             blown = ~np.isfinite(znew_abs)
             if blown.any():
+                blown &= ~np.isnan(mag)
                 ib = ia[blown]
                 eps = self._eps(self._recip(za[blown]))
                 esc_u[ib] = (math.log(self.leading_abs)
@@ -157,6 +164,7 @@ class DynGreenEvaluator:
             z[ia], z_abs[ia] = znew, znew_abs
         if escaped.any():
             vals[escaped] = self._tail(esc_u[escaped], esc_v[escaped], esc_k[escaped])
+        vals[lost] = np.nan
         return vals.reshape(zin.shape), (active | held).reshape(zin.shape)
 
 
@@ -269,12 +277,13 @@ def brolin_sample(poly, n_points: int, seed: int = 0,
         raise ValueError("need n_points >= 1")
     ev = DynGreenEvaluator(poly)
     if preimages is None:
-        base = ev.poly.coeffs
+        # P - c in one buffer; roots copies its input
+        shifted = ev.poly.coeffs.copy()
+        c0 = shifted[0]
 
         def preimages(c):
-            shifted = base.copy()
-            shifted[0] = base[0] - c
-            return roots(ComplexPolynomial(shifted), tol=1e-9).roots
+            shifted[0] = c0 - c
+            return roots(shifted, tol=1e-9).roots
 
     pts = np.empty(n_points, dtype=np.complex128)
     n_orbits = (n_points + _ORBIT_CHUNK - 1) // _ORBIT_CHUNK

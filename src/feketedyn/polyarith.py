@@ -260,6 +260,8 @@ def _chebyshev_real_exact(n: int, x: float) -> float:
 
 
 def _eval_exact_point(p: IntPolynomial, w: complex) -> complex:
+    if w != w:  # a NaN part has no dyadic value
+        return complex(math.nan, math.nan)
     if w.imag == 0.0 and p.exact_plan == "chebyshev":
         return complex(_chebyshev_real_exact(p.degree, w.real))
     return eval_intpoly_complex_exact(p.coeffs, w)
@@ -269,7 +271,7 @@ def eval_intpoly(p: IntPolynomial, z):
     """Evaluate at float/complex points, switching to exact arithmetic when
     the coefficient mass makes float Horner cancellation-unsafe (see
     IntPolynomial.exact_plan). On the exact path a Python scalar gives a
-    Python complex."""
+    Python complex, and a point with a NaN part gives NaN."""
     if p.exact_plan == "float":
         return ComplexPolynomial.of(p)(z)
     if isinstance(z, (int, float, complex)):
@@ -312,7 +314,7 @@ def _powers(z: np.ndarray, d: int) -> np.ndarray:
     pw = np.empty(z.shape + (d + 1,), dtype=z.dtype)
     pw[..., 0] = 1.0
     pw[..., 1:] = z[..., None]
-    return np.cumprod(pw, axis=-1, out=pw)
+    return np.multiply.accumulate(pw, axis=-1, out=pw)
 
 
 def _quadratic_roots(c: np.ndarray) -> np.ndarray:
@@ -336,26 +338,24 @@ def _newton_polygon(y: np.ndarray):
     n_rows, n = y.shape
     d = n - 1
     cols = np.arange(n)
+    rows = np.arange(n_rows)
     log_r = np.empty((n_rows, d))
     turn = np.empty((n_rows, d))
     k = np.zeros(n_rows, dtype=int)  # current hull vertex of each row
     edge = 0
-    while True:
-        rows = np.nonzero(k < d)[0]
-        if len(rows) == 0:
-            break
-        kr = k[rows]
-        span = cols - kr[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (y[rows] - y[rows, kr][:, None]) / span
-        slope[span <= 0] = -np.inf
+    # a finished row (k = d) has no later point: its edge ends at d again
+    # and writes nothing
+    while np.count_nonzero(k < d):
+        span = cols - k[:, None]
+        slope = (y - y[rows, k][:, None]) / span
+        np.copyto(slope, -np.inf, where=span <= 0)
         # among equal slopes the farthest point ends the edge
-        end = d - np.argmax(slope[:, ::-1], axis=1)
-        on_edge = (cols[:d] >= kr[:, None]) & (cols[:d] < end[:, None])
-        i, j = np.nonzero(on_edge)
-        log_r[rows[i], j] = -slope[i, end[i]]
-        turn[rows[i], j] = (j - kr[i]) / (end - kr)[i] + edge / d
-        k[rows] = end
+        end = d - slope[:, ::-1].argmax(axis=1)
+        # the points from k on; later edges overwrite those past the end
+        ahead = span[:, :d] >= 0
+        np.copyto(log_r, -slope[rows, end][:, None], where=ahead)
+        np.copyto(turn, span[:, :d] / (end - k)[:, None] + edge / d, where=ahead)
+        k = end
         edge += 1
     return log_r, turn
 
@@ -365,37 +365,58 @@ def _aberth(a: np.ndarray, tol_abs: np.ndarray, z: np.ndarray):
     the (K, d) starting points z, for at most 500 sweeps.
 
     A row leaves the sweep once none of its roots moves or its largest |p|
-    is below 0.01 tol_abs. Returns the (K, d) roots and the sweep count of
-    the slowest row.
+    is below 0.01 tol_abs. Returns z, updated to the (K, d) roots, and the
+    sweep count of the slowest row.
     """
-    d = a.shape[1] - 1
+    n_rows, d = z.shape
     # p and p' in one product: columns a_i and (i + 1) a_{i+1}
     pair = np.zeros(a.shape + (2,), dtype=np.complex128)
     pair[:, :, 0] = a
     pair[:, :-1, 1] = a[:, 1:] * np.arange(1, d + 1)
+    # the live rows' state, compacted when rows leave (until then zl is z);
+    # they sweep in the leading rows of buffers allocated once
+    live = np.arange(n_rows)
+    zl, coef, lim = z, pair, 0.01 * tol_abs
     moving = np.ones(z.shape, dtype=bool)
-    live = np.arange(len(a))
-    diag = np.arange(d)
+    powers = np.empty((n_rows, d, d + 1), dtype=np.complex128)
+    powers[..., 0] = 1.0
+    pv = np.empty((n_rows, d, 2), dtype=np.complex128)
+    diff = np.empty((n_rows, d, d), dtype=np.complex128)
+    diag = diff.reshape(n_rows, d * d)[:, ::d + 1]
+
+    def values(zl, coef):
+        # p and p' at zl: z**0 .. z**d as running products, times coef
+        table = powers[:len(zl)]
+        table[..., 1:] = zl[..., None]
+        np.multiply.accumulate(table, axis=-1, out=table)
+        return np.matmul(table, coef, out=pv[:len(zl)])
+
     sweeps = 0
     while len(live) and sweeps < 500:
         sweeps += 1
-        zl, coef = z[live], pair[live]
-        pv = _powers(zl, d) @ coef
-        if not pv[..., 1].all():
-            zl = np.where(pv[..., 1] == 0, zl * (1 + 1e-8) + 1e-12, zl)
-            pv = _powers(zl, d) @ coef
-        p, dp = pv[..., 0], pv[..., 1]
-        w = p / dp
-        diff = zl[:, :, None] - zl[:, None, :]
-        diff[:, diag, diag] = 1.0
-        s = np.reciprocal(diff).sum(axis=2) - 1.0  # subtract the diagonal's 1/1
-        mv = moving[live]
-        corr = np.where(mv, w / (1.0 - w * s), 0.0)
-        zl = zl - corr
-        mv &= np.abs(corr) > 1e-14 * (1.0 + np.abs(zl))
-        z[live], moving[live] = zl, mv
-        done = ~np.any(mv, axis=1) | (np.max(np.abs(p), axis=1) <= 0.01 * tol_abs[live])
-        live = live[~done]
+        n = len(live)
+        pd = values(zl, coef)
+        if np.count_nonzero(pd[..., 1]) < n * d:
+            zl[...] = np.where(pd[..., 1] == 0, zl * (1 + 1e-8) + 1e-12, zl)
+            pd = values(zl, coef)
+        p = pd[..., 0]
+        w = p / pd[..., 1]
+        gaps = diff[:n]
+        np.subtract(zl[:, :, None], zl[:, None, :], out=gaps)
+        diag[:n] = 1.0
+        s = np.add.reduce(np.reciprocal(gaps, out=gaps), axis=2)
+        s -= 1.0  # subtract the diagonal's 1/1
+        corr = w / (1.0 - w * s)
+        # a root that stopped keeps its bits (z - 0 is z) and stays stopped
+        np.subtract(zl, corr, out=zl, where=moving)
+        moving &= np.abs(corr) > 1e-14 * (1.0 + np.abs(zl))
+        keep = (np.logical_or.reduce(moving, axis=1)
+                & ~(np.maximum.reduce(np.abs(p), axis=1) <= lim))
+        if np.count_nonzero(keep) < n:
+            z[live] = zl
+            live, zl, coef, lim, moving = (live[keep], zl[keep], coef[keep],
+                                           lim[keep], moving[keep])
+    z[live] = zl
     return z, sweeps
 
 
@@ -410,14 +431,14 @@ def _aberth_rows(work: np.ndarray, tol: float):
     space so that nothing overflows. Rows inside the clip are not touched.
     """
     d = work.shape[1] - 1
-    scale = 1.0 + np.max(np.abs(work), axis=1)
+    scale = 1.0 + np.maximum.reduce(np.abs(work), axis=1)
     lead = work[:, -1]
     a = work / lead[:, None]
     tol_abs = tol * scale / np.abs(lead)
     log_r, turn = _newton_polygon(np.log(np.abs(a)))
     cap = 250.0 * math.log(10.0) / d
-    wide = ~np.all(np.abs(log_r) <= cap, axis=1)
-    if wide.any():
+    wide = np.nonzero(~np.logical_and.reduce(np.abs(log_r) <= cap, axis=1))[0]
+    if len(wide):
         aw = work[wide]
         y = np.log(np.abs(aw))
         lr, turn[wide] = _newton_polygon(y)
@@ -428,27 +449,37 @@ def _aberth_rows(work: np.ndarray, tol: float):
         tol_abs[wide] = tol * (1.0 + np.exp(np.max(yq, axis=1)))
         log_r[wide] = lr - log_big[:, None]
     # deterministic perturbation: Bini's rotation 0.7 plus a tiny radial ramp
-    ramp = 1 + 1e-4 * (np.arange(d) + 1) / d
-    z = np.exp(np.clip(log_r, -cap, cap)) * ramp * np.exp(1j * (2 * np.pi * turn + 0.7))
+    ramp = 1 + 1e-4 * np.arange(1, d + 1) / d
+    # np.clip as a maximum and a minimum, which skip its wrapper
+    radius = np.exp(np.minimum(np.maximum(log_r, -cap), cap))
+    z = radius * ramp * np.exp(1j * (2 * np.pi * turn + 0.7))
     z, sweeps = _aberth(a, tol_abs, z)
-    if wide.any():
+    if len(wide):
         z[wide] *= np.exp(log_big)[:, None]
     return z, sweeps
 
 
-def _merge_clusters(z: np.ndarray, radius: float) -> np.ndarray:
-    """Replace each group of a row's roots that chain together by the group
-    mean; rows without a close pair are skipped. Two roots are close below
-    radius * min(1, larger modulus): relative below modulus 1, so roots of
-    tiny modulus are not merged into a plausible zero."""
+def _merge_clusters(z: np.ndarray, radius: float) -> None:
+    """Replace, in place, each group of a row's roots that chain together by
+    the group mean; rows without a close pair are skipped. Two roots are
+    close below radius * min(1, larger modulus): relative below modulus 1,
+    so roots of tiny modulus are not merged into a plausible zero."""
     d = z.shape[1]
     if d < 2:
-        return z
-    mod = np.abs(z)
+        return
+    # |z_i - z_j| >= |Re z_i - Re z_j| and radius * scale <= radius, so a
+    # close pair needs two real parts less than radius apart: other rows
+    # are skipped before the pairwise test
+    re = np.sort(z.real, axis=1)
+    rows = np.flatnonzero(~(np.minimum.reduce(re[:, 1:] - re[:, :-1], axis=1) >= radius))
+    if not len(rows):
+        return
+    zr = z[rows]
+    mod = np.abs(zr)
     scale = np.minimum(1.0, np.maximum(mod[:, :, None], mod[:, None, :]))
-    close = np.abs(z[:, :, None] - z[:, None, :]) < radius * scale
-    close[:, np.arange(d), np.arange(d)] = False
-    for r in np.nonzero(np.any(close, axis=(1, 2)))[0]:
+    close = np.abs(zr[:, :, None] - zr[:, None, :]) < radius * scale
+    close.reshape(len(zr), d * d)[:, ::d + 1] = False
+    for r in np.nonzero(close.any(axis=(1, 2)))[0]:
         seen = np.zeros(d, dtype=bool)
         for i in range(d):
             if seen[i]:
@@ -464,25 +495,27 @@ def _merge_clusters(z: np.ndarray, radius: float) -> np.ndarray:
                     group.append(m)
                     frontier.append(m)
             if len(group) > 1:
-                z[r, group] = np.mean(z[r, group])
-    return z
+                z[rows[r], group] = np.mean(zr[r, group])
 
 
 # bytes of the complex128 power table of one slice of a stacked solve
 _STACK_BYTES = 16 * 2**20
 
 
-def _solve_rows(c: np.ndarray, tol: float):
-    """Roots (K, d), residual bounds (K,) and sweep count of a (K, d+1) stack."""
+def _solve_rows(c: np.ndarray, tol: float, found: np.ndarray):
+    """Roots of a (K, d+1) stack into the zeroed (K, d) found; returns the
+    residual bounds (K,) and the sweep count."""
     d = c.shape[1] - 1
-    found = np.zeros((len(c), d), dtype=np.complex128)
     sweeps = 0
     # exact zero constant coefficients peel off roots at the origin
-    n_zero = np.argmax(c != 0, axis=1)
+    n_zero = (c != 0).argmax(axis=1)
+    peels = sorted(set(n_zero.tolist()))
     with np.errstate(all="ignore"):
-        for m in sorted(set(n_zero.tolist())):
-            rows = np.nonzero(n_zero == m)[0]
-            work = c[rows, m:]
+        for m in peels:
+            rows = slice(None) if len(peels) == 1 else np.nonzero(n_zero == m)[0]
+            # contiguous, as a gather of the rows is: numpy's complex
+            # multiply rounds differently on strided operands
+            work = np.ascontiguousarray(c[rows, m:])
             if d - m == 1:
                 found[rows, m] = -work[:, 0] / work[:, 1]
             elif d - m == 2:
@@ -491,10 +524,10 @@ def _solve_rows(c: np.ndarray, tol: float):
                 z, k = _aberth_rows(work, tol)
                 found[rows, m:] = z
                 sweeps = max(sweeps, k)
-        found = _merge_clusters(found, math.sqrt(tol))
+        _merge_clusters(found, math.sqrt(tol))
         vals = np.abs(_powers(found, d) @ c[:, :, None])[..., 0]
         denom = (_powers(np.abs(found), d) @ np.abs(c)[:, :, None])[..., 0]
-        return found, np.max(vals / (1.0 + denom), axis=1), sweeps
+        return np.maximum.reduce(vals / (1.0 + denom), axis=1), sweeps
 
 
 def roots(p, tol: float = 1e-10) -> RootSet:
@@ -512,28 +545,33 @@ def roots(p, tol: float = 1e-10) -> RootSet:
     """
     c = _coerce_coeffs(p)
     stacked = c.ndim == 2
-    c = np.atleast_2d(c)
+    if not stacked:
+        c = c[None, :]
     d = c.shape[1] - 1
     if d < 1:
         raise ValueError("constant polynomial: no roots to compute")
+    found = np.zeros((len(c), d), dtype=np.complex128)
+    bounds = np.empty(len(c))
+    sweeps = 0
     step = max(1, _STACK_BYTES // (16 * d * (d + 1)))
-    parts = [_solve_rows(c[i:i + step], tol) for i in range(0, len(c) or 1, step)]
-    found = np.concatenate([f for f, _, _ in parts])
-    bounds = np.concatenate([b for _, b, _ in parts])
-    failed = np.nonzero(~(bounds <= tol))[0]
-    if len(failed):
-        i = int(failed[0])
+    for i in range(0, len(c), step):
+        bounds[i:i + step], k = _solve_rows(c[i:i + step], tol, found[i:i + step])
+        sweeps = max(sweeps, k)
+    converged = bounds <= tol
+    if np.count_nonzero(converged) < len(c):
+        i = int(converged.argmin())
         what = (f"row {i} of a stack of {len(c)} degree-{d} polynomials"
                 if stacked else f"degree {d} polynomial")
         raise RootFindingError(
             f"root finding did not converge for {what} "
             f"(scaled residual {bounds[i]:.3e}, tol {tol:.1e})"
         )
-    order = np.lexsort((found.imag, found.real), axis=-1)
-    found = np.take_along_axis(found, order, axis=1)
+    # the roots are finite here, and a stable sort of complex numbers orders
+    # by real, then imaginary part, keeping ties such as 0.0 and -0.0 in place
+    found.sort(axis=1, kind="stable")
     return RootSet(roots=found if stacked else found[0],
-                   residual_bound=float(np.max(bounds, initial=0.0)),
-                   iterations=max(k for _, _, k in parts))
+                   residual_bound=float(np.maximum.reduce(bounds, initial=0.0)),
+                   iterations=sweeps)
 
 
 # --------------------------------------------------------------------------- #

@@ -5,8 +5,10 @@ z^2 - 2 has the segment [-2,2] as filled set, with Green function
 log|(z + sqrt(z-2)sqrt(z+2))/2| via the exterior conformal map.
 """
 
+import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from feketedyn.polyarith import (
     IntPolynomial,
     RootFindingError,
     chebyshev_monic,
+    eval_intpoly,
     eval_intpoly_complex_exact,
     roots,
 )
@@ -258,6 +261,31 @@ def test_green_input_overflowing_in_modulus(poly):
     alone, alone_und = ev.green_many(zs[2:])
     assert vals[2:].tobytes() == alone.tobytes()
     assert np.array_equal(und[2:], alone_und)
+
+
+@pytest.mark.parametrize("poly, plan", [
+    (IntPolynomial((-2, 0, 1)), "float"),
+    (IntPolynomial((2 ** 31, 0, 1)), "horner"),
+    (chebyshev_monic(64), "chebyshev"),
+], ids=["float", "horner", "chebyshev"])
+def test_green_nan_input_is_undecided(poly, plan):
+    # a NaN part gives no Green value: NaN with the never-escaped flag, not
+    # an escape (flag False) and not a plausible zero (value 0)
+    assert poly.exact_plan == plan
+    ev = DynGreenEvaluator(poly, max_iter=48)
+    nans = [math.nan, complex(math.nan, 1.0), complex(0.5, math.nan),
+            complex(math.inf, math.nan)]
+    zs = np.array(nans + [3.0, 0.5 + 1e-3j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, und = ev.green_many(zs)
+    assert np.isnan(vals[:4]).all() and und[:4].all()
+    # the other points of the batch keep the values they have on their own
+    alone, alone_und = ev.green_many(zs[4:])
+    assert vals[4:].tobytes() == alone.tobytes()
+    assert np.array_equal(und[4:], alone_und)
+    if plan != "float":
+        assert cmath.isnan(eval_intpoly(poly, complex(math.nan, 1.0)))
 
 
 # ----------------------------------------------------------------- capacity

@@ -27,6 +27,10 @@ from feketedyn.polyarith import (
     runaway_family,
 )
 
+# the frozen reference pipeline sits beside this file, under any import mode
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+from aberth_reference import roots as reference_roots  # noqa: E402
+
 
 def _sorted_roots(rs):
     z = np.asarray(rs.roots)
@@ -273,8 +277,101 @@ def test_stacked_roots_match_row_by_row(coeffs, cs):
     for row, got in zip(stack, rs.roots):
         one = roots(row)
         assert one.residual_bound <= 1e-10
-        assert np.max(np.abs(np.sort_complex(one.roots) - np.sort_complex(got))) <= 1e-12
+        # a row's solve does not depend on the rows stacked with it
+        assert np.array_equal(one.roots, got)
     assert np.any(rs.roots[-1] == 0)
+
+
+def _assert_same_solve(p, tol=1e-10):
+    # roots and the frozen reference agree bit for bit, or raise alike
+    try:
+        want = reference_roots(p, tol)
+    except RootFindingError as err:
+        with pytest.raises(RootFindingError) as got:
+            roots(p, tol)
+        assert str(got.value) == str(err)
+        return
+    got = roots(p, tol)
+    assert np.array_equal(got.roots, want.roots)
+    assert got.roots.tobytes() == want.roots.tobytes()  # and the signs of zeros
+    assert got.residual_bound == want.residual_bound
+    assert got.iterations == want.iterations
+
+
+@st.composite
+def coefficient_stacks(draw):
+    # (K, d+1) rows of mixed magnitudes, some with exact zero constants
+    d = draw(st.integers(1, 20))
+    scale = st.sampled_from([1e-8, 1e-3, 1.0, 1.0, 1.0, 1e3, 1e8])
+    part = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = [draw(part) * draw(scale) for _ in range(d + 1)]
+        n_zero = min(d, draw(st.sampled_from([0, 0, 0, 1, 2, d])))
+        row[:n_zero] = [0j] * n_zero
+        if row[-1] == 0:
+            row[-1] = 1.0
+        rows.append(row)
+    return np.array(rows, dtype=np.complex128)
+
+
+@PROPERTY
+@given(coefficient_stacks())
+def test_roots_match_frozen_reference(stack):
+    _assert_same_solve(stack)
+    for row in stack:
+        _assert_same_solve(row)
+
+
+@PROPERTY
+@given(st.sampled_from([5, 12, 17, 53]),
+       st.lists(st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                                   allow_infinity=False), min_size=1, max_size=4))
+def test_roots_match_frozen_reference_on_shifted_cyclotomics(n, cs):
+    # Phi_n - c, the backward step of the cyclotomic Brolin chains
+    stack = np.repeat(ComplexPolynomial.of(cyclotomic(n)).coeffs[None, :], len(cs), axis=0)
+    stack[:, 0] -= cs
+    _assert_same_solve(stack, tol=1e-9)
+    for row in stack:
+        _assert_same_solve(row, tol=1e-9)
+
+
+@pytest.mark.parametrize("p", [
+    pytest.param([2, 3], id="degree-1"),
+    pytest.param([1, 0, 1], id="degree-2"),
+    pytest.param([0, 0, 3], id="degree-2-double-zero"),
+    pytest.param([1j, 2, -1], id="degree-2-complex"),
+    pytest.param([0, 0, 1e-12, 0, 1], id="zeros-beside-small-pair"),
+    # past the start clip: the rescaled solve
+    pytest.param([1e300, 0, 0, 0, 1], id="wide-huge"),
+    pytest.param([1e-300, 0, 0, 0, 1], id="wide-tiny"),
+    # radii spanning more than twice the clip: raises
+    pytest.param([1e-200, 1, 0, 0, 0, 1e-100], id="unscalable"),
+    pytest.param([math.nan, 0, 0, 1], id="nan"),
+    # double roots merge into one value
+    pytest.param([2, -3, 0, 1], id="double-real-root"),
+    pytest.param(np.poly([1 + 1j, 1 + 1j, -2, 0.5j])[::-1], id="double-complex-root"),
+    pytest.param(IntPolynomial((-1,) + (0,) * 6 + (1,)), id="z7-minus-1"),
+    pytest.param(runaway_family(14), id="runaway-14"),
+    pytest.param(np.array([[-1, 0, 0, 0, 1], [1e300, 0, 0, 0, 1], [0, 5, 1, 0, 1],
+                           [2, -3, 0, 0, 1], [0, 0, 0, 0, 1]], dtype=np.complex128),
+                 id="stack-wide-and-zeros"),
+    pytest.param(np.zeros((0, 4), dtype=np.complex128), id="empty-stack"),
+])
+def test_roots_match_frozen_reference_on_edge_rows(p):
+    _assert_same_solve(p)
+
+
+def test_sliced_stack_matches_frozen_reference(monkeypatch):
+    # slices of two rows each against the reference's single slice
+    stack = np.array([[-1, 0, 0, 0, 1], [2, -3, 0, 0, 1], [0, 5, 1, 0, 1],
+                      [1j, 0, 2, 0, 1], [-7, 1, 1, 1, 1]], dtype=np.complex128)
+    want = reference_roots(stack)
+    monkeypatch.setattr(polyarith, "_STACK_BYTES", 2 * 16 * 4 * 5)
+    got = roots(stack)
+    assert got.roots.tobytes() == want.roots.tobytes()
+    assert got.residual_bound == want.residual_bound
+    assert got.iterations == want.iterations
 
 
 # ---------------------------------------------------------- exact evaluation
