@@ -261,9 +261,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """argv with each spaced value of --at or --bbox that starts with one
+    '-' (a negative real part) joined to its option: argparse would take
+    `--at -3,0` for two flags, and reads `--at=-3,0` as meant."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--at", "--bbox") and arg.startswith("-") \
+                and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_join_signed_values(argv))
     try:
         return args.fn(args, parser)
     except ConfigError as exc:

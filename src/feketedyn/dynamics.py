@@ -52,9 +52,9 @@ class DynGreenEvaluator:
         self.max_iter = int(max_iter)
         self._exact = self.int_poly is not None and self.int_poly.exact_plan != "float"
         # the escape loop's step, modulus and reciprocal; the exact plan works
-        # in Python complex arithmetic, one point at a time: eval_intpoly's
-        # scalar path, and Python's abs (libm hypot) and division, which
-        # round apart from numpy's
+        # in Python complex arithmetic, one point at a time: eval_intpoly,
+        # and Python's abs (libm hypot) and division, which round apart
+        # from numpy's
         if self._exact:
             self._step = _pointwise(lambda w: eval_intpoly(self.int_poly, w))
             self._abs = lambda za: np.hypot(za.real, za.imag)

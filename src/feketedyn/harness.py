@@ -44,7 +44,6 @@ from .dynamics import (
     write_pgm,
 )
 from .heights import (
-    HEIGHT_GAP_TOL,
     AlgebraicNumber,
     canonical_height,
     rumely_height,
@@ -88,6 +87,9 @@ TARGET_SAMPLES = 1024
 RASTER_RESOLUTION = (256, 256)
 TREND_FLOOR = 1e-9
 TREND_SLACK = 0.10
+# a probe's canonical and target heights differ by at most gamma, the
+# distance of the two Green functions; the gap check allows this on top
+HEIGHT_GAP_TOL = 1e-3
 # escape-loop cap of every Chebyshev rung. On the exact plan, points of
 # [-2, 2] are certified at step 0, so it bounds only the orbits off the
 # segment; on the float rungs, Horner rounds [-2, 2] orbits outward, and the
@@ -484,6 +486,11 @@ def run_bilu_rumely(spec: ExperimentSpec, out_dir=None) -> Report:
     _require_bilu_target(e)
     eq = equilibrium_measure(e)
     closed_roots = _LADDERS[spec.family][2]
+    # the probes and their target heights do not depend on the degree
+    probes = []
+    for probe in spec.probes:
+        pa = AlgebraicNumber.of(probe)
+        probes.append((str(probe), pa, float(rumely_height(pa, e).total)))
     gap_notes = []
 
     def row(n, poly, atoms, gamma):
@@ -496,12 +503,10 @@ def run_bilu_rumely(spec: ExperimentSpec, out_dir=None) -> Report:
         # below coordinate rounding the model cannot certify a nonzero gap
         if dist <= 1e-12 * max(1.0, float(np.max(np.abs(orbit)))):
             dist = 0.0
-        for probe in spec.probes:
-            pa = AlgebraicNumber.of(probe)
+        for probe, pa, target in probes:
             hhat = float(canonical_height(poly, pa).total)
-            target = float(rumely_height(pa, e).total)
             gap = abs(hhat - target)
-            gap_notes.append({"degree": int(n), "probe": str(probe),
+            gap_notes.append({"degree": int(n), "probe": probe,
                               "canonical": hhat, "target": target, "gap": gap,
                               "gamma": gamma,
                               "ok": bool(gap <= gamma + HEIGHT_GAP_TOL)})

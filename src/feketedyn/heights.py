@@ -17,8 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import DynGreenEvaluator, brolin_sample
-from .metric import GreenPair, klimek_distance, side_from_map, side_from_set
+from .dynamics import DynGreenEvaluator
 from .polyarith import IntPolynomial, RootSet, iterate_exact, roots
 from .potential import CompactSetModel, green_eval_many
 
@@ -31,11 +30,9 @@ __all__ = [
     "rumely_height",
     "canonical_height",
     "canonical_height_limit",
-    "height_gap",
 ]
 
 TRIAL_DIVISION_BOUND = 10 ** 6
-HEIGHT_GAP_TOL = 1e-3
 
 
 class GoodReductionError(ValueError):
@@ -250,48 +247,3 @@ def canonical_height_limit(p: IntPolynomial, alpha, k_max: int,
                 f"steps, more than {bound:.3g} away from the direct value "
                 f"{target:.12g}")
     return HeightLimitSequence(tuple(terms), truncated)
-
-
-# --------------------------------------------------------------------------- #
-# gap against the set height
-# --------------------------------------------------------------------------- #
-
-
-def height_gap(seq, e: CompactSetModel, probes) -> list[dict]:
-    """Rows comparing the map-adapted height against the set height.
-
-    The archimedean parts differ by at most the uniform distance between
-    the two Green functions and the non-archimedean parts agree exactly,
-    so every row must satisfy gap <= gamma + HEIGHT_GAP_TOL; a violation
-    raises ArithmeticError.
-
-    conj_dist is the largest distance from a probe conjugate to the set's
-    boundary samples, the bounded-conjugate hypothesis made quantitative."""
-    rows: list[dict] = []
-    e_side = side_from_set(e)
-    samples = e.boundary_samples
-    for idx, p in enumerate(seq):
-        j_side = side_from_map(p, brolin_sample(p, 1024).points)
-        gamma = klimek_distance(GreenPair(j_side, e_side))
-        for alpha in probes:
-            a = AlgebraicNumber.of(alpha)
-            gap = abs(canonical_height(p, a).total - rumely_height(a, e).total)
-            conj = np.asarray(a.conjugates.roots, dtype=np.complex128)
-            conj_dist = float(np.max(np.min(
-                np.abs(conj[:, None] - samples[None, :]), axis=1)))
-            ok = bool(gap <= gamma + HEIGHT_GAP_TOL)
-            rows.append({
-                "index": idx,
-                "degree": p.degree,
-                "probe": a.minpoly.to_text(),
-                "gap": float(gap),
-                "gamma": float(gamma),
-                "conj_dist": conj_dist,
-                "ok": ok,
-            })
-            if not ok:
-                raise ArithmeticError(
-                    f"height gap {gap:.6g} exceeds the metric bound "
-                    f"{gamma + HEIGHT_GAP_TOL:.6g} for degree {p.degree} at probe "
-                    f"{a.minpoly.to_text()}")
-    return rows

@@ -57,12 +57,13 @@ class IntPolynomial:
 
     @cached_property
     def exact_plan(self) -> str:
-        """How eval_intpoly evaluates this polynomial, decided once.
+        """How DynGreenEvaluator steps this polynomial, decided once.
 
-        "float" when the coefficient mass is at most EXACT_EVAL_COEFF_SUM;
-        above it "chebyshev" when the coefficients are those of
-        chebyshev_monic(degree) (real points then take the doubling ladder),
-        else "horner" (exact big-integer Horner).
+        "float" when the coefficient mass is at most EXACT_EVAL_COEFF_SUM
+        (numpy Horner); above it exact eval_intpoly, one point at a time:
+        "chebyshev" when the coefficients are those of
+        chebyshev_monic(degree), which only switches on the step-0
+        certificate of [-2, 2], else "horner".
         """
         if sum(abs(c) for c in self.coeffs) <= EXACT_EVAL_COEFF_SUM:
             return "float"
@@ -217,10 +218,14 @@ def _big_to_float(n: int, shift: int) -> float:
         return math.inf if n > 0 else -math.inf
 
 
-def eval_intpoly_complex_exact(coeffs: tuple[int, ...], z: complex) -> complex:
-    """Exact Horner of an integer polynomial at a point with dyadic parts."""
-    nr, dr = float(z.real).as_integer_ratio()
-    ni, di = float(z.imag).as_integer_ratio()
+def eval_intpoly(p: IntPolynomial, w: complex) -> complex:
+    """P(w) at one point: exact big-integer Horner at the dyadic value of w,
+    rounded once to a Python complex. A point with a NaN part gives NaN."""
+    if w != w:  # a NaN part has no dyadic value
+        return complex(math.nan, math.nan)
+    coeffs = p.coeffs
+    nr, dr = float(w.real).as_integer_ratio()
+    ni, di = float(w.imag).as_integer_ratio()
     kr, ki = dr.bit_length() - 1, di.bit_length() - 1
     k = max(kr, ki)
     a = nr << (k - kr)
@@ -233,55 +238,6 @@ def eval_intpoly_complex_exact(coeffs: tuple[int, ...], z: complex) -> complex:
             x += coeffs[i] << (k * (d - i))
     sh = -k * d
     return complex(_big_to_float(x, sh), _big_to_float(y, sh))
-
-
-def _chebyshev_real_exact(n: int, x: float) -> float:
-    """chebyshev_monic(n) at a dyadic float by the doubling ladder.
-
-    With x = num / 2^k and V_m = 2 T_m(x/2), the integers N_m = 2^(km) V_m
-    obey N_2m = N_m^2 - 2^(2km+1) and N_2m+1 = N_m N_m+1 - num 2^(2km)
-    (from V_2m = V_m^2 - 2 and V_2m+1 = V_m V_m+1 - x). N_n is the integer
-    eval_intpoly_complex_exact builds by Horner, so the float is the same.
-    """
-    num, den = float(x).as_integer_ratio()
-    k = den.bit_length() - 1  # den == 2**k
-    lo, hi = 2, num  # (N_m, N_m+1), from m = 0
-    m = 0
-    for i in range(n.bit_length() - 1, -1, -1):
-        sh = 2 * k * m
-        rest = n & ((1 << i) - 1)  # bits below this one
-        if n >> i & 1:
-            lo, hi = lo * hi - (num << sh), (hi * hi - (2 << (sh + 2 * k))) if rest else 0
-            m = 2 * m + 1
-        else:
-            lo, hi = lo * lo - (2 << sh), (lo * hi - (num << sh)) if rest else 0
-            m = 2 * m
-    return _big_to_float(lo, -k * n)
-
-
-def _eval_exact_point(p: IntPolynomial, w: complex) -> complex:
-    if w != w:  # a NaN part has no dyadic value
-        return complex(math.nan, math.nan)
-    if w.imag == 0.0 and p.exact_plan == "chebyshev":
-        return complex(_chebyshev_real_exact(p.degree, w.real))
-    return eval_intpoly_complex_exact(p.coeffs, w)
-
-
-def eval_intpoly(p: IntPolynomial, z):
-    """Evaluate at float/complex points, switching to exact arithmetic when
-    the coefficient mass makes float Horner cancellation-unsafe (see
-    IntPolynomial.exact_plan). On the exact path a Python scalar gives a
-    Python complex, and a point with a NaN part gives NaN."""
-    if p.exact_plan == "float":
-        return ComplexPolynomial.of(p)(z)
-    if isinstance(z, (int, float, complex)):
-        return _eval_exact_point(p, complex(z))
-    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    out = np.empty(zs.shape, dtype=np.complex128)
-    flat_in, flat_out = zs.ravel(), out.ravel()
-    for i, w in enumerate(flat_in):
-        flat_out[i] = _eval_exact_point(p, complex(w))
-    return out.reshape(np.shape(z)) if np.ndim(z) else complex(flat_out[0])
 
 
 # --------------------------------------------------------------------------- #

@@ -54,6 +54,15 @@ def test_green_dynamical(capsys):
     assert float(out.strip()) == pytest.approx(math.log(3.0), abs=1e-9)
 
 
+def test_green_spaced_negative_point(capsys):
+    # a value starting with '-' after a space is the point, not a flag
+    spaced = run(capsys, "green", "--poly", "0 0 1", "--at", "-3,0")
+    assert spaced == run(capsys, "green", "--poly", "0 0 1", "--at=-3,0")
+    code, out, _ = spaced
+    assert code == 0
+    assert float(out.strip()) == pytest.approx(math.log(3.0), abs=1e-9)
+
+
 def test_green_set(capsys, tmp_path):
     cfg = tmp_path / "set.cfg"
     cfg.write_text("kind = interval\na = -2\nb = 2\n")
@@ -76,6 +85,17 @@ def test_julia_raster(capsys, tmp_path):
     sidecar = json.loads((out_dir / "julia.pgm.json").read_text())
     assert sidecar["resolution"] == [64, 64]
     assert str(pgm) in out
+
+
+def test_julia_spaced_negative_bbox(capsys, tmp_path):
+    a, b = tmp_path / "spaced", tmp_path / "joined"
+    for out_dir, bbox in ((a, ["--bbox", "-2,2,-1,1"]), (b, ["--bbox=-2,2,-1,1"])):
+        code, _, _ = run(capsys, "julia", "--poly", "-2 0 1", "--out", str(out_dir),
+                         *bbox, "--resolution", "16,16")
+        assert code == 0
+    assert (a / "julia.pgm").read_bytes() == (b / "julia.pgm").read_bytes()
+    sidecar = json.loads((a / "julia.pgm.json").read_text())
+    assert sidecar["bbox"] == [-2.0, 2.0, -1.0, 1.0]
 
 
 def _no_constant(name):

@@ -15,14 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feketedyn import dynamics, polyarith
+from feketedyn import dynamics
 from feketedyn.polyarith import (
     ComplexPolynomial,
     IntPolynomial,
     RootFindingError,
     chebyshev_monic,
     eval_intpoly,
-    eval_intpoly_complex_exact,
     roots,
 )
 from feketedyn.dynamics import (
@@ -130,37 +129,24 @@ def test_green_exact_eval_big_chebyshev():
     assert ev.green_many([2.5])[0][0] == pytest.approx(_interval_green(2.5), abs=1e-8)
 
 
-def test_green_exact_chebyshev_matches_horner_reference(monkeypatch):
-    # neither the step-0 certificate nor the doubling ladder changes an
-    # output. Each target sample of the interval is certified, value 0 and
-    # flag set, and its own 48-step orbit by exact Horner, the reference
-    # path, never leaves the escape radius, so the loop reports it so too.
-    # The off-segment probes still step, and match their Horner orbits.
+def test_green_exact_chebyshev_matches_horner_reference():
+    # the step-0 certificate changes no output: with it switched off, every
+    # point runs the exact Horner loop, and the target samples of the
+    # interval stay below the escape radius for all 48 steps (value 0, flag
+    # set), while the off-segment probes escape with the same values
     seg = CompactSetModel.interval(-2.0, 2.0, samples=1024)
     probes = np.array([3, 2.5, 2 + 1e-7, -2.01, 1.5 + 0.3j])
+    zs = np.concatenate([seg.boundary_samples, probes])
     p = chebyshev_monic(64)
     ev = DynGreenEvaluator(p, max_iter=48)
     assert p.exact_plan == "chebyshev"
-    vals, und = ev.green_many(np.concatenate([seg.boundary_samples, probes]))
-
-    def stays_bounded(w):
-        for _ in range(48):
-            if abs(w) > ev.escape_radius:
-                return False
-            w = eval_intpoly_complex_exact(p.coeffs, w)
-        return abs(w) <= ev.escape_radius
-
-    assert all(stays_bounded(w) for w in seg.boundary_samples.tolist())
+    vals, und = ev.green_many(zs)
     assert und[:1024].all() and not vals[:1024].any()
-
-    def horner(p, z):
-        return eval_intpoly_complex_exact(p.coeffs, z)
-
-    monkeypatch.setattr(dynamics, "eval_intpoly", horner)
-    ref_vals, ref_und = ev.green_many(probes)
-    assert vals[1024:].tobytes() == ref_vals.tobytes()
-    assert np.array_equal(und[1024:], ref_und)
-    assert not ref_und.any() and np.all(ref_vals > 0)
+    assert not und[1024:].any() and np.all(vals[1024:] > 0)
+    ev._in_k = None
+    ref_vals, ref_und = ev.green_many(zs)
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert np.array_equal(und, ref_und)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -173,7 +159,7 @@ def test_chebyshev_exact_steps_stay_on_segment(x, n):
     assert p.exact_plan == "chebyshev"
     w = complex(x)
     for _ in range(48):
-        w = polyarith._eval_exact_point(p, w)
+        w = eval_intpoly(p, w)
         assert w.imag == 0.0 and -2.0 <= w.real <= 2.0, (x, n)
 
 
@@ -284,8 +270,7 @@ def test_green_nan_input_is_undecided(poly, plan):
     alone, alone_und = ev.green_many(zs[4:])
     assert vals[4:].tobytes() == alone.tobytes()
     assert np.array_equal(und[4:], alone_und)
-    if plan != "float":
-        assert cmath.isnan(eval_intpoly(poly, complex(math.nan, 1.0)))
+    assert cmath.isnan(eval_intpoly(poly, complex(math.nan, 1.0)))
 
 
 # ----------------------------------------------------------------- capacity

@@ -17,17 +17,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from feketedyn import heights
+from feketedyn.dynamics import brolin_sample
+from feketedyn.harness import HEIGHT_GAP_TOL
 from feketedyn.heights import (
     AlgebraicNumber,
     GoodReductionError,
     HeightReport,
     canonical_height,
     canonical_height_limit,
-    height_gap,
     rumely_height,
     weil_height,
 )
+from feketedyn.metric import GreenPair, klimek_distance, side_from_map, side_from_set
 from feketedyn.polyarith import (
     IntPolynomial,
     chebyshev_monic,
@@ -275,53 +276,37 @@ def test_limit_sequence_truncates_at_digit_cap():
 # --------------------------------------------------------------------------- #
 
 
+def _gap_and_gamma(p, e, probe):
+    # |h_hat_P - h_E| at one probe, and the Klimek distance of K_P's Green
+    # function (on 1024 Brolin atoms) to the set's, which bounds it
+    a = AlgebraicNumber.of(probe)
+    gap = abs(canonical_height(p, a).total - rumely_height(a, e).total)
+    pair = GreenPair(side_from_map(p, brolin_sample(p, 1024).points), side_from_set(e))
+    return gap, klimek_distance(pair)
+
+
 def test_height_gap_squaring_disk():
-    rows = height_gap(
-        [Z2, Z2],
-        CompactSetModel.disk(0.0, 1.0),
-        [AlgebraicNumber.from_rational(Fraction(2))],
-    )
-    assert len(rows) == 2
-    for row in rows:
-        assert row["ok"]
-        assert row["gap"] <= 1e-9
-        assert row["gamma"] <= 1e-6
+    gap, gamma = _gap_and_gamma(Z2, CompactSetModel.disk(0.0, 1.0), 2)
+    assert gap <= 1e-9
+    assert gamma <= 1e-6
 
 
 def test_height_gap_chebyshev_interval():
-    seq = [chebyshev_monic(n) for n in (2, 3, 4, 6)]
-    rows = height_gap(
-        seq,
-        CompactSetModel.interval(-2.0, 2.0),
-        [AlgebraicNumber.from_rational(Fraction(3))],
-    )
-    for row in rows:
-        assert row["ok"]
-        assert row["gap"] <= 1e-6
-        # the probe 3 sits at distance 1 from [-2, 2]
-        assert row["conj_dist"] == pytest.approx(1.0, abs=1e-6)
+    seg = CompactSetModel.interval(-2.0, 2.0)
+    for n in (2, 3, 4, 6):
+        gap, gamma = _gap_and_gamma(chebyshev_monic(n), seg, 3)
+        assert gap <= 1e-6
+        assert gap <= gamma + HEIGHT_GAP_TOL
 
 
 def test_height_gap_surrogates_towards_disk():
     # z^n + z
-    seq = [IntPolynomial((0, 1) + (0,) * (n - 2) + (1,)) for n in (2, 4, 8)]
-    rows = height_gap(
-        seq,
-        CompactSetModel.disk(0.0, 1.0),
-        [AlgebraicNumber.from_rational(Fraction(2))],
-    )
-    gammas = [row["gamma"] for row in rows]
-    assert all(row["ok"] for row in rows)
+    disk = CompactSetModel.disk(0.0, 1.0)
+    rows = [_gap_and_gamma(IntPolynomial((0, 1) + (0,) * (n - 2) + (1,)), disk, 2)
+            for n in (2, 4, 8)]
+    assert all(gap <= gamma + HEIGHT_GAP_TOL for gap, gamma in rows)
+    gammas = [gamma for _, gamma in rows]
     assert gammas[0] > gammas[1] > gammas[2]
-
-
-def test_height_gap_violation_raises(monkeypatch):
-    # at the probe 3 the heights of z^2 and of [-2, 2] differ by
-    # log 3 - log((3 + sqrt 5)/2) ~ 0.136, above a Green distance of 0
-    monkeypatch.setattr(heights, "klimek_distance", lambda pair: 0.0)
-    with pytest.raises(ArithmeticError, match="for degree 2 at probe -3 1"):
-        height_gap([Z2], CompactSetModel.interval(-2.0, 2.0),
-                   [AlgebraicNumber.from_rational(Fraction(3))])
 
 
 # --------------------------------------------------------------------------- #
