@@ -49,22 +49,25 @@ def _add_poly_args(sub) -> None:
     sub.add_argument("--poly-file", help="file holding the coefficients")
 
 
-def _read_poly(raw: str, parser) -> IntPolynomial:
+def _read_poly(raw: str, parser, is_map: bool = True) -> IntPolynomial:
     """Coefficient text; a bare token naming an existing file is read as
-    one. Malformed text is a usage error."""
+    one. Malformed text, or a map of degree below 2, is a usage error."""
     if " " not in raw and pathlib.Path(raw).is_file():
         raw = pathlib.Path(raw).read_text()
     try:
-        return IntPolynomial.from_text(raw)
+        poly = IntPolynomial.from_text(raw)
     except ValueError as exc:
         parser.error(str(exc))
+    if is_map and poly.degree < 2:
+        parser.error(f"a map needs degree >= 2, got {poly.to_text()!r}")
+    return poly
 
 
-def _resolve_poly(args, parser) -> IntPolynomial | None:
+def _resolve_poly(args, parser, is_map: bool = True) -> IntPolynomial | None:
     if getattr(args, "poly_file", None):
-        return _read_poly(pathlib.Path(args.poly_file).read_text(), parser)
+        return _read_poly(pathlib.Path(args.poly_file).read_text(), parser, is_map)
     if getattr(args, "poly", None):
-        return _read_poly(args.poly, parser)
+        return _read_poly(args.poly, parser, is_map)
     return None
 
 
@@ -73,9 +76,42 @@ def _set_from_config_path(path) -> CompactSetModel:
     return build_set(cfg.get("set", cfg))
 
 
-def _parse_point(s: str) -> complex:
+# argparse converters: a value they refuse is a usage error
+
+def _point(s: str) -> complex:
     re, _, im = s.partition(",")
-    return complex(float(re), float(im) if im else 0.0)
+    try:
+        return complex(float(re), float(im) if im else 0.0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"want 're,im', got {s!r}") from None
+
+
+def _bbox(s: str) -> tuple:
+    try:
+        re_min, re_max, im_min, im_max = (float(p) for p in s.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"want 're_min,re_max,im_min,im_max', got {s!r}") from None
+    if not (re_min < re_max and im_min < im_max):
+        raise argparse.ArgumentTypeError(f"degenerate bbox {s!r}")
+    return re_min, re_max, im_min, im_max
+
+
+def _resolution(s: str) -> tuple:
+    w, _, h = s.partition(",")
+    try:
+        res = (int(w), int(h) if h else int(w))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"want 'width,height', got {s!r}") from None
+    if min(res) < 16:
+        raise argparse.ArgumentTypeError(f"resolution {s!r} is below 16x16")
+    return res
+
+
+def _positive_int(s: str) -> int:
+    if not s.isdecimal() or int(s) < 1:
+        raise argparse.ArgumentTypeError(f"want a positive integer, got {s!r}")
+    return int(s)
 
 
 def _print_value(v: float) -> None:
@@ -94,13 +130,12 @@ def _cmd_capacity(args, parser) -> int:
 
 
 def _cmd_green(args, parser) -> int:
-    z = _parse_point(args.at)
     poly = _resolve_poly(args, parser)
     if poly is not None:
-        vals, _ = DynGreenEvaluator(poly, max_iter=args.max_iter).green_many([z])
+        vals, _ = DynGreenEvaluator(poly, max_iter=args.max_iter).green_many([args.at])
         _print_value(vals[0])
     elif args.config:
-        _print_value(green_eval_many(_set_from_config_path(args.config), [z])[0])
+        _print_value(green_eval_many(_set_from_config_path(args.config), [args.at])[0])
     else:
         parser.error("green needs --poly, --poly-file, or --config")
     return 0
@@ -110,16 +145,8 @@ def _cmd_julia(args, parser) -> int:
     poly = _resolve_poly(args, parser)
     if poly is None:
         parser.error("julia needs --poly or --poly-file")
-    w, _, h = args.resolution.partition(",")
-    resolution = (int(w), int(h) if h else int(w))
-    if args.bbox:
-        parts = [float(p) for p in args.bbox.split(",")]
-        if len(parts) != 4:
-            parser.error("--bbox wants 're_min,re_max,im_min,im_max'")
-        bbox = tuple(parts)
-    else:
-        bbox = atoms_bbox(brolin_sample(poly, 512, seed=args.seed).points)
-    ras = raster(poly, bbox, resolution, max_iter=args.max_iter)
+    bbox = args.bbox or atoms_bbox(brolin_sample(poly, 512, seed=args.seed).points)
+    ras = raster(poly, bbox, args.resolution, max_iter=args.max_iter)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "julia.pgm"
@@ -165,7 +192,7 @@ def _cmd_klimek(args, parser) -> int:
 
 
 def _cmd_height(args, parser) -> int:
-    poly = _resolve_poly(args, parser)
+    poly = _resolve_poly(args, parser, is_map=False)
     if poly is None:
         parser.error("height needs --poly or --poly-file")
     alpha = AlgebraicNumber.from_minpoly(poly)
@@ -218,15 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("green", help="Green function value at a point")
     _add_poly_args(p)
     p.add_argument("--config", help="set description file")
-    p.add_argument("--at", required=True, help="evaluation point 're,im'")
+    p.add_argument("--at", required=True, type=_point,
+                   help="evaluation point 're,im'")
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.set_defaults(fn=_cmd_green)
 
     p = subs.add_parser("julia", help="filled-set raster as PGM")
     _add_poly_args(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--bbox", help="'re_min,re_max,im_min,im_max'")
-    p.add_argument("--resolution", default="256,256", help="'width,height'")
+    p.add_argument("--bbox", type=_bbox, help="'re_min,re_max,im_min,im_max'")
+    p.add_argument("--resolution", type=_resolution, default="256,256",
+                   help="'width,height', each at least 16")
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_julia)
@@ -234,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("brolin", help="backward-orbit measure as CSV")
     _add_poly_args(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n", type=int, default=1024, help="number of atoms")
+    p.add_argument("--n", type=_positive_int, default=1024,
+                   help="number of atoms")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_brolin)
 

@@ -19,15 +19,34 @@ import math
 import numpy as np
 
 from .polyarith import (
+    EXACT_EVAL_COEFF_SUM,
     ComplexPolynomial,
     IntPolynomial,
     RootFindingError,
+    chebyshev_monic,
     eval_intpoly,
     roots,
 )
 from .potential import DiscreteMeasure
 
 DEFAULT_MAX_ITER = 256
+
+
+def _closed_form(poly) -> str | None:
+    """Which closed-form map poly is: "power" for z^d, "chebyshev" for
+    2 T_d(z/2), given as an IntPolynomial of degree d >= 2; else None."""
+    if not isinstance(poly, IntPolynomial):
+        return None
+    c, d = poly.coeffs, poly.degree
+    if c[-2:] != (0, 1):
+        return None
+    if not any(c[:-2]):
+        return "power"
+    # 2 T_d(z/2) = z^d - d z^(d-2) + ...; the cheap test spares building
+    # chebyshev_monic(d) for polynomials that cannot match
+    if c[-3] == -d and c == chebyshev_monic(d).coeffs:
+        return "chebyshev"
+    return None
 
 
 def _pointwise(f):
@@ -50,7 +69,8 @@ class DynGreenEvaluator:
         self.escape_radius = max(2.0, (1.0 + float(np.sum(np.abs(c[:-1])))) / self.leading_abs)
         self.tail_constant = math.log(self.leading_abs) / (d - 1)
         self.max_iter = int(max_iter)
-        self._exact = self.int_poly is not None and self.int_poly.exact_plan != "float"
+        self._exact = self.int_poly is not None and \
+            sum(abs(a) for a in self.int_poly.coeffs) > EXACT_EVAL_COEFF_SUM
         # the escape loop's step, modulus and reciprocal; the exact plan works
         # in Python complex arithmetic, one point at a time: eval_intpoly,
         # and Python's abs (libm hypot) and division, which round apart
@@ -65,7 +85,7 @@ class DynGreenEvaluator:
         # maps [-2, 2] into itself, and each exact step rounds into [-2, 2]
         # again, so these orbits would stay below the radius (>= 2) to max_iter
         self._in_k = None
-        if self._exact and self.int_poly.exact_plan == "chebyshev":
+        if self._exact and _closed_form(self.int_poly) == "chebyshev":
             self._in_k = lambda za: (za.imag == 0.0) & (np.abs(za.real) <= 2.0)
 
     def _eps(self, v):
@@ -265,26 +285,19 @@ _ORBIT_CHUNK = 1024
 _BURN_IN = 20
 
 
-def brolin_sample(poly, n_points: int, seed: int = 0,
-                  preimages=None) -> DiscreteMeasure:
+def brolin_sample(poly, n_points: int, seed: int = 0) -> DiscreteMeasure:
     """Backward random iteration: repeatedly jump to a uniformly chosen
     preimage, starting just outside the escape radius.
 
+    Preimages of z^d and 2 T_d(z/2) given as an IntPolynomial come in
+    closed form; those of any other map are the Aberth roots of P - c.
     Atoms come in fixed-size chunks with one RNG stream per chunk (seeded by
     seed XOR chunk index), so the result is independent of scheduling.
     """
     if n_points < 1:
         raise ValueError("need n_points >= 1")
     ev = DynGreenEvaluator(poly)
-    if preimages is None:
-        # P - c in one buffer; roots copies its input
-        shifted = ev.poly.coeffs.copy()
-        c0 = shifted[0]
-
-        def preimages(c):
-            shifted[0] = c0 - c
-            return roots(shifted, tol=1e-9).roots
-
+    preimages = _preimage_solver(ev)
     pts = np.empty(n_points, dtype=np.complex128)
     n_orbits = (n_points + _ORBIT_CHUNK - 1) // _ORBIT_CHUNK
     for j in range(n_orbits):
@@ -306,33 +319,30 @@ def brolin_sample(poly, n_points: int, seed: int = 0,
     return DiscreteMeasure.uniform(pts)
 
 
-def chebyshev_preimages(n: int):
-    """Exact preimage solver for the degree-n monic Chebyshev-type map
-    2*T_n(z/2), via the cosine parameterization: the preimages of c are
-    2 cos((arccos(c/2) + 2 pi k)/n). Float Horner root-finding is useless here
-    once the coefficients outgrow the 53-bit mantissa."""
-    if n < 2:
-        raise ValueError("need degree >= 2")
-    ks = 2.0 * np.pi * np.arange(n)
+def _preimage_solver(ev: DynGreenEvaluator):
+    """c -> the d preimages of c under the evaluator's map. For 2 T_d(z/2)
+    they are 2 cos((arccos(c/2) + 2 pi k)/d): float root-finding fails once
+    the coefficients outgrow the 53-bit mantissa. For z^d they are the d-th
+    roots of c."""
+    d = ev.degree
+    kind = _closed_form(ev.int_poly)
+    if kind == "chebyshev":
+        ks = 2.0 * np.pi * np.arange(d)
+        return lambda c: 2.0 * np.cos((np.arccos(np.complex128(c) / 2.0) + ks) / d)
+    if kind == "power":
+        rot = np.exp(2j * np.pi * np.arange(d) / d)
+
+        def pre(c):
+            c = np.complex128(c)
+            return abs(c) ** (1.0 / d) * np.exp(1j * (np.angle(c) / d)) * rot
+
+        return pre
+    # P - c in one buffer; roots copies its input
+    shifted = ev.poly.coeffs.copy()
+    c0 = shifted[0]
 
     def pre(c):
-        phi = np.arccos(np.complex128(c) / 2.0)
-        return 2.0 * np.cos((phi + ks) / n)
+        shifted[0] = c0 - c
+        return roots(shifted, tol=1e-9).roots
 
     return pre
-
-
-def power_preimages(n: int):
-    """Exact n-th roots as the preimages under the pure power map."""
-    if n < 2:
-        raise ValueError("need degree >= 2")
-    rot = np.exp(2j * np.pi * np.arange(n) / n)
-
-    def pre(c):
-        c = np.complex128(c)
-        mag = abs(c) ** (1.0 / n)
-        ang = np.angle(c) / n
-        return mag * np.exp(1j * ang) * rot
-
-    return pre
-

@@ -37,8 +37,6 @@ from .dynamics import (
     DEFAULT_MAX_ITER,
     atoms_bbox,
     brolin_sample,
-    chebyshev_preimages,
-    power_preimages,
     raster,
     write_json,
     write_pgm,
@@ -314,9 +312,19 @@ def _parse_value(s: str):
     return s
 
 
+# the top-level keys of an experiment config
+_SPEC_KEYS = ("name", "family", "set", "degree_range", "checkpoints",
+              "probes", "outputs", "seed", "epsilon", "n_atoms",
+              "budget_seconds", "user_polys")
+
+
 def spec_from_config(cfg: dict, seed_override: int | None = None) -> ExperimentSpec:
-    """The spec a parsed config describes; a value of the wrong type or one
-    the spec refuses raises ConfigError."""
+    """The spec a parsed config describes; a key it does not read, a value
+    of the wrong type or one the spec refuses raises ConfigError."""
+    unknown = sorted(set(cfg) - set(_SPEC_KEYS))
+    if unknown:
+        raise ConfigError(f"experiment config: unknown key "
+                          f"{', '.join(map(repr, unknown))}")
     rng = cfg.get("degree_range", [4, 128])
     cps = cfg.get("checkpoints")
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
@@ -357,13 +365,12 @@ def _chebyshev_roots(n: int) -> np.ndarray:
     return (2.0 * np.cos((2 * k + 1) * np.pi / (2 * n))).astype(np.complex128)
 
 
-# ladder family -> (degree-n map, its preimage solver or None, its roots in
-# closed form), each a function of n
+# ladder family -> (degree-n map, its roots in closed form), each a function
+# of n
 _LADDERS = {
-    "cyclotomic": (cyclotomic, lambda n: None, _cyclotomic_roots),
-    "chebyshev": (chebyshev_monic, chebyshev_preimages, _chebyshev_roots),
-    "power_maps": (power_map, power_preimages,
-                   lambda n: np.zeros(n, dtype=np.complex128)),
+    "cyclotomic": (cyclotomic, _cyclotomic_roots),
+    "chebyshev": (chebyshev_monic, _chebyshev_roots),
+    "power_maps": (power_map, lambda n: np.zeros(n, dtype=np.complex128)),
 }
 
 # the families each runner takes
@@ -382,11 +389,11 @@ def check_family(runner: str, family: str) -> None:
 
 
 def _family_members(spec: ExperimentSpec) -> list:
-    """(label, polynomial, preimage solver or None) per checkpoint."""
+    """(label, polynomial) per checkpoint."""
     if spec.family == "user":
-        return [(p.degree, p, None) for p in spec.user_polys]
-    make, pre, _ = _LADDERS[spec.family]
-    return [(n, make(n), pre(n)) for n in spec.effective_checkpoints()]
+        return [(p.degree, p) for p in spec.user_polys]
+    make = _LADDERS[spec.family][0]
+    return [(n, make(n)) for n in spec.effective_checkpoints()]
 
 
 def _trend_violations(column: str, degrees, values, *, decreasing: bool = True) -> list:
@@ -445,9 +452,8 @@ def _julia_ladder(spec: ExperimentSpec, e: CompactSetModel, columns, row,
     last = []
 
     def worker(member):
-        n, poly, pre = member
-        atoms = brolin_sample(poly, spec.n_atoms, seed=spec.seed + n,
-                              preimages=pre).points
+        n, poly = member
+        atoms = brolin_sample(poly, spec.n_atoms, seed=spec.seed + n).points
         pair = GreenPair(left=side_from_map(poly, atoms, max_iter),
                          right=target_side)
         last[:] = [poly, atoms]
@@ -485,7 +491,7 @@ def run_bilu_rumely(spec: ExperimentSpec, out_dir=None) -> Report:
     e = build_set(spec.set_config, samples=TARGET_SAMPLES)
     _require_bilu_target(e)
     eq = equilibrium_measure(e)
-    closed_roots = _LADDERS[spec.family][2]
+    closed_roots = _LADDERS[spec.family][1]
     # the probes and their target heights do not depend on the degree
     probes = []
     for probe in spec.probes:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,26 +54,6 @@ class IntPolynomial:
     @property
     def is_monic(self) -> bool:
         return self.leading == 1
-
-    @cached_property
-    def exact_plan(self) -> str:
-        """How DynGreenEvaluator steps this polynomial, decided once.
-
-        "float" when the coefficient mass is at most EXACT_EVAL_COEFF_SUM
-        (numpy Horner); above it exact eval_intpoly, one point at a time:
-        "chebyshev" when the coefficients are those of
-        chebyshev_monic(degree), which only switches on the step-0
-        certificate of [-2, 2], else "horner".
-        """
-        if sum(abs(c) for c in self.coeffs) <= EXACT_EVAL_COEFF_SUM:
-            return "float"
-        d = self.degree
-        # 2 T_d(z/2) = z^d - d z^(d-2) + ...; the cheap test spares building
-        # chebyshev_monic(d) for polynomials that cannot match
-        if self.coeffs[-2:] == (0, 1) and self.coeffs[-3] == -d \
-                and self.coeffs == chebyshev_monic(d).coeffs:
-            return "chebyshev"
-        return "horner"
 
     @property
     def content(self) -> int:
@@ -198,8 +178,9 @@ def _coerce_coeffs(p) -> np.ndarray:
 # exact evaluation at dyadic points (large-coefficient safety)
 # --------------------------------------------------------------------------- #
 
-# Threshold above which float Horner on [-2, 2]-scale points loses the value to
-# cancellation; beyond it we evaluate with exact big-integer arithmetic.
+# Coefficient mass above which float Horner on [-2, 2]-scale points loses the
+# value to cancellation; DynGreenEvaluator steps such integer polynomials with
+# eval_intpoly instead.
 EXACT_EVAL_COEFF_SUM = 2**30
 
 

@@ -76,7 +76,6 @@ class CompactSetModel:
         self._contains_fn = contains_fn
         self._distance_fn = distance_fn
         self._ring_fn = ring_fn
-        self._fekete_cache: dict[int, np.ndarray] = {}
         self._measure_cache: dict[int, DiscreteMeasure] = {}
 
     @property
@@ -319,9 +318,6 @@ def fekete_points(e: CompactSetModel, n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    cached = e._fekete_cache.get(n)
-    if cached is not None:
-        return cached.copy()
     cand = e.boundary_samples
     m = len(cand)
     if n > m:
@@ -358,9 +354,7 @@ def fekete_points(e: CompactSetModel, n: int) -> np.ndarray:
                     swapped = True
             if not swapped:
                 break
-    out = cand[np.sort(idx)]
-    e._fekete_cache[n] = out.copy()
-    return out
+    return cand[np.sort(idx)]
 
 
 def capacity_estimate(e: CompactSetModel, n: int) -> float:

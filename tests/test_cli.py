@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from feketedyn.cli import main
+from feketedyn.polyarith import chebyshev_monic
 
 
 def run(capsys, *argv):
@@ -136,6 +137,61 @@ def test_brolin_csv(capsys, tmp_path):
     assert float(np.max(np.abs(rows[:, 1]))) <= 1e-5
 
 
+@pytest.fixture
+def cheb64(tmp_path):
+    # 2T_64(z/2): far past float root-finding, so its preimages must come in
+    # closed form
+    path = tmp_path / "cheb64.txt"
+    path.write_text(chebyshev_monic(64).to_text() + "\n")
+    return path
+
+
+def test_brolin_chebyshev_64(capsys, tmp_path, cheb64):
+    out_dir = tmp_path / "m"
+    code, _, _ = run(capsys, "brolin", "--poly-file", str(cheb64),
+                     "--out", str(out_dir), "--n", "1024")
+    assert code == 0
+    rows = np.loadtxt(out_dir / "brolin.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (1024, 3)
+    assert float(np.max(np.abs(rows[:, 0]))) <= 2.0 + 1e-9
+    assert float(np.max(np.abs(rows[:, 1]))) <= 1e-9
+
+
+def test_julia_chebyshev_64_bbox_from_atoms(capsys, tmp_path, cheb64):
+    out_dir = tmp_path / "img"
+    code, _, _ = run(capsys, "julia", "--poly-file", str(cheb64),
+                     "--out", str(out_dir), "--resolution", "16,16")
+    assert code == 0
+    # the atoms' bounding box, on [-2, 2], widened by 0.5
+    bbox = json.loads((out_dir / "julia.pgm.json").read_text())["bbox"]
+    assert bbox == pytest.approx([-2.5, 2.5, -0.5, 0.5], abs=1e-3)
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("green", "--poly", "0 0 1", "--at", "abc"), "argument --at: "),
+    (("julia", "--poly", "0 0 1", "--bbox", "1,a,2,3"), "argument --bbox: "),
+    (("julia", "--poly", "0 0 1", "--bbox", "1,0,0,1"), "degenerate bbox"),
+    (("julia", "--poly", "0 0 1", "--resolution", "8,8"), "below 16x16"),
+    (("julia", "--poly", "0 0 1", "--resolution", "x"), "argument --resolution: "),
+    (("brolin", "--poly", "0 0 1", "--n", "0"), "argument --n: "),
+    (("green", "--poly", "1 1", "--at", "1"), "degree >= 2"),
+    (("capacity", "--poly", "5"), "degree >= 2"),
+], ids=["at", "bbox-part", "bbox-degenerate", "resolution-small",
+        "resolution-text", "brolin-n", "green-degree", "capacity-degree"])
+def test_malformed_argument_is_usage_error(capsys, tmp_path, argv, needle):
+    out_dir = tmp_path / "out"
+    if argv[0] in ("julia", "brolin"):
+        argv += ("--out", str(out_dir))
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("fekete-dyn") and needle in last
+    assert not out_dir.exists()
+
+
 # ------------------------------------------------------------------- klimek
 
 def test_klimek_two_sets(capsys, tmp_path):
@@ -162,6 +218,16 @@ def test_klimek_poly_side(capsys, tmp_path):
     rec = json.loads(out)
     assert rec["gamma"] <= 1e-3
     assert rec["cap_gap"] <= 1e-9
+
+
+def test_klimek_chebyshev_64_poly_side(capsys, tmp_path, cheb64):
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text(f"left_poly = {cheb64.read_text().strip()}\n"
+                   "right = { kind = interval, a = -2, b = 2 }\n"
+                   "n_atoms = 256\n")
+    code, out, _ = run(capsys, "klimek", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["gamma"] <= 1e-3
 
 
 def test_klimek_malformed_poly_is_usage_error(capsys, tmp_path):
@@ -350,9 +416,11 @@ def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config
     ("bilu_rumely", "name = x\nfamily = chebyshev\n"
                     "set = { kind = interval, a = -2, b = 2 }\nprobes = [1/0]\n",
      "zero denominator"),
+    # a misspelt key, which would otherwise run with the default it meant to change
+    ("runaway", "name = x\nfamily = runaway\nn_atom = 256\n", "unknown key 'n_atom'"),
 ], ids=["unknown-kind", "missing-key", "constructor", "bilu-target", "fs-capacity",
         "runaway-range", "degree-range-type", "set-not-block", "probe-literal",
-        "probe-zero-denominator"])
+        "probe-zero-denominator", "unknown-key"])
 def test_experiment_set_config_error_is_usage_error(capsys, tmp_path, runner, config,
                                                     needle):
     assert needle in _usage_error(capsys, tmp_path, runner, config)
@@ -385,6 +453,10 @@ def _every_side(block: str) -> str:
     ("experiment", "dynamical_fs", "--config", "{cfg}", "--out", "{out}"),
 ], ids=["capacity", "green", "height-rumely", "klimek", "experiment"])
 def test_set_config_error_is_usage_error(capsys, tmp_path, argv, text, needle):
+    if argv[0] == "experiment":
+        # experiment refuses the keys it does not read: drop klimek's sides
+        text = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith(("left", "right")))
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     out_dir = tmp_path / "out"

@@ -21,13 +21,13 @@ from feketedyn.polyarith import (
     IntPolynomial,
     RootFindingError,
     chebyshev_monic,
+    cyclotomic,
     eval_intpoly,
-    roots,
+    power_map,
 )
 from feketedyn.dynamics import (
     DynGreenEvaluator,
     brolin_sample,
-    chebyshev_preimages,
     julia_capacity,
     raster,
     write_pgm,
@@ -49,6 +49,14 @@ Z2M2 = ComplexPolynomial([-2, 0, 1])
 def _green_at(poly, z):
     # the Green value at one point, through the array form
     return DynGreenEvaluator(poly).green_many([z])[0][0]
+
+
+def _plan(ev) -> str:
+    # how the evaluator steps: numpy Horner ("float"), or exact eval_intpoly,
+    # with the step-0 certificate of [-2, 2] ("chebyshev") or without it
+    if not ev._exact:
+        return "float"
+    return "horner" if ev._in_k is None else "chebyshev"
 
 
 # ----------------------------------------------------------- green evaluator
@@ -139,7 +147,7 @@ def test_green_exact_chebyshev_matches_horner_reference():
     zs = np.concatenate([seg.boundary_samples, probes])
     p = chebyshev_monic(64)
     ev = DynGreenEvaluator(p, max_iter=48)
-    assert p.exact_plan == "chebyshev"
+    assert _plan(ev) == "chebyshev"
     vals, und = ev.green_many(zs)
     assert und[:1024].all() and not vals[:1024].any()
     assert not und[1024:].any() and np.all(vals[1024:] > 0)
@@ -156,7 +164,7 @@ def test_chebyshev_exact_steps_stay_on_segment(x, n):
     # a real point of [-2, 2] rounds back into [-2, 2], through the shifted
     # conversion of integers past 1,000 bits too
     p = chebyshev_monic(n)
-    assert p.exact_plan == "chebyshev"
+    assert _plan(DynGreenEvaluator(p)) == "chebyshev"
     w = complex(x)
     for _ in range(48):
         w = eval_intpoly(p, w)
@@ -257,8 +265,8 @@ def test_green_input_overflowing_in_modulus(poly):
 def test_green_nan_input_is_undecided(poly, plan):
     # a NaN part gives no Green value: NaN with the never-escaped flag, not
     # an escape (flag False) and not a plausible zero (value 0)
-    assert poly.exact_plan == plan
     ev = DynGreenEvaluator(poly, max_iter=48)
+    assert _plan(ev) == plan
     nans = [math.nan, complex(math.nan, 1.0), complex(0.5, math.nan),
             complex(math.inf, math.nan)]
     zs = np.array(nans + [3.0, 0.5 + 1e-3j])
@@ -367,33 +375,63 @@ def test_brolin_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.points, c.points)
 
 
-def test_brolin_error_names_step_and_chunk():
+def test_brolin_error_names_step_and_chunk(monkeypatch):
     calls = []
+    solve = dynamics.roots
 
-    def pre(c):
-        calls.append(c)
+    def failing(p, tol):
+        calls.append(p)
         # chunk 0 takes 20 + 1024 steps; fail at step 3 of chunk 1
-        c0 = math.nan if len(calls) == 20 + 1024 + 4 else -c
-        return roots(ComplexPolynomial([c0, 0, 1])).roots
+        if len(calls) == 20 + 1024 + 4:
+            p = np.array([math.nan, 0, 1])
+        return solve(p, tol=tol)
 
+    monkeypatch.setattr(dynamics, "roots", failing)
     with pytest.raises(RootFindingError, match="backward step 3 of orbit 1"):
-        brolin_sample(Z2, 2048, seed=1, preimages=pre)
+        brolin_sample(Z2, 2048, seed=1)
 
 
-def test_chebyshev_preimages_match_generic_roots():
-    pre = chebyshev_preimages(5)
-    p5 = chebyshev_monic(5)
+@pytest.mark.parametrize("poly", [
+    cyclotomic(17), power_map(8), chebyshev_monic(64), IntPolynomial((1, -1, 1)),
+], ids=["cyclotomic-17", "power-8", "chebyshev-64", "user-quadratic"])
+def test_brolin_atoms_chain_backward(poly):
+    # each atom is a preimage of the one before it in its chunk: P(atoms[i+1])
+    # = atoms[i], through exact evaluation, which 2T_64(z/2) needs. The chunk
+    # of 1,024 atoms ends at index 1023, so the pair (1023, 1024) is skipped
+    atoms = brolin_sample(poly, 1100, seed=4).points
+    image = np.array([eval_intpoly(poly, complex(w)) for w in atoms[1:]])
+    err = np.abs(image - atoms[:-1]) / (1.0 + np.abs(atoms[:-1]))
+    err[1023] = 0.0
+    assert np.max(err) <= 1e-11, np.argmax(err)
+
+
+@pytest.mark.parametrize("poly", [chebyshev_monic(5), power_map(5)],
+                         ids=["chebyshev-5", "power-5"])
+def test_closed_form_preimages_match_generic_roots(poly):
+    # all d preimages, not only some: the same set as the Aberth roots of
+    # P - c, which the same polynomial gets as a ComplexPolynomial
+    closed = dynamics._preimage_solver(DynGreenEvaluator(poly))
+    generic = dynamics._preimage_solver(DynGreenEvaluator(ComplexPolynomial.of(poly)))
     for c in (0.7 + 0.3j, -1.2, 2.5j):
-        mine = np.sort_complex(np.asarray(pre(c)))
-        shifted = list(p5.coeffs)
-        generic = roots(ComplexPolynomial([shifted[0] - c] + shifted[1:]))
-        other = np.sort_complex(generic.roots)
+        mine = np.sort_complex(np.asarray(closed(c)))
+        other = np.sort_complex(generic(c))
         assert np.max(np.abs(mine - other)) <= 1e-8, c
 
 
+def test_brolin_closed_forms_skip_root_finding(monkeypatch):
+    # z^d and 2T_d(z/2) given as IntPolynomial take closed-form preimages
+    def no_roots(*args, **kwargs):
+        raise AssertionError("roots called")
+
+    monkeypatch.setattr(dynamics, "roots", no_roots)
+    for poly in (power_map(128), chebyshev_monic(2), chebyshev_monic(64)):
+        assert len(brolin_sample(poly, 64, seed=2).points) == 64
+    with pytest.raises(AssertionError, match="roots called"):
+        brolin_sample(ComplexPolynomial.of(chebyshev_monic(2)), 64, seed=2)
+
+
 def test_brolin_chebyshev_64_stays_on_segment():
-    m = brolin_sample(ComplexPolynomial.of(chebyshev_monic(64)), 1024, seed=17,
-                      preimages=chebyshev_preimages(64))
+    m = brolin_sample(chebyshev_monic(64), 1024, seed=17)
     assert np.max(np.abs(m.points.imag)) <= 1e-9
     assert np.max(np.abs(m.points.real)) <= 2 + 1e-9
 

@@ -21,6 +21,7 @@ import pytest
 from feketedyn.harness import (
     BILU_COLUMNS,
     DEFAULT_LADDER,
+    ConfigError,
     ExperimentSpec,
     Report,
     build_set,
@@ -163,6 +164,14 @@ def test_spec_from_config_types(tmp_path):
     assert s.epsilon == 0.25
     assert s.user_polys == (IntPolynomial((0, 1, 0, 0, 1)),)
     assert spec_from_config(cfg, seed_override=99).seed == 99
+
+
+def test_spec_from_config_refuses_unknown_keys():
+    # a misspelt key would otherwise leave its default in force: n_atom = 256
+    # ran with 1,024 atoms
+    cfg = {"name": "x", "family": "runaway", "n_atom": 256, "sed": 3}
+    with pytest.raises(ConfigError, match="unknown key 'n_atom', 'sed'"):
+        spec_from_config(cfg)
 
 
 # --------------------------------------------------------------------------- #

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feketedyn import polyarith
+from feketedyn.dynamics import DynGreenEvaluator
 from feketedyn.polyarith import (
     ComplexPolynomial,
     IntPolynomial,
@@ -414,7 +415,7 @@ heavy_coeffs = st.integers(2, 40).flatmap(
 @given(heavy_coeffs, dyadics, dyadics)
 def test_exact_eval_matches_big_integer_oracle(coeffs, x, y):
     p = IntPolynomial(tuple(coeffs))
-    assert p.exact_plan == "horner"
+    assert DynGreenEvaluator(p)._exact
     assert _bits(eval_intpoly(p, x)) == _bits(_oracle_real(p.coeffs, x))
     if y != 0.0:
         z = complex(x, y)
@@ -422,15 +423,24 @@ def test_exact_eval_matches_big_integer_oracle(coeffs, x, y):
 
 
 def test_exact_plan_by_mass_and_chebyshev_coefficients():
-    assert IntPolynomial((1, 2, 3)).exact_plan == "float"
-    assert chebyshev_monic(20).exact_plan == "float"  # mass 15127
-    assert chebyshev_monic(64).exact_plan == "chebyshev"
+    def plan(p):
+        # how DynGreenEvaluator steps p: numpy Horner ("float"), or exact
+        # eval_intpoly with the step-0 certificate of [-2, 2] ("chebyshev")
+        # or without it
+        ev = DynGreenEvaluator(p)
+        if not ev._exact:
+            return "float"
+        return "horner" if ev._in_k is None else "chebyshev"
+
+    assert plan(IntPolynomial((1, 2, 3))) == "float"
+    assert plan(chebyshev_monic(20)) == "float"  # mass 15127
+    assert plan(chebyshev_monic(64)) == "chebyshev"
     # a property of the coefficients, not of where they came from
     typed = IntPolynomial(tuple(int(c) for c in chebyshev_monic(64).to_text().split()))
-    assert typed.exact_plan == "chebyshev"
+    assert plan(typed) == "chebyshev"
     near = list(typed.coeffs)
     near[0] += 1
-    assert IntPolynomial(tuple(near)).exact_plan == "horner"
+    assert plan(IntPolynomial(tuple(near))) == "horner"
     assert chebyshev_monic(64) is chebyshev_monic(64)
 
 
