@@ -33,7 +33,13 @@ from .harness import (
     spec_from_config,
 )
 from .heights import AlgebraicNumber, canonical_height, rumely_height, weil_height
-from .metric import GreenPair, klimek_report, side_from_map, side_from_set
+from .metric import (
+    MIN_SIDE_SAMPLES,
+    GreenPair,
+    klimek_report,
+    side_from_map,
+    side_from_set,
+)
 from .polyarith import IntPolynomial
 from .potential import CompactSetModel, DiscreteMeasure, green_eval_many
 
@@ -51,21 +57,27 @@ def _add_poly_args(sub) -> None:
 
 def _read_poly(raw: str, parser, is_map: bool = True) -> IntPolynomial:
     """Coefficient text; a bare token naming an existing file is read as
-    one. Malformed text, or a map of degree below 2, is a usage error."""
+    one. Malformed text, a map of degree below 2, or a constant minimal
+    polynomial, is a usage error."""
     if " " not in raw and pathlib.Path(raw).is_file():
         raw = pathlib.Path(raw).read_text()
     try:
         poly = IntPolynomial.from_text(raw)
     except ValueError as exc:
         parser.error(str(exc))
-    if is_map and poly.degree < 2:
-        parser.error(f"a map needs degree >= 2, got {poly.to_text()!r}")
+    least, what = (2, "a map") if is_map else (1, "a minimal polynomial")
+    if poly.degree < least:
+        parser.error(f"{what} needs degree >= {least}, got {poly.to_text()!r}")
     return poly
 
 
 def _resolve_poly(args, parser, is_map: bool = True) -> IntPolynomial | None:
     if getattr(args, "poly_file", None):
-        return _read_poly(pathlib.Path(args.poly_file).read_text(), parser, is_map)
+        try:
+            raw = pathlib.Path(args.poly_file).read_text()
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read --poly-file: {exc}")
+        return _read_poly(raw, parser, is_map)
     if getattr(args, "poly", None):
         return _read_poly(args.poly, parser, is_map)
     return None
@@ -108,10 +120,12 @@ def _resolution(s: str) -> tuple:
     return res
 
 
-def _positive_int(s: str) -> int:
-    if not s.isdecimal() or int(s) < 1:
-        raise argparse.ArgumentTypeError(f"want a positive integer, got {s!r}")
-    return int(s)
+def _int_at_least(least: int):
+    def convert(s: str) -> int:
+        if not s.isdecimal() or int(s) < least:
+            raise argparse.ArgumentTypeError(f"want an integer >= {least}, got {s!r}")
+        return int(s)
+    return convert
 
 
 def _print_value(v: float) -> None:
@@ -179,6 +193,9 @@ def _klimek_side(cfg: dict, name: str, parser):
             n, seed = int(cfg.get("n_atoms", 1024)), int(cfg.get("seed", 0))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"klimek config: {exc}") from exc
+        if n < MIN_SIDE_SAMPLES:
+            raise ConfigError(f"klimek config: need n_atoms >= {MIN_SIDE_SAMPLES} "
+                              f"for the sup-norm formula, got {n}")
         return side_from_map(poly, brolin_sample(poly, n, seed=seed).points)
     parser.error(f"klimek config needs '{name} = {{...}}' or '{key} = ...'")
 
@@ -247,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="set description file")
     p.add_argument("--at", required=True, type=_point,
                    help="evaluation point 're,im'")
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--max-iter", type=_int_at_least(0), default=DEFAULT_MAX_ITER)
     p.set_defaults(fn=_cmd_green)
 
     p = subs.add_parser("julia", help="filled-set raster as PGM")
@@ -256,14 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bbox", type=_bbox, help="'re_min,re_max,im_min,im_max'")
     p.add_argument("--resolution", type=_resolution, default="256,256",
                    help="'width,height', each at least 16")
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--max-iter", type=_int_at_least(0), default=DEFAULT_MAX_ITER)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_julia)
 
     p = subs.add_parser("brolin", help="backward-orbit measure as CSV")
     _add_poly_args(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n", type=_positive_int, default=1024,
+    p.add_argument("--n", type=_int_at_least(1), default=1024,
                    help="number of atoms")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_brolin)

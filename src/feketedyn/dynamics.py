@@ -69,6 +69,8 @@ class DynGreenEvaluator:
         self.escape_radius = max(2.0, (1.0 + float(np.sum(np.abs(c[:-1])))) / self.leading_abs)
         self.tail_constant = math.log(self.leading_abs) / (d - 1)
         self.max_iter = int(max_iter)
+        if self.max_iter < 0:
+            raise ValueError(f"need max_iter >= 0, got {max_iter}")
         self._exact = self.int_poly is not None and \
             sum(abs(a) for a in self.int_poly.coeffs) > EXACT_EVAL_COEFF_SUM
         # the escape loop's step, modulus and reciprocal; the exact plan works
@@ -82,10 +84,10 @@ class DynGreenEvaluator:
         else:
             self._step, self._abs, self._recip = self.poly, np.abs, lambda za: 1.0 / za
         # the points certified in K at step 0, which skip the loop: 2 T_n(x/2)
-        # maps [-2, 2] into itself, and each exact step rounds into [-2, 2]
-        # again, so these orbits would stay below the radius (>= 2) to max_iter
+        # maps [-2, 2] into itself whatever the plan (float Horner would round
+        # some of these orbits out of [-2, 2] and let them escape)
         self._in_k = None
-        if self._exact and _closed_form(self.int_poly) == "chebyshev":
+        if _closed_form(self.int_poly) == "chebyshev":
             self._in_k = lambda za: (za.imag == 0.0) & (np.abs(za.real) <= 2.0)
 
     def _eps(self, v):

@@ -34,7 +34,6 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
-    DEFAULT_MAX_ITER,
     atoms_bbox,
     brolin_sample,
     raster,
@@ -48,6 +47,7 @@ from .heights import (
     weil_height,
 )
 from .metric import (
+    MIN_SIDE_SAMPLES,
     GreenPair,
     klimek_distance,
     measure_discrepancy,
@@ -88,11 +88,6 @@ TREND_SLACK = 0.10
 # a probe's canonical and target heights differ by at most gamma, the
 # distance of the two Green functions; the gap check allows this on top
 HEIGHT_GAP_TOL = 1e-3
-# escape-loop cap of every Chebyshev rung. On the exact plan, points of
-# [-2, 2] are certified at step 0, so it bounds only the orbits off the
-# segment; on the float rungs, Horner rounds [-2, 2] orbits outward, and the
-# cap decides how many escape in time, and so their gamma
-CHEB_EXACT_MAX_ITER = 48
 
 
 # --------------------------------------------------------------------------- #
@@ -143,8 +138,9 @@ class ExperimentSpec:
             raise ValueError(f"outputs must be a subset of {OUTPUT_FORMATS}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.n_atoms < 256:
-            raise ValueError("need n_atoms >= 256 for the sup-norm formula")
+        if self.n_atoms < MIN_SIDE_SAMPLES:
+            raise ValueError(
+                f"need n_atoms >= {MIN_SIDE_SAMPLES} for the sup-norm formula")
         if self.budget_seconds is not None and not self.budget_seconds > 0:
             raise ValueError("budget_seconds must be positive when given")
         for p in self.probes:
@@ -202,35 +198,44 @@ class Report:
 # --------------------------------------------------------------------------- #
 
 
+# the keys a set block of each kind reads, beside "kind"
+_SET_KEYS = {"interval": ("a", "b"), "disk": ("center", "radius"),
+             "circle": ("center", "radius"), "union_of_intervals": ("intervals",)}
+
+
 def build_set(config: dict, samples: int | None = None) -> CompactSetModel:
     """Catalog set from a flat config block, e.g. {kind = disk, radius = 1}.
-    A block that is not a dict, an unknown kind, or values the kind's
-    constructor refuses, raise ConfigError."""
+    A block that is not a dict, an unknown kind, a key the kind does not
+    read, or values the kind's constructor refuses, raise ConfigError."""
     cfg = _set_block(config)
     kind = cfg.get("kind")
+    if not isinstance(kind, str) or kind not in _SET_KEYS:
+        raise ConfigError(f"unknown set kind {kind!r}")
+    unknown = sorted(set(cfg) - {"kind", *_SET_KEYS[kind]})
+    if unknown:
+        raise ConfigError(f"set kind {kind!r}: unknown key "
+                          f"{', '.join(map(repr, unknown))}")
+    kw = {} if samples is None else {"samples": samples}
     try:
-        m = cfg.get("samples", samples)
-        kw = {} if m is None else {"samples": int(m)}
         if kind == "interval":
             return CompactSetModel.interval(float(cfg["a"]), float(cfg["b"]), **kw)
         if kind in ("disk", "circle"):
             ctor = CompactSetModel.disk if kind == "disk" else CompactSetModel.circle
             return ctor(_as_center(cfg.get("center", 0)), float(cfg["radius"]), **kw)
-        if kind == "union_of_intervals":
-            iv = cfg["intervals"]
-            if iv and isinstance(iv[0], (list, tuple)):
-                pairs = [(float(a), float(b)) for a, b in iv]
-            else:
-                if len(iv) % 2:
-                    raise ValueError("flat interval list needs an even length")
-                flat = [float(x) for x in iv]
-                pairs = list(zip(flat[0::2], flat[1::2]))
-            return CompactSetModel.union_of_intervals(pairs, **kw)
+        # a union_of_intervals
+        iv = cfg["intervals"]
+        if iv and isinstance(iv[0], (list, tuple)):
+            pairs = [(float(a), float(b)) for a, b in iv]
+        else:
+            if len(iv) % 2:
+                raise ValueError("flat interval list needs an even length")
+            flat = [float(x) for x in iv]
+            pairs = list(zip(flat[0::2], flat[1::2]))
+        return CompactSetModel.union_of_intervals(pairs, **kw)
     except KeyError as exc:
         raise ConfigError(f"set kind {kind!r} needs key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"set kind {kind!r}: {exc}") from exc
-    raise ConfigError(f"unknown set kind {kind!r}")
 
 
 def _set_block(config) -> dict:
@@ -448,14 +453,12 @@ def _julia_ladder(spec: ExperimentSpec, e: CompactSetModel, columns, row,
     row(n, poly, atoms, gamma). With pgm output, a raster of the last
     member over its atoms' bounding box."""
     target_side = side_from_set(e)
-    max_iter = CHEB_EXACT_MAX_ITER if spec.family == "chebyshev" else DEFAULT_MAX_ITER
     last = []
 
     def worker(member):
         n, poly = member
         atoms = brolin_sample(poly, spec.n_atoms, seed=spec.seed + n).points
-        pair = GreenPair(left=side_from_map(poly, atoms, max_iter),
-                         right=target_side)
+        pair = GreenPair(left=side_from_map(poly, atoms), right=target_side)
         last[:] = [poly, atoms]
         return row(n, poly, atoms, float(klimek_distance(pair)))
 
@@ -463,8 +466,7 @@ def _julia_ladder(spec: ExperimentSpec, e: CompactSetModel, columns, row,
     if "pgm" in spec.outputs and last:
         poly, atoms = last
         report.rasters.append((f"{spec.name}_julia.pgm",
-                               raster(poly, atoms_bbox(atoms), RASTER_RESOLUTION,
-                                      max_iter=max_iter)))
+                               raster(poly, atoms_bbox(atoms), RASTER_RESOLUTION)))
     return report
 
 

@@ -21,17 +21,6 @@ from .dynamics import DynGreenEvaluator
 from .polyarith import IntPolynomial, RootSet, iterate_exact, roots
 from .potential import CompactSetModel, green_eval_many
 
-__all__ = [
-    "AlgebraicNumber",
-    "HeightReport",
-    "HeightLimitSequence",
-    "GoodReductionError",
-    "weil_height",
-    "rumely_height",
-    "canonical_height",
-    "canonical_height_limit",
-]
-
 TRIAL_DIVISION_BOUND = 10 ** 6
 
 

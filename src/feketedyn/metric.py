@@ -20,23 +20,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import DEFAULT_MAX_ITER, DynGreenEvaluator, julia_capacity
+from .dynamics import DynGreenEvaluator, julia_capacity
 from .polyarith import ComplexPolynomial, roots
 from .potential import CompactSetModel, DiscreteMeasure, green_eval_many
-
-__all__ = [
-    "GreenSide",
-    "GreenPair",
-    "side_from_set",
-    "side_from_map",
-    "klimek_distance",
-    "klimek_report",
-    "grid_audit",
-    "pullback",
-    "contraction_check",
-    "ContractionResult",
-    "measure_discrepancy",
-]
 
 # boundary sampling below this cannot support a trustworthy sup
 MIN_SIDE_SAMPLES = 256
@@ -79,11 +65,11 @@ def side_from_set(e: CompactSetModel) -> GreenSide:
     )
 
 
-def side_from_map(poly, atoms, max_iter: int = DEFAULT_MAX_ITER) -> GreenSide:
+def side_from_map(poly, atoms) -> GreenSide:
     """Side backed by a polynomial Julia set: boundary samples are the given
     atoms (a Brolin sample, say), the Green evaluator is the escape-rate
     function."""
-    ev = DynGreenEvaluator(poly, max_iter=max_iter)
+    ev = DynGreenEvaluator(poly)
 
     def gm(z, ev=ev):
         return ev.green_many(np.asarray(z, dtype=np.complex128))[0]

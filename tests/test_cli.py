@@ -176,9 +176,16 @@ def test_julia_chebyshev_64_bbox_from_atoms(capsys, tmp_path, cheb64):
     (("brolin", "--poly", "0 0 1", "--n", "0"), "argument --n: "),
     (("green", "--poly", "1 1", "--at", "1"), "degree >= 2"),
     (("capacity", "--poly", "5"), "degree >= 2"),
+    (("green", "--poly", "0 0 1", "--at", "3", "--max-iter", "-1"),
+     "argument --max-iter: "),
+    (("julia", "--poly", "0 0 1", "--max-iter", "x"), "argument --max-iter: "),
+    (("height", "weil", "--poly", "5"), "degree >= 1"),
+    (("capacity", "--poly-file", "{tmp}/missing.txt"), "cannot read"),
 ], ids=["at", "bbox-part", "bbox-degenerate", "resolution-small",
-        "resolution-text", "brolin-n", "green-degree", "capacity-degree"])
+        "resolution-text", "brolin-n", "green-degree", "capacity-degree",
+        "green-max-iter", "julia-max-iter", "height-constant", "poly-file-missing"])
 def test_malformed_argument_is_usage_error(capsys, tmp_path, argv, needle):
+    argv = tuple(a.format(tmp=tmp_path) for a in argv)
     out_dir = tmp_path / "out"
     if argv[0] in ("julia", "brolin"):
         argv += ("--out", str(out_dir))
@@ -228,6 +235,22 @@ def test_klimek_chebyshev_64_poly_side(capsys, tmp_path, cheb64):
     code, out, _ = run(capsys, "klimek", "--config", str(cfg))
     assert code == 0
     assert json.loads(out)["gamma"] <= 1e-3
+
+
+@pytest.mark.parametrize("n_atoms", [0, 100])
+def test_klimek_too_few_atoms_is_usage_error(capsys, tmp_path, n_atoms):
+    # refused before sampling: the sup-norm formula needs 256 boundary samples
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text("left_poly = 0 0 1\n"
+                   "right = { kind = disk, center = 0, radius = 1 }\n"
+                   f"n_atoms = {n_atoms}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["klimek", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("fekete-dyn: error: ") and "n_atoms >= 256" in last
 
 
 def test_klimek_malformed_poly_is_usage_error(capsys, tmp_path):
@@ -418,9 +441,16 @@ def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config
      "zero denominator"),
     # a misspelt key, which would otherwise run with the default it meant to change
     ("runaway", "name = x\nfamily = runaway\nn_atom = 256\n", "unknown key 'n_atom'"),
+    # a set key the kind does not read, which would otherwise be dropped
+    ("dynamical_fs", "name = x\nfamily = power_maps\n"
+                     "set = { kind = disk, centre = 5, radius = 1 }\n",
+     "set kind 'disk': unknown key 'centre'"),
+    ("bilu_rumely", "name = x\nfamily = chebyshev\n"
+                    "set = { kind = interval, a = -2, b = 2, samples = 100 }\n",
+     "set kind 'interval': unknown key 'samples'"),
 ], ids=["unknown-kind", "missing-key", "constructor", "bilu-target", "fs-capacity",
         "runaway-range", "degree-range-type", "set-not-block", "probe-literal",
-        "probe-zero-denominator", "unknown-key"])
+        "probe-zero-denominator", "unknown-key", "set-unknown-key", "set-samples"])
 def test_experiment_set_config_error_is_usage_error(capsys, tmp_path, runner, config,
                                                     needle):
     assert needle in _usage_error(capsys, tmp_path, runner, config)
@@ -440,11 +470,13 @@ def _every_side(block: str) -> str:
     ('{ "set":', "Expecting value"),
     (_every_side("{ kind = union_of_intervals, intervals = 3 }"),
      "set kind 'union_of_intervals': "),
+    (_every_side("{ kind = union_of_intervals, intervals = [-2, -1, 1, 2], samples = 1 }"),
+     "unknown key 'samples'"),
     # klimek and experiment read n_atoms; the others fail on the radius
     ("name = x\nfamily = power_maps\nset = { kind = disk, center = 0, radius = abc }\n"
      "left_poly = 0 0 1\nright_poly = 0 0 1\nn_atoms = abc\n", "'abc'"),
 ], ids=["missing-key", "unknown-kind", "not-key-value", "malformed-json",
-        "intervals-type", "value-type"])
+        "intervals-type", "samples-key", "value-type"])
 @pytest.mark.parametrize("argv", [
     ("capacity", "--config", "{cfg}"),
     ("green", "--config", "{cfg}", "--at", "3,0"),

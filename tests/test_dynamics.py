@@ -71,6 +71,12 @@ def test_evaluator_fields():
     assert ev2.escape_radius == pytest.approx(3.0)  # (1 + 2)/1
     with pytest.raises(ValueError):
         DynGreenEvaluator(ComplexPolynomial([1, 2]))  # degree 1
+    with pytest.raises(ValueError, match="max_iter"):
+        DynGreenEvaluator(Z2, max_iter=-1)
+    # max_iter 0 still tests the escape radius at step 0
+    vals, und = DynGreenEvaluator(Z2, max_iter=0).green_many([3.0, 0.5])
+    assert vals[0] == pytest.approx(math.log(3), abs=1e-12) and not und[0]
+    assert vals[1] == 0.0 and und[1]
 
 
 def test_green_squaring_map_is_log_plus():
@@ -155,6 +161,18 @@ def test_green_exact_chebyshev_matches_horner_reference():
     ref_vals, ref_und = ev.green_many(zs)
     assert vals.tobytes() == ref_vals.tobytes()
     assert np.array_equal(und, ref_und)
+
+
+def test_green_float_chebyshev_certifies_segment():
+    # the certificate is a fact about the map, so the float plan has it too:
+    # there, Horner would round some [-2, 2] orbits outward and let them
+    # escape with a small positive value (5.1e-6 at n = 32)
+    seg = CompactSetModel.interval(-2.0, 2.0, samples=1024).boundary_samples
+    for n in range(2, 44):
+        ev = DynGreenEvaluator(chebyshev_monic(n))
+        assert _plan(ev) == "float" and ev._in_k is not None, n
+        vals, und = ev.green_many(seg)
+        assert not vals.any() and und.all(), n
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -118,6 +118,9 @@ def test_build_set_catalog():
     assert nested.params["intervals"] == [(-2.0, -1.0), (1.0, 2.0)]
     with pytest.raises(ValueError):
         build_set({"kind": "annulus", "radius": 1})
+    # a key of another kind is refused, not dropped without a word
+    with pytest.raises(ConfigError, match="unknown key 'radius'"):
+        build_set({"kind": "interval", "a": -2, "b": 2, "radius": 1})
 
 
 def test_parse_config_grammar(tmp_path):
@@ -231,6 +234,16 @@ def test_bilu_chebyshev_rows():
     d_n = _col(rep, "d_n")
     assert all(1.0 < v < 2.1 for v in d_n)
     assert d_n[2] < d_n[0]
+
+
+def test_bilu_chebyshev_gamma_zero_on_every_rung():
+    # K_P = [-2, 2] for P = 2 T_n(z/2), so gamma is 0 on the float rungs
+    # (n <= 43) as on the exact ones, and no gamma trend violation is left
+    rep = run_bilu_rumely(_spec(family="chebyshev", set_config=SEGMENT,
+                                checkpoints=(4, 8, 16, 32, 64), n_atoms=256,
+                                seed=0))
+    assert _col(rep, "gamma") == [0.0] * 5
+    assert [v for v in rep.violations if v["column"] == "gamma"] == []
 
 
 def test_bilu_probe_notes():
