@@ -55,12 +55,20 @@ def _add_poly_args(sub) -> None:
     sub.add_argument("--poly-file", help="file holding the coefficients")
 
 
+def _read_file(path, parser) -> str:
+    """The text of a file; a missing, unreadable or non-UTF-8 one is a usage error."""
+    try:
+        return pathlib.Path(path).read_text()
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read {path}: {exc}")
+
+
 def _read_poly(raw: str, parser, is_map: bool = True) -> IntPolynomial:
     """Coefficient text; a bare token naming an existing file is read as
     one. Malformed text, a map of degree below 2, or a constant minimal
     polynomial, is a usage error."""
     if " " not in raw and pathlib.Path(raw).is_file():
-        raw = pathlib.Path(raw).read_text()
+        raw = _read_file(raw, parser)
     try:
         poly = IntPolynomial.from_text(raw)
     except ValueError as exc:
@@ -73,11 +81,7 @@ def _read_poly(raw: str, parser, is_map: bool = True) -> IntPolynomial:
 
 def _resolve_poly(args, parser, is_map: bool = True) -> IntPolynomial | None:
     if getattr(args, "poly_file", None):
-        try:
-            raw = pathlib.Path(args.poly_file).read_text()
-        except (OSError, ValueError) as exc:
-            parser.error(f"cannot read --poly-file: {exc}")
-        return _read_poly(raw, parser, is_map)
+        return _read_poly(_read_file(args.poly_file, parser), parser, is_map)
     if getattr(args, "poly", None):
         return _read_poly(args.poly, parser, is_map)
     return None

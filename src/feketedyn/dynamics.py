@@ -283,41 +283,37 @@ def write_json(path, obj) -> None:
 # measure of maximal entropy
 # --------------------------------------------------------------------------- #
 
-_ORBIT_CHUNK = 1024
 _BURN_IN = 20
 
 
 def brolin_sample(poly, n_points: int, seed: int = 0) -> DiscreteMeasure:
-    """Backward random iteration: repeatedly jump to a uniformly chosen
-    preimage, starting just outside the escape radius.
-
-    Preimages of z^d and 2 T_d(z/2) given as an IntPolynomial come in
-    closed form; those of any other map are the Aberth roots of P - c.
-    Atoms come in fixed-size chunks with one RNG stream per chunk (seeded by
-    seed XOR chunk index), so the result is independent of scheduling.
-    """
+    """Backward random iteration in whole fibers: from just outside the
+    escape radius, each step solves the d preimages of the current point and
+    jumps to one of them, chosen by one RNG stream seeded by seed. After
+    _BURN_IN steps each step's preimages are atoms, so moments of order
+    m < d are exact: the power sums of the roots of P - c below degree d do
+    not depend on c. When d does not divide n_points, the last fiber is a
+    uniformly random subset. Preimages of z^d and 2 T_d(z/2) given as an
+    IntPolynomial come in closed form, of any other map by Aberth."""
     if n_points < 1:
         raise ValueError("need n_points >= 1")
     ev = DynGreenEvaluator(poly)
     preimages = _preimage_solver(ev)
+    d = ev.degree
+    rng = np.random.default_rng(int(seed) & ((1 << 63) - 1))
     pts = np.empty(n_points, dtype=np.complex128)
-    n_orbits = (n_points + _ORBIT_CHUNK - 1) // _ORBIT_CHUNK
-    for j in range(n_orbits):
-        rng = np.random.default_rng((int(seed) ^ j) & ((1 << 63) - 1))
-        z = complex(ev.escape_radius + 1.0)
-        lo = j * _ORBIT_CHUNK
-        hi = min(n_points, lo + _ORBIT_CHUNK)
-        for step in range(_BURN_IN + (hi - lo)):
-            try:
-                pre = np.asarray(preimages(z), dtype=np.complex128)
-            except RootFindingError as err:
-                raise RootFindingError(
-                    f"preimage solve failed at backward step {step} "
-                    f"of orbit {j}: {err}"
-                ) from err
-            z = complex(pre[int(rng.integers(len(pre)))])
-            if step >= _BURN_IN:
-                pts[lo + step - _BURN_IN] = z
+    z = complex(ev.escape_radius + 1.0)
+    for step in range(_BURN_IN + (n_points + d - 1) // d):
+        try:
+            pre = np.asarray(preimages(z), dtype=np.complex128)
+        except RootFindingError as err:
+            raise RootFindingError(
+                f"preimage solve failed at backward step {step}: {err}") from err
+        lo = (step - _BURN_IN) * d
+        if lo >= 0:
+            r = min(d, n_points - lo)
+            pts[lo:lo + r] = pre if r == d else pre[rng.choice(d, r, replace=False)]
+        z = complex(pre[int(rng.integers(d))])
     return DiscreteMeasure.uniform(pts)
 
 

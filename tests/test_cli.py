@@ -181,10 +181,15 @@ def test_julia_chebyshev_64_bbox_from_atoms(capsys, tmp_path, cheb64):
     (("julia", "--poly", "0 0 1", "--max-iter", "x"), "argument --max-iter: "),
     (("height", "weil", "--poly", "5"), "degree >= 1"),
     (("capacity", "--poly-file", "{tmp}/missing.txt"), "cannot read"),
+    (("capacity", "--poly-file", "{tmp}/bin.txt"), "cannot read"),
+    (("capacity", "--poly", "{tmp}/bin.txt"), "cannot read"),
 ], ids=["at", "bbox-part", "bbox-degenerate", "resolution-small",
         "resolution-text", "brolin-n", "green-degree", "capacity-degree",
-        "green-max-iter", "julia-max-iter", "height-constant", "poly-file-missing"])
+        "green-max-iter", "julia-max-iter", "height-constant", "poly-file-missing",
+        "poly-file-binary", "poly-binary"])
 def test_malformed_argument_is_usage_error(capsys, tmp_path, argv, needle):
+    # bin.txt is a file that is not UTF-8
+    (tmp_path / "bin.txt").write_bytes(b"\xff\xfe\x00")
     argv = tuple(a.format(tmp=tmp_path) for a in argv)
     out_dir = tmp_path / "out"
     if argv[0] in ("julia", "brolin"):

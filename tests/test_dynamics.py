@@ -393,34 +393,75 @@ def test_brolin_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.points, c.points)
 
 
-def test_brolin_error_names_step_and_chunk(monkeypatch):
+def test_brolin_error_names_step(monkeypatch):
     calls = []
     solve = dynamics.roots
 
     def failing(p, tol):
         calls.append(p)
-        # chunk 0 takes 20 + 1024 steps; fail at step 3 of chunk 1
-        if len(calls) == 20 + 1024 + 4:
+        # call 20 + k is backward step 20 + k - 1; k = 7 is past the burn-in
+        if len(calls) == 20 + 7:
             p = np.array([math.nan, 0, 1])
         return solve(p, tol=tol)
 
     monkeypatch.setattr(dynamics, "roots", failing)
-    with pytest.raises(RootFindingError, match="backward step 3 of orbit 1"):
+    with pytest.raises(RootFindingError, match="backward step 26: "):
         brolin_sample(Z2, 2048, seed=1)
 
 
 @pytest.mark.parametrize("poly", [
     cyclotomic(17), power_map(8), chebyshev_monic(64), IntPolynomial((1, -1, 1)),
 ], ids=["cyclotomic-17", "power-8", "chebyshev-64", "user-quadratic"])
-def test_brolin_atoms_chain_backward(poly):
-    # each atom is a preimage of the one before it in its chunk: P(atoms[i+1])
-    # = atoms[i], through exact evaluation, which 2T_64(z/2) needs. The chunk
-    # of 1,024 atoms ends at index 1023, so the pair (1023, 1024) is skipped
+def test_brolin_atoms_are_fibers(poly):
+    # the atoms are whole fibers of d consecutive atoms, then 1,100 mod d
+    # more: P sends each fiber to one image, through exact evaluation, which
+    # 2T_64(z/2) needs, and that image is an atom of the fiber before
+    d = poly.degree
     atoms = brolin_sample(poly, 1100, seed=4).points
-    image = np.array([eval_intpoly(poly, complex(w)) for w in atoms[1:]])
-    err = np.abs(image - atoms[:-1]) / (1.0 + np.abs(atoms[:-1]))
-    err[1023] = 0.0
-    assert np.max(err) <= 1e-11, np.argmax(err)
+    assert len(atoms) == 1100
+    fibers = [atoms[lo:lo + d] for lo in range(0, 1100, d)]
+    assert len(fibers[-1]) == (1100 % d or d)
+    parent = None
+    for k, fiber in enumerate(fibers):
+        image = np.array([eval_intpoly(poly, complex(w)) for w in fiber])
+        c = image[0]
+        assert np.max(np.abs(image - c)) <= 1e-11 * (1.0 + abs(c)), k
+        if parent is not None:
+            assert np.min(np.abs(parent - c)) <= 1e-11 * (1.0 + abs(c)), k
+        parent = fiber
+
+
+@pytest.mark.parametrize("p", [17, 53, 101])
+def test_brolin_whole_fibers_exact_moments(p):
+    # the power sums of the roots of Phi_p - c are -1 below degree d = p - 1,
+    # whatever c: on whole fibers, mean(w^m) = -1/d to rounding
+    d = p - 1
+    atoms = brolin_sample(cyclotomic(p), d * (1024 // d), seed=3).points
+    for m in range(1, 9):
+        assert abs(np.mean(atoms ** m) + 1.0 / d) <= 1e-14, m
+
+
+def test_brolin_seeds_do_not_share_atoms():
+    # one RNG stream per seed: the second half of seed 0 is not seed 1
+    a = brolin_sample(Z2M1, 2048, seed=0).points
+    b = brolin_sample(Z2M1, 2048, seed=1).points
+    assert not np.array_equal(a[1024:], b[:1024])
+
+
+def test_brolin_partial_last_fiber():
+    # exactly n_points atoms when d does not divide it, the same on a rerun;
+    # the last r atoms are preimages of an atom of the fiber before, picked
+    # at random among all d, not the first r that the solver returns
+    poly = cyclotomic(17)
+    d, r = poly.degree, 1000 % poly.degree
+    a = brolin_sample(poly, 1000, seed=6).points
+    assert len(a) == 1000 and r != 0
+    assert np.array_equal(a, brolin_sample(poly, 1000, seed=6).points)
+    last, before = a[-r:], a[-r - d:-r]
+    c = before[np.argmin(np.abs(before - eval_intpoly(poly, complex(last[0]))))]
+    pre = dynamics._preimage_solver(DynGreenEvaluator(poly))(c)
+    assert set(last.tolist()) <= set(pre.tolist())
+    assert not np.array_equal(last, pre[:r])
 
 
 @pytest.mark.parametrize("poly", [chebyshev_monic(5), power_map(5)],
