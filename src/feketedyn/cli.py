@@ -25,6 +25,7 @@ from .dynamics import (
 from .harness import (
     ConfigError,
     build_set,
+    check_keys,
     emit,
     parse_config,
     run_bilu_rumely,
@@ -206,6 +207,12 @@ def _klimek_side(cfg: dict, name: str, parser):
 
 def _cmd_klimek(args, parser) -> int:
     cfg = parse_config(args.config)
+    check_keys("klimek config", cfg, ("left", "right", "left_poly", "right_poly",
+                                      "n_atoms", "seed"))
+    for name in ("left", "right"):
+        if name in cfg and f"{name}_poly" in cfg:
+            raise ConfigError(f"klimek config: give '{name} = {{...}}' or "
+                              f"'{name}_poly = ...', not both")
     pair = GreenPair(left=_klimek_side(cfg, "left", parser),
                      right=_klimek_side(cfg, "right", parser))
     print(json.dumps(klimek_report(pair), indent=2, sort_keys=True))

@@ -67,7 +67,6 @@ from .polyarith import (
 from .potential import (
     CompactSetModel,
     DiscreteMeasure,
-    equilibrium_measure,
     green_eval_many,
     transfinite_diameter_of_points,
 )
@@ -211,10 +210,7 @@ def build_set(config: dict, samples: int | None = None) -> CompactSetModel:
     kind = cfg.get("kind")
     if not isinstance(kind, str) or kind not in _SET_KEYS:
         raise ConfigError(f"unknown set kind {kind!r}")
-    unknown = sorted(set(cfg) - {"kind", *_SET_KEYS[kind]})
-    if unknown:
-        raise ConfigError(f"set kind {kind!r}: unknown key "
-                          f"{', '.join(map(repr, unknown))}")
+    check_keys(f"set kind {kind!r}", cfg, ("kind", *_SET_KEYS[kind]))
     kw = {} if samples is None else {"samples": samples}
     try:
         if kind == "interval":
@@ -236,6 +232,14 @@ def build_set(config: dict, samples: int | None = None) -> CompactSetModel:
         raise ConfigError(f"set kind {kind!r} needs key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"set kind {kind!r}: {exc}") from exc
+
+
+def check_keys(what: str, cfg: dict, keys) -> None:
+    """Raise ConfigError naming every key of cfg outside keys: a misspelt
+    key would otherwise leave its default in force."""
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ConfigError(f"{what}: unknown key {', '.join(map(repr, unknown))}")
 
 
 def _set_block(config) -> dict:
@@ -326,12 +330,7 @@ _SPEC_KEYS = ("name", "family", "set", "degree_range", "checkpoints",
 def spec_from_config(cfg: dict, seed_override: int | None = None) -> ExperimentSpec:
     """The spec a parsed config describes; a key it does not read, a value
     of the wrong type or one the spec refuses raises ConfigError."""
-    unknown = sorted(set(cfg) - set(_SPEC_KEYS))
-    if unknown:
-        raise ConfigError(f"experiment config: unknown key "
-                          f"{', '.join(map(repr, unknown))}")
-    rng = cfg.get("degree_range", [4, 128])
-    cps = cfg.get("checkpoints")
+    check_keys("experiment config", cfg, _SPEC_KEYS)
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
     set_config = _set_block(cfg.get("set", {}))
     try:
@@ -339,20 +338,32 @@ def spec_from_config(cfg: dict, seed_override: int | None = None) -> ExperimentS
             name=str(cfg.get("name", "experiment")),
             family=str(cfg.get("family", "")),
             set_config=set_config,
-            degree_range=(int(rng[0]), int(rng[1])),
-            checkpoints=None if cps is None else tuple(int(c) for c in cps),
-            probes=tuple(str(p) for p in cfg.get("probes", [])),
-            outputs=tuple(cfg.get("outputs", ["csv", "json"])),
+            degree_range=tuple(int(d) for d in
+                               _listed(cfg, "degree_range", [4, 128], size=2)),
+            checkpoints=(None if cfg.get("checkpoints") is None else
+                         tuple(int(c) for c in _listed(cfg, "checkpoints", []))),
+            probes=tuple(str(p) for p in _listed(cfg, "probes", [])),
+            outputs=tuple(_listed(cfg, "outputs", ["csv", "json"])),
             seed=int(seed),
             epsilon=float(cfg.get("epsilon", 0.1)),
             n_atoms=int(cfg.get("n_atoms", 1024)),
             budget_seconds=(None if cfg.get("budget_seconds") is None
                             else float(cfg["budget_seconds"])),
             user_polys=tuple(IntPolynomial.from_text(t)
-                             for t in cfg.get("user_polys", [])),
+                             for t in _listed(cfg, "user_polys", [])),
         )
-    except (IndexError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"experiment config: {exc}") from exc
+
+
+def _listed(cfg: dict, key: str, default: list, size: int | None = None) -> list:
+    """cfg[key], default if absent, which must be a [...] list (of size items
+    if given): a string would be read as its characters, "48" as [4, 8]."""
+    val = cfg.get(key, default)
+    if not isinstance(val, list) or size not in (None, len(val)):
+        items = "" if size is None else f" of {size} items"
+        raise TypeError(f"{key} must be a [...] list{items}, not {val!r}")
+    return val
 
 
 # --------------------------------------------------------------------------- #
@@ -475,14 +486,16 @@ def _julia_ladder(spec: ExperimentSpec, e: CompactSetModel, columns, row,
 # --------------------------------------------------------------------------- #
 
 
-def _require_bilu_target(e: CompactSetModel) -> None:
-    if e.kind == "interval":
-        if abs(e.params["a"] + 2) <= 1e-12 and abs(e.params["b"] - 2) <= 1e-12:
-            return
-    if e.kind in ("disk", "circle"):
-        if (abs(e.params["center"]) <= 1e-12
-                and abs(e.params["radius"] - 1.0) <= 1e-12):
-            return
+def _target_measure(e: CompactSetModel) -> DiscreteMeasure:
+    """A bilu_rumely target's equilibrium measure as 64 equal atoms with
+    exact moments of order 1..63: Gauss-Chebyshev nodes on [-2, 2], 64th
+    roots of unity on the unit circle and disk; ConfigError on any other."""
+    if (e.kind == "interval" and abs(e.params["a"] + 2) <= 1e-12
+            and abs(e.params["b"] - 2) <= 1e-12):
+        return DiscreteMeasure.uniform(_chebyshev_roots(64))
+    if (e.kind in ("disk", "circle") and abs(e.params["center"]) <= 1e-12
+            and abs(e.params["radius"] - 1.0) <= 1e-12):
+        return DiscreteMeasure.uniform(np.exp(2j * np.pi * np.arange(64) / 64))
     raise ConfigError("equidistribution target must be the unit circle, the "
                       "closed unit disk, or the segment [-2, 2]")
 
@@ -491,8 +504,7 @@ def run_bilu_rumely(spec: ExperimentSpec, out_dir=None) -> Report:
     """Per-degree equidistribution table for one family against one target."""
     check_family("bilu_rumely", spec.family)
     e = build_set(spec.set_config, samples=TARGET_SAMPLES)
-    _require_bilu_target(e)
-    eq = equilibrium_measure(e)
+    eq = _target_measure(e)
     closed_roots = _LADDERS[spec.family][1]
     # the probes and their target heights do not depend on the degree
     probes = []

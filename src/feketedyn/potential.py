@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 DEFAULT_BOUNDARY_SAMPLES = 4096
-DEFAULT_EQUILIBRIUM_N = 64
+EQUILIBRIUM_N = 64
 # points on the containment ring of probe_ring
 RING_SAMPLES = 512
 _MEMBERSHIP_TOL = 1e-9
@@ -76,7 +76,7 @@ class CompactSetModel:
         self._contains_fn = contains_fn
         self._distance_fn = distance_fn
         self._ring_fn = ring_fn
-        self._measure_cache: dict[int, DiscreteMeasure] = {}
+        self._measure: DiscreteMeasure | None = None
 
     @property
     def log_capacity(self) -> float:
@@ -375,13 +375,12 @@ def transfinite_diameter_of_points(pts) -> float:
     return math.exp(2.0 * logsum / (n * (n - 1)))
 
 
-def equilibrium_measure(e: CompactSetModel, n: int = DEFAULT_EQUILIBRIUM_N) -> DiscreteMeasure:
-    """Uniform weights on the n-point Fekete configuration."""
-    cached = e._measure_cache.get(n)
-    if cached is None:
-        cached = DiscreteMeasure.uniform(fekete_points(e, n))
-        e._measure_cache[n] = cached
-    return cached
+def equilibrium_measure(e: CompactSetModel) -> DiscreteMeasure:
+    """Uniform weights on the EQUILIBRIUM_N-point Fekete configuration,
+    computed once per model."""
+    if e._measure is None:
+        e._measure = DiscreteMeasure.uniform(fekete_points(e, EQUILIBRIUM_N))
+    return e._measure
 
 
 # --------------------------------------------------------------------------- #

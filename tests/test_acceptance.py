@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from feketedyn.dynamics import DynGreenEvaluator, brolin_sample, julia_capacity
-from feketedyn.harness import ExperimentSpec, run_bilu_rumely, run_dynamical_fs, run_runaway
+from feketedyn.harness import (
+    MOMENT_ORDER,
+    ExperimentSpec,
+    run_bilu_rumely,
+    run_dynamical_fs,
+    run_runaway,
+)
 from feketedyn.heights import (
     AlgebraicNumber,
     canonical_height,
@@ -223,6 +229,11 @@ def test_criterion_07_equidistribution_ladders(family_runs):
             rep = family_runs[fam]
             assert len(rep.rows) == 6
             assert all(g <= 1e-3 for g in _col(rep, "gamma"))
+            # whole fibers: above degree MOMENT_ORDER every moment the
+            # column compares is exact on both sides, so it reads rounding
+            for n, disc in zip(_col(rep, "n"), _col(rep, "discrepancy")):
+                if n > MOMENT_ORDER:
+                    assert disc <= 1e-12, (fam, n, disc)
         assert family_runs["elapsed"] < 600.0
 
 

@@ -258,6 +258,27 @@ def test_klimek_too_few_atoms_is_usage_error(capsys, tmp_path, n_atoms):
     assert last.startswith("fekete-dyn: error: ") and "n_atoms >= 256" in last
 
 
+@pytest.mark.parametrize("text, needle", [
+    # a misspelt key, which would otherwise run with the default 1,024 atoms
+    ("left_poly = 0 0 1\nright = { kind = disk, center = 0, radius = 1 }\n"
+     "n_atom = 256\n", "klimek config: unknown key 'n_atom'"),
+    # a side given both ways, whose polynomial would otherwise be dropped
+    ("left = { kind = disk, center = 0, radius = 1 }\nleft_poly = 0 0 1\n"
+     "right = { kind = disk, center = 0, radius = 2 }\n",
+     "give 'left = {...}' or 'left_poly = ...', not both"),
+], ids=["unknown-key", "side-both-ways"])
+def test_klimek_config_keys_are_checked(capsys, tmp_path, text, needle):
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["klimek", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("fekete-dyn: error: ") and needle in last
+
+
 def test_klimek_malformed_poly_is_usage_error(capsys, tmp_path):
     cfg = tmp_path / "pair.cfg"
     cfg.write_text(
@@ -453,9 +474,14 @@ def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config
     ("bilu_rumely", "name = x\nfamily = chebyshev\n"
                     "set = { kind = interval, a = -2, b = 2, samples = 100 }\n",
      "set kind 'interval': unknown key 'samples'"),
+    # a string where a list belongs, which would otherwise run checkpoints 4, 8
+    ("bilu_rumely", 'name = x\nfamily = power_maps\n'
+                    'set = { kind = disk, center = 0, radius = 1 }\ncheckpoints = "48"\n',
+     "checkpoints must be a [...] list, not '48'"),
 ], ids=["unknown-kind", "missing-key", "constructor", "bilu-target", "fs-capacity",
         "runaway-range", "degree-range-type", "set-not-block", "probe-literal",
-        "probe-zero-denominator", "unknown-key", "set-unknown-key", "set-samples"])
+        "probe-zero-denominator", "unknown-key", "set-unknown-key", "set-samples",
+        "checkpoints-string"])
 def test_experiment_set_config_error_is_usage_error(capsys, tmp_path, runner, config,
                                                     needle):
     assert needle in _usage_error(capsys, tmp_path, runner, config)
@@ -463,7 +489,8 @@ def test_experiment_set_config_error_is_usage_error(capsys, tmp_path, runner, co
 
 
 def _every_side(block: str) -> str:
-    # one file for every command; each reads only its own keys
+    # one file for every command; each reads only its own keys, and
+    # experiment and klimek, which refuse the rest, get only theirs
     return (f"name = x\nfamily = power_maps\n"
             f"set = {block}\nleft = {block}\nright = {block}\n")
 
@@ -490,10 +517,14 @@ def _every_side(block: str) -> str:
     ("experiment", "dynamical_fs", "--config", "{cfg}", "--out", "{out}"),
 ], ids=["capacity", "green", "height-rumely", "klimek", "experiment"])
 def test_set_config_error_is_usage_error(capsys, tmp_path, argv, text, needle):
+    # experiment and klimek refuse the keys they do not read: drop the
+    # other one's lines
     if argv[0] == "experiment":
-        # experiment refuses the keys it does not read: drop klimek's sides
         text = "".join(line for line in text.splitlines(keepends=True)
                        if not line.startswith(("left", "right")))
+    if argv[0] == "klimek":
+        text = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith(("name", "family", "set")))
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     out_dir = tmp_path / "out"

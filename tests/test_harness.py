@@ -14,6 +14,7 @@ Frozen oracle values:
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,24 @@ def test_spec_from_config_refuses_unknown_keys():
         spec_from_config(cfg)
 
 
+@pytest.mark.parametrize("key, value, needle", [
+    ("degree_range", "48", "degree_range must be a [...] list of 2 items"),
+    ("degree_range", [4, 16, 128], "degree_range must be a [...] list of 2 items"),
+    ("checkpoints", "48", "checkpoints must be a [...] list"),
+    ("probes", "35", "probes must be a [...] list"),
+    ("outputs", "csv", "outputs must be a [...] list"),
+    ("user_polys", "0 1 0 1", "user_polys must be a [...] list"),
+], ids=["degree_range-string", "degree_range-three", "checkpoints", "probes",
+        "outputs", "user_polys"])
+def test_spec_from_config_list_keys_must_be_lists(key, value, needle):
+    # a string was iterated as its characters: probes = "35" ran probes 3
+    # and 5, checkpoints = "48" ran (4, 8); a third degree was dropped
+    cfg = {"name": "x", "family": "user", "degree_range": [4, 64],
+           "user_polys": ["0 1 0 1"], key: value}
+    with pytest.raises(ConfigError, match=re.escape(needle)):
+        spec_from_config(cfg)
+
+
 # --------------------------------------------------------------------------- #
 # equidistribution runner
 # --------------------------------------------------------------------------- #
@@ -244,6 +263,32 @@ def test_bilu_chebyshev_gamma_zero_on_every_rung():
                                 seed=0))
     assert _col(rep, "gamma") == [0.0] * 5
     assert [v for v in rep.violations if v["column"] == "gamma"] == []
+
+
+@pytest.mark.parametrize("family, target, n", [
+    ("chebyshev", SEGMENT, 16), ("cyclotomic", UNIT_CIRCLE, 17),
+    ("power_maps", UNIT_DISK, 16),
+])
+def test_bilu_target_measure_in_closed_form(monkeypatch, family, target, n):
+    # the three targets' equilibrium measures need no Fekete search
+    def refuse(*args, **kwargs):
+        raise AssertionError("fekete_points called")
+    monkeypatch.setattr("feketedyn.potential.fekete_points", refuse)
+    rep = run_bilu_rumely(_spec(family=family, set_config=target,
+                                checkpoints=(n,), n_atoms=256))
+    assert len(rep.rows) == 1
+
+
+def test_bilu_chebyshev_ladder_without_violations():
+    # the benchmark's ladder: rungs 16, 32 and 64 are whole fibers, so their
+    # discrepancy is rounding, and the column falls on every rung
+    rep = run_bilu_rumely(_spec(family="chebyshev", set_config=SEGMENT,
+                                checkpoints=(4, 8, 16, 32, 64), n_atoms=256,
+                                probes=("3", "5/2"), seed=1))
+    assert rep.violations == []
+    disc = _col(rep, "discrepancy")
+    assert all(v <= 1e-12 for v in disc[2:])
+    assert disc[0] > disc[1] > max(disc[2:])
 
 
 def test_bilu_probe_notes():

@@ -290,20 +290,20 @@ def test_contraction_mixed_pair():
 
 
 def test_discrepancy_identical_measure_is_zero():
-    m = equilibrium_measure(CompactSetModel.circle(0.0, 1.0), 64)
+    m = equilibrium_measure(CompactSetModel.circle(0.0, 1.0))
     assert measure_discrepancy(m, m, 8) == 0.0
 
 
 def test_discrepancy_haar_vs_circle_equilibrium():
     rng = np.random.default_rng(11)
     haar = DiscreteMeasure.uniform(np.exp(2j * np.pi * rng.uniform(size=4096)))
-    eq = equilibrium_measure(CompactSetModel.circle(0.0, 1.0), 64)
+    eq = equilibrium_measure(CompactSetModel.circle(0.0, 1.0))
     assert measure_discrepancy(haar, eq, 8) <= 0.05
 
 
 def test_discrepancy_brolin_vs_arcsine():
     atoms = brolin_sample(Z2M2, 4096, seed=7)
-    eq = equilibrium_measure(CompactSetModel.interval(-2.0, 2.0), 64)
+    eq = equilibrium_measure(CompactSetModel.interval(-2.0, 2.0))
     assert measure_discrepancy(atoms, eq, 8) <= 0.05
 
 
@@ -320,6 +320,6 @@ def test_discrepancy_affine_equivariance():
 
 
 def test_discrepancy_rejects_bad_order():
-    m = equilibrium_measure(CompactSetModel.circle(0.0, 1.0), 32)
+    m = equilibrium_measure(CompactSetModel.circle(0.0, 1.0))
     with pytest.raises(ValueError):
         measure_discrepancy(m, m, 0)

@@ -266,7 +266,7 @@ def test_capacity_estimate_two_intervals():
 
 def test_equilibrium_measure_uniform_weights():
     e = CompactSetModel.circle(0, 1)
-    m = equilibrium_measure(e, 64)
+    m = equilibrium_measure(e)
     assert np.allclose(m.weights, 1 / 64, atol=1e-15)
     assert abs(np.sum(m.weights) - 1.0) <= 1e-12
     assert abs(np.sum(m.weights * m.points)) < 0.05  # first moment near zero
@@ -274,7 +274,7 @@ def test_equilibrium_measure_uniform_weights():
 
 def test_equilibrium_measure_interval_arcsine_histogram():
     e = CompactSetModel.interval(-2, 2)
-    m = equilibrium_measure(e, 64)
+    m = equilibrium_measure(e)
     edges = np.linspace(-2, 2, 9)
     hist, _ = np.histogram(m.points.real, bins=edges)
     frac = hist / 64
