@@ -26,6 +26,7 @@ from .harness import (
     ConfigError,
     build_set,
     check_keys,
+    config_int,
     emit,
     parse_config,
     run_bilu_rumely,
@@ -194,10 +195,8 @@ def _klimek_side(cfg: dict, name: str, parser):
     key = f"{name}_poly"
     if key in cfg:
         poly = _read_poly(str(cfg[key]), parser)
-        try:
-            n, seed = int(cfg.get("n_atoms", 1024)), int(cfg.get("seed", 0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"klimek config: {exc}") from exc
+        n = config_int("klimek config", "n_atoms", cfg.get("n_atoms", 1024))
+        seed = config_int("klimek config", "seed", cfg.get("seed", 0))
         if n < MIN_SIDE_SAMPLES:
             raise ConfigError(f"klimek config: need n_atoms >= {MIN_SIDE_SAMPLES} "
                               f"for the sup-norm formula, got {n}")

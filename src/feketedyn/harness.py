@@ -17,8 +17,7 @@ Three runners cover the desk-scale experiments:
 Reports carry their configuration and seed. Emission produces CSV (fixed
 column order, floats at 12 significant digits), a JSON mirror, optional PGM
 rasters, and a MANIFEST.json with a configuration hash, so a rerun with the
-same config and seed is byte-identical (wall-clock budgets excepted: a
-budget truncates the ladder nondeterministically and is off by default).
+same config and seed is byte-identical.
 Trend assertions never raise; failures land in the report's violations
 array.
 """
@@ -28,7 +27,6 @@ import hashlib
 import json
 import math
 import pathlib
-import time
 
 import numpy as np
 
@@ -114,7 +112,6 @@ class ExperimentSpec:
     seed: int = 0
     epsilon: float = 0.1
     n_atoms: int = 1024
-    budget_seconds: float | None = None
     user_polys: tuple = ()
 
     def __post_init__(self):
@@ -140,8 +137,6 @@ class ExperimentSpec:
         if self.n_atoms < MIN_SIDE_SAMPLES:
             raise ValueError(
                 f"need n_atoms >= {MIN_SIDE_SAMPLES} for the sup-norm formula")
-        if self.budget_seconds is not None and not self.budget_seconds > 0:
-            raise ValueError("budget_seconds must be positive when given")
         for p in self.probes:
             AlgebraicNumber.parse(p)
         if self.family == "user" and not self.user_polys:
@@ -175,7 +170,6 @@ class ExperimentSpec:
             "seed": int(self.seed),
             "epsilon": float(self.epsilon),
             "n_atoms": int(self.n_atoms),
-            "budget_seconds": self.budget_seconds,
             "user_polys": [p.to_text() for p in self.user_polys],
         }
 
@@ -240,6 +234,18 @@ def check_keys(what: str, cfg: dict, keys) -> None:
     unknown = sorted(set(cfg) - set(keys))
     if unknown:
         raise ConfigError(f"{what}: unknown key {', '.join(map(repr, unknown))}")
+
+
+def config_int(what: str, key: str, value) -> int:
+    """The value of a config key that takes integers: an int that is not a
+    bool, or an integral float such as JSON's 1024.0. Anything else raises
+    ConfigError naming the key, where int() would truncate n_atoms = 300.9
+    to 300 atoms and read seed = true as seed 1."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{what}: {key} takes integers, not {value!r}")
 
 
 def _set_block(config) -> dict:
@@ -323,8 +329,7 @@ def _parse_value(s: str):
 
 # the top-level keys of an experiment config
 _SPEC_KEYS = ("name", "family", "set", "degree_range", "checkpoints",
-              "probes", "outputs", "seed", "epsilon", "n_atoms",
-              "budget_seconds", "user_polys")
+              "probes", "outputs", "seed", "epsilon", "n_atoms", "user_polys")
 
 
 def spec_from_config(cfg: dict, seed_override: int | None = None) -> ExperimentSpec:
@@ -333,25 +338,30 @@ def spec_from_config(cfg: dict, seed_override: int | None = None) -> ExperimentS
     check_keys("experiment config", cfg, _SPEC_KEYS)
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
     set_config = _set_block(cfg.get("set", {}))
+
+    def ints(key, values):
+        return tuple(config_int("experiment config", key, v) for v in values)
+
     try:
         return ExperimentSpec(
             name=str(cfg.get("name", "experiment")),
             family=str(cfg.get("family", "")),
             set_config=set_config,
-            degree_range=tuple(int(d) for d in
-                               _listed(cfg, "degree_range", [4, 128], size=2)),
+            degree_range=ints("degree_range",
+                              _listed(cfg, "degree_range", [4, 128], size=2)),
             checkpoints=(None if cfg.get("checkpoints") is None else
-                         tuple(int(c) for c in _listed(cfg, "checkpoints", []))),
+                         ints("checkpoints", _listed(cfg, "checkpoints", []))),
             probes=tuple(str(p) for p in _listed(cfg, "probes", [])),
             outputs=tuple(_listed(cfg, "outputs", ["csv", "json"])),
-            seed=int(seed),
+            seed=config_int("experiment config", "seed", seed),
             epsilon=float(cfg.get("epsilon", 0.1)),
-            n_atoms=int(cfg.get("n_atoms", 1024)),
-            budget_seconds=(None if cfg.get("budget_seconds") is None
-                            else float(cfg["budget_seconds"])),
+            n_atoms=config_int("experiment config", "n_atoms",
+                               cfg.get("n_atoms", 1024)),
             user_polys=tuple(IntPolynomial.from_text(t)
                              for t in _listed(cfg, "user_polys", [])),
         )
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"experiment config: {exc}") from exc
 
@@ -433,22 +443,14 @@ def _trend_violations(column: str, degrees, values, *, decreasing: bool = True) 
 
 
 def _run_ladder(spec: ExperimentSpec, columns, items, worker, out_dir) -> Report:
-    """Report whose rows are worker(item), in item order.
-
-    No item starts once spec.budget_seconds have passed since the first;
-    the note "budget_truncated" then records the cut. If a worker raises, the
-    rows made so far are written to out_dir as CSV before the error
-    propagates."""
+    """Report whose rows are worker(item), in item order. If a worker
+    raises, the rows made so far are written to out_dir as CSV before the
+    error propagates."""
     report = Report(name=spec.name, columns=columns, rows=[], seed=spec.seed,
                     config=spec.config_dict(), violations=[], notes={},
                     rasters=[])
-    budget = spec.budget_seconds
-    start = time.monotonic()
     try:
-        for i, item in enumerate(items):
-            if budget is not None and i > 0 and time.monotonic() - start > budget:
-                report.notes["budget_truncated"] = True
-                break
+        for item in items:
             report.rows.append(worker(item))
     except Exception:
         if out_dir is not None:

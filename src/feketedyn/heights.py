@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dynamics import DynGreenEvaluator
-from .polyarith import IntPolynomial, RootSet, iterate_exact, roots
+from .polyarith import IntPolynomial, RootSet, roots
 from .potential import CompactSetModel, green_eval_many
 
 TRIAL_DIVISION_BOUND = 10 ** 6
@@ -194,45 +194,3 @@ def canonical_height(p: IntPolynomial, alpha) -> HeightReport:
     vals, _ = ev.green_many(np.asarray(a.conjugates.roots, dtype=np.complex128))
     arch = float(np.sum(vals)) / a.degree
     return _assemble(a, arch, method=f"canonical({p.to_text()})")
-
-
-@dataclasses.dataclass(frozen=True)
-class HeightLimitSequence:
-    terms: tuple[float, ...]
-    truncated: bool
-
-
-def _rational_height(x: Fraction) -> float:
-    return math.log(max(abs(x.numerator), x.denominator))
-
-
-def canonical_height_limit(p: IntPolynomial, alpha, k_max: int,
-                           max_digits: int = 100_000) -> HeightLimitSequence:
-    """The defining limit (1/d^k) h(P^k(alpha)) along an exact orbit.
-
-    Stops early with the truncated flag once an orbit entry outgrows the
-    digit cap.  When the full sequence is available its last term is checked
-    against the direct evaluation within 2/d^k_max."""
-    _require_good_reduction(p)
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    x = Fraction(alpha)
-    d = p.degree
-    terms = [_rational_height(x)]
-    truncated = False
-    for k in range(1, k_max + 1):
-        try:
-            x = iterate_exact(p, x, 1, max_digits=max_digits)[1]
-        except ValueError:
-            truncated = True
-            break
-        terms.append(_rational_height(x) / d ** k)
-    if not truncated and k_max > 0:
-        target = canonical_height(p, alpha).total
-        bound = 2.0 * d ** float(-k_max)
-        if abs(terms[-1] - target) > bound:
-            raise ArithmeticError(
-                f"limit sequence reached {terms[-1]:.12g} after {k_max} "
-                f"steps, more than {bound:.3g} away from the direct value "
-                f"{target:.12g}")
-    return HeightLimitSequence(tuple(terms), truncated)

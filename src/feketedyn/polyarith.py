@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -559,31 +558,3 @@ def power_map(n: int) -> IntPolynomial:
     if n < 2:
         raise ValueError("degree must be at least 2")
     return IntPolynomial((0,) * n + (1,))
-
-
-# --------------------------------------------------------------------------- #
-# exact orbits
-# --------------------------------------------------------------------------- #
-
-
-def _digit_size(x: Fraction) -> int:
-    bits = x.numerator.bit_length() + x.denominator.bit_length()
-    return int(bits * 0.30103) + 1
-
-
-def iterate_exact(p: IntPolynomial, x0: Fraction, k: int, max_digits: int = 100_000) -> list[Fraction]:
-    """Exact forward orbit [x0, P(x0), ..., P^k(x0)] over the rationals.
-
-    Raises ValueError naming the offending step if an entry exceeds the
-    digit cap.
-    """
-    x = Fraction(x0)
-    orbit = [x]
-    for i in range(1, k + 1):
-        x = Fraction(p(x))
-        if _digit_size(x) > max_digits:
-            raise ValueError(
-                f"exact orbit entry at step {i} exceeds {max_digits} digits"
-            )
-        orbit.append(x)
-    return orbit

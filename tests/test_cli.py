@@ -266,7 +266,12 @@ def test_klimek_too_few_atoms_is_usage_error(capsys, tmp_path, n_atoms):
     ("left = { kind = disk, center = 0, radius = 1 }\nleft_poly = 0 0 1\n"
      "right = { kind = disk, center = 0, radius = 2 }\n",
      "give 'left = {...}' or 'left_poly = ...', not both"),
-], ids=["unknown-key", "side-both-ways"])
+    # counts that int() would truncate: 300.9 atoms to 300, seed 2.5 to 2
+    ("left_poly = 0 0 1\nright = { kind = disk, center = 0, radius = 1 }\n"
+     "n_atoms = 300.9\n", "klimek config: n_atoms takes integers, not 300.9"),
+    ("left_poly = 0 0 1\nright = { kind = disk, center = 0, radius = 1 }\n"
+     "seed = 2.5\n", "klimek config: seed takes integers, not 2.5"),
+], ids=["unknown-key", "side-both-ways", "n_atoms-float", "seed-float"])
 def test_klimek_config_keys_are_checked(capsys, tmp_path, text, needle):
     cfg = tmp_path / "pair.cfg"
     cfg.write_text(text)
@@ -478,10 +483,18 @@ def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config
     ("bilu_rumely", 'name = x\nfamily = power_maps\n'
                     'set = { kind = disk, center = 0, radius = 1 }\ncheckpoints = "48"\n',
      "checkpoints must be a [...] list, not '48'"),
+    # a non-integral count, which int() would truncate to 300 atoms
+    ("dynamical_fs", "name = x\nfamily = power_maps\n"
+                     "set = { kind = disk, center = 0, radius = 1 }\nn_atoms = 300.9\n",
+     "experiment config: n_atoms takes integers, not 300.9"),
+    # a wall-clock budget, which would make the rows depend on machine speed
+    ("runaway", "name = x\nfamily = runaway\ndegree_range = [4, 6]\n"
+                "budget_seconds = 5\n",
+     "unknown key 'budget_seconds'"),
 ], ids=["unknown-kind", "missing-key", "constructor", "bilu-target", "fs-capacity",
         "runaway-range", "degree-range-type", "set-not-block", "probe-literal",
         "probe-zero-denominator", "unknown-key", "set-unknown-key", "set-samples",
-        "checkpoints-string"])
+        "checkpoints-string", "n-atoms-float", "budget-seconds"])
 def test_experiment_set_config_error_is_usage_error(capsys, tmp_path, runner, config,
                                                     needle):
     assert needle in _usage_error(capsys, tmp_path, runner, config)

@@ -196,6 +196,37 @@ def test_spec_from_config_list_keys_must_be_lists(key, value, needle):
         spec_from_config(cfg)
 
 
+@pytest.mark.parametrize("key, value, bad", [
+    ("degree_range", [4, 8.9], 8.9),
+    ("checkpoints", [4.7, 8], 4.7),
+    ("seed", 2.5, 2.5),
+    ("seed", True, True),
+    ("n_atoms", 300.9, 300.9),
+    ("n_atoms", "300", "300"),
+], ids=["degree_range", "checkpoints", "seed", "seed-bool", "n_atoms",
+        "n_atoms-string"])
+def test_spec_from_config_integer_keys_refuse_non_integers(key, value, bad):
+    # int() truncated: degree_range [4, 8.9] ran (4, 8), checkpoints
+    # [4.7, 8] ran (4, 8), n_atoms = 300.9 ran 300 atoms, seed = 2.5 ran
+    # seed 2 and seed = true ran seed 1, all with exit 0
+    cfg = {"name": "x", "family": "power_maps", "degree_range": [4, 16],
+           "checkpoints": [4, 8], key: value}
+    with pytest.raises(ConfigError, match=re.escape(
+            f"experiment config: {key} takes integers, not {bad!r}")):
+        spec_from_config(cfg)
+
+
+def test_spec_from_config_takes_integral_floats():
+    # JSON writers may emit 1024.0 for an integer
+    cfg = {"name": "x", "family": "power_maps", "degree_range": [4.0, 16],
+           "checkpoints": [4, 8.0], "seed": 3.0, "n_atoms": 1024.0}
+    s = spec_from_config(cfg)
+    assert (s.degree_range, s.checkpoints, s.seed, s.n_atoms) == \
+        ((4, 16), (4, 8), 3, 1024)
+    assert all(type(v) is int for v in (*s.degree_range, *s.checkpoints,
+                                        s.seed, s.n_atoms))
+
+
 # --------------------------------------------------------------------------- #
 # equidistribution runner
 # --------------------------------------------------------------------------- #
@@ -345,14 +376,6 @@ def test_runner_partial_flush(runner, tmp_path, monkeypatch):
     lines = (tmp_path / "part.csv").read_text().splitlines()
     assert lines[0] == header
     assert len(lines) == 2  # header plus the one completed row
-
-
-@pytest.mark.parametrize("runner", sorted(LADDERS))
-def test_runner_budget_truncates(runner):
-    run, kw, _, _ = LADDERS[runner]
-    rep = run(_spec(budget_seconds=1e-9, **kw))
-    assert len(rep.rows) == 1
-    assert rep.notes["budget_truncated"] is True
 
 
 # --------------------------------------------------------------------------- #

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feketedyn.dynamics import brolin_sample
 from feketedyn.harness import HEIGHT_GAP_TOL
@@ -24,7 +26,6 @@ from feketedyn.heights import (
     GoodReductionError,
     HeightReport,
     canonical_height,
-    canonical_height_limit,
     rumely_height,
     weil_height,
 )
@@ -239,36 +240,55 @@ def test_canonical_squaring_matches_weil():
 # --------------------------------------------------------------------------- #
 
 
+def exact_orbit_heights(p: IntPolynomial, x, k: int) -> list:
+    """The terms (1/d^j) h(P^j x), j = 0..k, of the limit that defines the
+    canonical height, along the exact orbit of the rational x."""
+    orbit = [Fraction(x)]
+    for _ in range(k):
+        orbit.append(Fraction(p(orbit[-1])))
+    return [math.log(max(abs(y.numerator), y.denominator)) / p.degree ** j
+            for j, y in enumerate(orbit)]
+
+
 def test_limit_sequence_squaring():
-    seq = canonical_height_limit(Z2, Fraction(3, 2), 4)
-    assert not seq.truncated
-    assert len(seq.terms) == 5
-    for term in seq.terms:
+    terms = exact_orbit_heights(Z2, Fraction(3, 2), 4)
+    assert len(terms) == 5
+    for term in terms:
         assert term == pytest.approx(LOG3, abs=1e-9)
 
 
 def test_limit_sequence_preperiodic_zero():
-    seq = canonical_height_limit(Z2M1, Fraction(0), 6)
-    assert not seq.truncated
-    assert all(t == 0.0 for t in seq.terms)
+    terms = exact_orbit_heights(Z2M1, Fraction(0), 6)
+    assert len(terms) == 7
+    assert all(t == 0.0 for t in terms)
 
 
 def test_limit_sequence_z2m2():
-    seq = canonical_height_limit(Z2M2, Fraction(3), 5)
-    assert not seq.truncated
+    terms = exact_orbit_heights(Z2M2, Fraction(3), 5)
     # exact orbit 3, 7, 47, 2207, ...
-    assert seq.terms[0] == pytest.approx(LOG3, abs=1e-12)
-    assert seq.terms[1] == pytest.approx(math.log(7) / 2, abs=1e-12)
-    assert seq.terms[2] == pytest.approx(math.log(47) / 4, abs=1e-12)
-    assert abs(seq.terms[5] - G_INTERVAL_AT_3) <= 1e-3
-    errs = [abs(t - G_INTERVAL_AT_3) for t in seq.terms]
+    assert terms[0] == pytest.approx(LOG3, abs=1e-12)
+    assert terms[1] == pytest.approx(math.log(7) / 2, abs=1e-12)
+    assert terms[2] == pytest.approx(math.log(47) / 4, abs=1e-12)
+    assert abs(terms[5] - G_INTERVAL_AT_3) <= 1e-3
+    errs = [abs(t - G_INTERVAL_AT_3) for t in terms]
     assert errs[-1] < errs[0]
 
 
-def test_limit_sequence_truncates_at_digit_cap():
-    seq = canonical_height_limit(Z2, Fraction(10 ** 6), 12, max_digits=2000)
-    assert seq.truncated
-    assert len(seq.terms) < 13
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 3).flatmap(
+           lambda d: st.lists(st.integers(-3, 3), min_size=d, max_size=d)),
+       st.integers(-50, 50), st.integers(1, 50))
+def test_canonical_height_matches_exact_orbit_limit(lower, num, den):
+    # for monic integer P the denominator of P(p/q) is exactly q^d, so
+    # |h(P x) - d h(x)| <= d log(1 + s) with s the sum of |c_i|, i < d;
+    # telescoping bounds the k-th term's distance to the limit
+    p = IntPolynomial((*lower, 1))
+    d = p.degree
+    k = 6 if d == 2 else 4
+    bound = d * math.log1p(sum(map(abs, lower))) / ((d - 1) * d ** k) + 1e-9
+    x = Fraction(num, den)
+    assert abs(canonical_height(p, x).total
+               - exact_orbit_heights(p, x, k)[-1]) <= bound
 
 
 # --------------------------------------------------------------------------- #

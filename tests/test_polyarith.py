@@ -21,7 +21,6 @@ from feketedyn.polyarith import (
     chebyshev_monic,
     cyclotomic,
     eval_intpoly,
-    iterate_exact,
     power_map,
     roots,
     runaway_drift,
@@ -518,24 +517,3 @@ def test_runaway_root_count_inside_unit_disk():
 
 def test_power_map_generators():
     assert power_map(5).coeffs == (0, 0, 0, 0, 0, 1)
-
-
-# -------------------------------------------------------------- exact orbits
-
-def test_iterate_exact_integer_orbit():
-    p = IntPolynomial((-2, 0, 1))  # z^2 - 2
-    orbit = iterate_exact(p, Fraction(3), 3)
-    assert orbit == [Fraction(3), Fraction(7), Fraction(47), Fraction(2207)]
-
-
-def test_iterate_exact_rational_orbit():
-    p = IntPolynomial((-2, 0, 1))
-    orbit = iterate_exact(p, Fraction(5, 2), 2)
-    assert orbit == [Fraction(5, 2), Fraction(17, 4), Fraction(257, 16)]
-
-
-def test_iterate_exact_digit_cap():
-    p = IntPolynomial((0, 0, 1))  # z^2
-    with pytest.raises(ValueError) as err:
-        iterate_exact(p, Fraction(10**50), 10, max_digits=500)
-    assert "step" in str(err.value)
