@@ -99,9 +99,12 @@ def _set_from_config_path(path) -> CompactSetModel:
 def _point(s: str) -> complex:
     re, _, im = s.partition(",")
     try:
-        return complex(float(re), float(im) if im else 0.0)
+        z = complex(float(re), float(im) if im else 0.0)
     except ValueError:
         raise argparse.ArgumentTypeError(f"want 're,im', got {s!r}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise argparse.ArgumentTypeError(f"point {s!r} is not finite")
+    return z
 
 
 def _bbox(s: str) -> tuple:
@@ -110,6 +113,8 @@ def _bbox(s: str) -> tuple:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"want 're_min,re_max,im_min,im_max', got {s!r}") from None
+    if not all(map(math.isfinite, (re_min, re_max, im_min, im_max))):
+        raise argparse.ArgumentTypeError(f"bbox {s!r} is not finite")
     if not (re_min < re_max and im_min < im_max):
         raise argparse.ArgumentTypeError(f"degenerate bbox {s!r}")
     return re_min, re_max, im_min, im_max

@@ -14,6 +14,9 @@ Three runners cover the desk-scale experiments:
 * run_runaway: the drift family x^d - N x^(d-1) + 1 with N = floor(e^sqrt(d)),
   whose conjugates split into d-1 small roots and one runaway root.
 
+ExperimentSpec is the one check of experiment input: a config (through
+spec_from_config) and a Python caller get the same normalised fields, or
+the same ConfigError before any work, and nothing downstream re-casts.
 Reports carry their configuration and seed. Emission produces CSV (fixed
 column order, floats at 12 significant digits), a JSON mirror, optional PGM
 rasters, and a MANIFEST.json with a configuration hash, so a rerun with the
@@ -69,7 +72,6 @@ from .potential import (
     transfinite_diameter_of_points,
 )
 
-FAMILIES = ("cyclotomic", "chebyshev", "power_maps", "runaway", "user")
 OUTPUT_FORMATS = ("csv", "json", "pgm")
 DEFAULT_LADDER = (4, 8, 16, 32, 64, 128)
 
@@ -100,7 +102,9 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
-    """One configured experiment; every knob that affects the output."""
+    """One configured experiment; every knob that affects the output.
+    Integers pass config_int, lists become tuples, probes text, user_polys
+    IntPolynomials and epsilon a float; a refusal raises ConfigError."""
 
     name: str
     family: str
@@ -115,63 +119,84 @@ class ExperimentSpec:
     user_polys: tuple = ()
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("experiment needs a name")
+        try:
+            self._normalise()
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"experiment config: {exc}") from exc
+
+    def _normalise(self):
+        def put(field, value):
+            object.__setattr__(self, field, value)
+
+        def ints(key, size=None):
+            return tuple(config_int("experiment config", key, v)
+                         for v in _listed(key, getattr(self, key), size))
+
+        # the name becomes the report's file names, so it must stay in out_dir
+        name = str(self.name)
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise ValueError(f"name must be one plain file name, not {name!r}")
+        put("name", name)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        lo, hi = self.degree_range
-        if not (int(lo) == lo and int(hi) == hi and 1 <= lo <= hi):
+        put("set_config", _set_block(self.set_config))
+        lo, hi = ints("degree_range", size=2)
+        if not 1 <= lo <= hi:
             raise ValueError("degree_range must be a nonempty integer interval")
+        put("degree_range", (lo, hi))
         if self.checkpoints is not None:
-            cps = self.checkpoints
+            cps = ints("checkpoints")
             if not cps:
                 raise ValueError("checkpoints must be nonempty when given")
             if list(cps) != sorted(set(cps)) or cps[0] < 2:
                 raise ValueError("checkpoints must be strictly increasing, >= 2")
             if cps[0] < lo or cps[-1] > hi:
                 raise ValueError("checkpoints must lie inside degree_range")
-        if set(self.outputs) - set(OUTPUT_FORMATS):
+            put("checkpoints", cps)
+        if self.family in _LADDERS and not self.effective_checkpoints():
+            raise ValueError(
+                "no default checkpoints inside degree_range; give explicit ones")
+        outputs = _listed("outputs", self.outputs)
+        if not all(o in OUTPUT_FORMATS for o in outputs):
             raise ValueError(f"outputs must be a subset of {OUTPUT_FORMATS}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.n_atoms < MIN_SIDE_SAMPLES:
+        put("outputs", outputs)
+        put("seed", config_int("experiment config", "seed", self.seed))
+        epsilon = float(self.epsilon)
+        if not 0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, not {epsilon!r}")
+        put("epsilon", epsilon)
+        n_atoms = config_int("experiment config", "n_atoms", self.n_atoms)
+        if n_atoms < MIN_SIDE_SAMPLES:
             raise ValueError(
                 f"need n_atoms >= {MIN_SIDE_SAMPLES} for the sup-norm formula")
-        for p in self.probes:
+        put("n_atoms", n_atoms)
+        probes = tuple(str(p) for p in _listed("probes", self.probes))
+        for p in probes:
             AlgebraicNumber.parse(p)
-        if self.family == "user" and not self.user_polys:
+        put("probes", probes)
+        polys = tuple(p if isinstance(p, IntPolynomial) else IntPolynomial.from_text(str(p))
+                      for p in _listed("user_polys", self.user_polys))
+        if self.family == "user" and not polys:
             raise ValueError("user family needs user_polys")
-        for p in self.user_polys:
-            if not isinstance(p, IntPolynomial) or p.degree < 2:
-                raise ValueError(
-                    "user_polys must be integer polynomials of degree >= 2")
+        if any(p.degree < 2 for p in polys):
+            raise ValueError("user_polys must be integer polynomials of degree >= 2")
+        put("user_polys", polys)
 
     def effective_checkpoints(self) -> tuple:
         if self.checkpoints is not None:
-            return tuple(self.checkpoints)
+            return self.checkpoints
         lo, hi = self.degree_range
-        cps = tuple(d for d in DEFAULT_LADDER if lo <= d <= hi)
-        if not cps:
-            raise ValueError(
-                "no default checkpoints inside degree_range; give explicit ones")
-        return cps
+        return tuple(d for d in DEFAULT_LADDER if lo <= d <= hi)
 
     def config_dict(self) -> dict:
-        """JSON-safe snapshot used for the MANIFEST hash."""
-        return {
-            "name": self.name,
-            "family": self.family,
-            "set": dict(self.set_config),
-            "degree_range": [int(d) for d in self.degree_range],
-            "checkpoints": (None if self.checkpoints is None
-                            else [int(c) for c in self.checkpoints]),
-            "probes": [str(p) for p in self.probes],
-            "outputs": list(self.outputs),
-            "seed": int(self.seed),
-            "epsilon": float(self.epsilon),
-            "n_atoms": int(self.n_atoms),
-            "user_polys": [p.to_text() for p in self.user_polys],
-        }
+        """JSON-safe snapshot used for the MANIFEST hash: the normalised
+        fields, under the config's key names."""
+        cfg = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        cfg["set"] = dict(cfg.pop("set_config"))
+        cfg["user_polys"] = [p.to_text() for p in self.user_polys]
+        return cfg
 
 
 @dataclasses.dataclass
@@ -333,47 +358,23 @@ _SPEC_KEYS = ("name", "family", "set", "degree_range", "checkpoints",
 
 
 def spec_from_config(cfg: dict, seed_override: int | None = None) -> ExperimentSpec:
-    """The spec a parsed config describes; a key it does not read, a value
-    of the wrong type or one the spec refuses raises ConfigError."""
+    """The spec a parsed config describes; a key it does not read, or a
+    value the spec refuses, raises ConfigError."""
     check_keys("experiment config", cfg, _SPEC_KEYS)
-    seed = seed_override if seed_override is not None else cfg.get("seed", 0)
-    set_config = _set_block(cfg.get("set", {}))
-
-    def ints(key, values):
-        return tuple(config_int("experiment config", key, v) for v in values)
-
-    try:
-        return ExperimentSpec(
-            name=str(cfg.get("name", "experiment")),
-            family=str(cfg.get("family", "")),
-            set_config=set_config,
-            degree_range=ints("degree_range",
-                              _listed(cfg, "degree_range", [4, 128], size=2)),
-            checkpoints=(None if cfg.get("checkpoints") is None else
-                         ints("checkpoints", _listed(cfg, "checkpoints", []))),
-            probes=tuple(str(p) for p in _listed(cfg, "probes", [])),
-            outputs=tuple(_listed(cfg, "outputs", ["csv", "json"])),
-            seed=config_int("experiment config", "seed", seed),
-            epsilon=float(cfg.get("epsilon", 0.1)),
-            n_atoms=config_int("experiment config", "n_atoms",
-                               cfg.get("n_atoms", 1024)),
-            user_polys=tuple(IntPolynomial.from_text(t)
-                             for t in _listed(cfg, "user_polys", [])),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"experiment config: {exc}") from exc
+    kw = {"name": "experiment", "family": "", **cfg}
+    kw["set_config"] = kw.pop("set", {})
+    if seed_override is not None:
+        kw["seed"] = seed_override
+    return ExperimentSpec(**kw)
 
 
-def _listed(cfg: dict, key: str, default: list, size: int | None = None) -> list:
-    """cfg[key], default if absent, which must be a [...] list (of size items
-    if given): a string would be read as its characters, "48" as [4, 8]."""
-    val = cfg.get(key, default)
-    if not isinstance(val, list) or size not in (None, len(val)):
+def _listed(key: str, val, size: int | None = None) -> tuple:
+    """val as a tuple; it must be a [...] list or a tuple (of size items if
+    given): a string would be read as its characters, "48" as [4, 8]."""
+    if not isinstance(val, (list, tuple)) or size not in (None, len(val)):
         items = "" if size is None else f" of {size} items"
-        raise TypeError(f"{key} must be a [...] list{items}, not {val!r}")
-    return val
+        raise ValueError(f"{key} must be a [...] list{items}, not {val!r}")
+    return tuple(val)
 
 
 # --------------------------------------------------------------------------- #
@@ -405,6 +406,7 @@ RUNNER_FAMILIES = {
     "dynamical_fs": tuple(_LADDERS) + ("user",),
     "runaway": ("runaway",),
 }
+FAMILIES = tuple(dict.fromkeys(f for fams in RUNNER_FAMILIES.values() for f in fams))
 
 
 def check_family(runner: str, family: str) -> None:
@@ -436,8 +438,8 @@ def _trend_violations(column: str, degrees, values, *, decreasing: bool = True) 
         if budget > 0 and step <= TREND_SLACK * max(abs(v0), TREND_FLOOR):
             budget -= 1
             continue
-        out.append({"kind": "trend", "column": column, "degree": int(degrees[i]),
-                    "previous": float(v0), "value": float(v1),
+        out.append({"kind": "trend", "column": column, "degree": degrees[i],
+                    "previous": v0, "value": v1,
                     "direction": "decreasing" if decreasing else "increasing"})
     return out
 
@@ -576,15 +578,14 @@ def run_dynamical_fs(spec: ExperimentSpec, out_dir=None) -> Report:
     threshold = None
     for n, gamma, _, _ in report.rows:
         if gamma < delta / 2:
-            threshold = int(n)
+            threshold = n
             break
     report.notes["threshold_degree"] = threshold
     if threshold is not None:
         for n, _, max_dist, contained in report.rows:
             if n >= threshold and not contained:
-                report.violations.append(
-                    {"kind": "containment", "degree": int(n),
-                     "max_dist": float(max_dist), "epsilon": spec.epsilon})
+                report.violations.append({"kind": "containment", "degree": n,
+                                          "max_dist": max_dist, "epsilon": spec.epsilon})
     return report
 
 
@@ -609,12 +610,11 @@ def run_runaway(spec: ExperimentSpec, out_dir=None) -> Report:
     report = _run_ladder(spec, RUNAWAY_COLUMNS, degrees, worker, out_dir)
     for d, _, inside, _, h, target in report.rows:
         if inside != d - 1:
-            report.violations.append({"kind": "root_count", "degree": int(d),
-                                      "inside": int(inside),
-                                      "expected": int(d - 1)})
+            report.violations.append({"kind": "root_count", "degree": d,
+                                      "inside": inside, "expected": d - 1})
         if abs(h - target) > 0.1 * target:
-            report.violations.append({"kind": "height_band", "degree": int(d),
-                                      "h": float(h), "target": float(target)})
+            report.violations.append({"kind": "height_band", "degree": d,
+                                      "h": h, "target": target})
     ds = [r[0] for r in report.rows]
     report.violations.extend(
         _trend_violations("h", ds, [r[4] for r in report.rows]))
@@ -630,22 +630,11 @@ def run_runaway(spec: ExperimentSpec, out_dir=None) -> Report:
 
 
 def _cell(v) -> str:
-    v = _json_native(v)
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, float):
         return "%.12g" % v
     return str(v)
-
-
-def _json_native(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return v
 
 
 def emit(report: Report, formats, out_dir) -> list:
@@ -669,8 +658,8 @@ def emit(report: Report, formats, out_dir) -> list:
                 "name": report.name,
                 "seed": report.seed,
                 "config": report.config,
-                "columns": list(report.columns),
-                "rows": [[_json_native(v) for v in row] for row in report.rows],
+                "columns": report.columns,
+                "rows": report.rows,
                 "violations": report.violations,
                 "notes": report.notes,
             }

@@ -123,9 +123,11 @@ class CompactSetModel:
 
     @classmethod
     def _round(cls, center, radius, samples, kind):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
         c, r = complex(center), float(radius)
+        if not np.isfinite([c, r]).all():
+            raise ValueError("center and radius must be finite")
+        if r <= 0:
+            raise ValueError("radius must be positive")
         theta = 2 * np.pi * np.arange(samples) / samples
         pts = c + radius * np.exp(1j * theta)
         tol = _membership_tol(pts)
@@ -166,6 +168,8 @@ class CompactSetModel:
     @classmethod
     def _segments(cls, kind, params, ivs, samples, **closed_forms):
         """Union of real segments ivs, samples points on each."""
+        if not np.isfinite(ivs).all():
+            raise ValueError("interval ends must be finite")
         t = np.concatenate([np.linspace(a, b, samples) for a, b in ivs])
         pts = t.astype(np.complex128)
         contains, distance, ring = _segments_geometry(ivs, _membership_tol(pts))

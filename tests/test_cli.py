@@ -183,10 +183,13 @@ def test_julia_chebyshev_64_bbox_from_atoms(capsys, tmp_path, cheb64):
     (("capacity", "--poly-file", "{tmp}/missing.txt"), "cannot read"),
     (("capacity", "--poly-file", "{tmp}/bin.txt"), "cannot read"),
     (("capacity", "--poly", "{tmp}/bin.txt"), "cannot read"),
+    # a non-finite window wrote a sidecar with "g_max": Infinity
+    (("julia", "--poly", "0 0 1", "--bbox", "0,inf,0,1"), "is not finite"),
+    (("green", "--poly", "0 0 1", "--at", "nan,0"), "is not finite"),
 ], ids=["at", "bbox-part", "bbox-degenerate", "resolution-small",
         "resolution-text", "brolin-n", "green-degree", "capacity-degree",
         "green-max-iter", "julia-max-iter", "height-constant", "poly-file-missing",
-        "poly-file-binary", "poly-binary"])
+        "poly-file-binary", "poly-binary", "bbox-infinite", "at-nan"])
 def test_malformed_argument_is_usage_error(capsys, tmp_path, argv, needle):
     # bin.txt is a file that is not UTF-8
     (tmp_path / "bin.txt").write_bytes(b"\xff\xfe\x00")
@@ -491,14 +494,32 @@ def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config
     ("runaway", "name = x\nfamily = runaway\ndegree_range = [4, 6]\n"
                 "budget_seconds = 5\n",
      "unknown key 'budget_seconds'"),
+    # a name that is not one file name: ../escaped wrote beside --out, and
+    # sub/fs ran the ladder before emit died on the missing directory
+    ("dynamical_fs", "name = ../escaped\nfamily = power_maps\n"
+                     "set = { kind = disk, center = 0, radius = 1 }\ncheckpoints = [4]\n",
+     "name must be one plain file name, not '../escaped'"),
+    ("dynamical_fs", "name = sub/fs\nfamily = power_maps\n"
+                     "set = { kind = disk, center = 0, radius = 1 }\ncheckpoints = [4]\n",
+     "name must be one plain file name, not 'sub/fs'"),
+    # an infinite epsilon, which wrote "delta": Infinity
+    ("dynamical_fs", "name = x\nfamily = power_maps\n"
+                     "set = { kind = disk, center = 0, radius = 1 }\nepsilon = inf\n",
+     "epsilon must be positive and finite, not inf"),
+    # a ladder with no rung, which died in the runner with a traceback
+    ("dynamical_fs", "name = x\nfamily = power_maps\n"
+                     "set = { kind = disk, center = 0, radius = 1 }\ndegree_range = [5, 7]\n",
+     "no default checkpoints inside degree_range"),
 ], ids=["unknown-kind", "missing-key", "constructor", "bilu-target", "fs-capacity",
         "runaway-range", "degree-range-type", "set-not-block", "probe-literal",
         "probe-zero-denominator", "unknown-key", "set-unknown-key", "set-samples",
-        "checkpoints-string", "n-atoms-float", "budget-seconds"])
+        "checkpoints-string", "n-atoms-float", "budget-seconds", "name-parent",
+        "name-subdir", "epsilon-inf", "no-checkpoints"])
 def test_experiment_set_config_error_is_usage_error(capsys, tmp_path, runner, config,
                                                     needle):
     assert needle in _usage_error(capsys, tmp_path, runner, config)
-    assert not (tmp_path / "out" / "MANIFEST.json").exists()
+    # nothing is written, inside --out or beside it
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
 
 def _every_side(block: str) -> str:
@@ -520,8 +541,13 @@ def _every_side(block: str) -> str:
     # klimek and experiment read n_atoms; the others fail on the radius
     ("name = x\nfamily = power_maps\nset = { kind = disk, center = 0, radius = abc }\n"
      "left_poly = 0 0 1\nright_poly = 0 0 1\nn_atoms = abc\n", "'abc'"),
+    # capacity printed nan for a NaN radius, with exit 0
+    (_every_side("{ kind = disk, center = 0, radius = nan }"),
+     "set kind 'disk': center and radius must be finite"),
+    (_every_side("{ kind = interval, a = -2, b = inf }"),
+     "set kind 'interval': interval ends must be finite"),
 ], ids=["missing-key", "unknown-kind", "not-key-value", "malformed-json",
-        "intervals-type", "samples-key", "value-type"])
+        "intervals-type", "samples-key", "value-type", "radius-nan", "end-inf"])
 @pytest.mark.parametrize("argv", [
     ("capacity", "--config", "{cfg}"),
     ("green", "--config", "{cfg}", "--at", "3,0"),

@@ -15,6 +15,7 @@ Frozen oracle values:
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,9 +84,9 @@ def test_default_checkpoint_ladder():
     assert DEFAULT_LADDER == (4, 8, 16, 32, 64, 128)
     s = _spec(checkpoints=None, degree_range=(2, 64))
     assert s.effective_checkpoints() == (4, 8, 16, 32, 64)
-    s = _spec(checkpoints=None, degree_range=(5, 6))
-    with pytest.raises(ValueError):
-        s.effective_checkpoints()
+    # a ladder with no rung is refused when the spec is made, before any run
+    with pytest.raises(ConfigError, match="no default checkpoints"):
+        _spec(checkpoints=None, degree_range=(5, 6))
 
 
 def test_explicit_checkpoints_win():
@@ -178,42 +179,109 @@ def test_spec_from_config_refuses_unknown_keys():
         spec_from_config(cfg)
 
 
-@pytest.mark.parametrize("key, value, needle", [
+def _via_spec(cfg):
+    kw = dict(cfg)
+    if "set" in kw:
+        kw["set_config"] = kw.pop("set")
+    return ExperimentSpec(**kw)
+
+
+def _both_entry_points(cases, ids):
+    """Each case through spec_from_config under its own id, and through
+    ExperimentSpec(**kw) under spec-<id>: the two share one check."""
+    return [pytest.param(make, *case, id=prefix + i)
+            for prefix, make in (("", spec_from_config), ("spec-", _via_spec))
+            for case, i in zip(cases, ids)]
+
+
+@pytest.mark.parametrize("make, key, value, needle", _both_entry_points([
     ("degree_range", "48", "degree_range must be a [...] list of 2 items"),
     ("degree_range", [4, 16, 128], "degree_range must be a [...] list of 2 items"),
     ("checkpoints", "48", "checkpoints must be a [...] list"),
     ("probes", "35", "probes must be a [...] list"),
     ("outputs", "csv", "outputs must be a [...] list"),
     ("user_polys", "0 1 0 1", "user_polys must be a [...] list"),
-], ids=["degree_range-string", "degree_range-three", "checkpoints", "probes",
-        "outputs", "user_polys"])
-def test_spec_from_config_list_keys_must_be_lists(key, value, needle):
+], ["degree_range-string", "degree_range-three", "checkpoints", "probes",
+    "outputs", "user_polys"]))
+def test_spec_from_config_list_keys_must_be_lists(make, key, value, needle):
     # a string was iterated as its characters: probes = "35" ran probes 3
     # and 5, checkpoints = "48" ran (4, 8); a third degree was dropped
     cfg = {"name": "x", "family": "user", "degree_range": [4, 64],
            "user_polys": ["0 1 0 1"], key: value}
     with pytest.raises(ConfigError, match=re.escape(needle)):
-        spec_from_config(cfg)
+        make(cfg)
 
 
-@pytest.mark.parametrize("key, value, bad", [
+@pytest.mark.parametrize("make, key, value, bad", _both_entry_points([
     ("degree_range", [4, 8.9], 8.9),
     ("checkpoints", [4.7, 8], 4.7),
     ("seed", 2.5, 2.5),
     ("seed", True, True),
     ("n_atoms", 300.9, 300.9),
     ("n_atoms", "300", "300"),
-], ids=["degree_range", "checkpoints", "seed", "seed-bool", "n_atoms",
-        "n_atoms-string"])
-def test_spec_from_config_integer_keys_refuse_non_integers(key, value, bad):
+], ["degree_range", "checkpoints", "seed", "seed-bool", "n_atoms",
+    "n_atoms-string"]))
+def test_spec_from_config_integer_keys_refuse_non_integers(make, key, value, bad):
     # int() truncated: degree_range [4, 8.9] ran (4, 8), checkpoints
     # [4.7, 8] ran (4, 8), n_atoms = 300.9 ran 300 atoms, seed = 2.5 ran
-    # seed 2 and seed = true ran seed 1, all with exit 0
+    # seed 2 and seed = true ran seed 1, all with exit 0; the Python API
+    # took them as given and failed later, in brolin_sample
     cfg = {"name": "x", "family": "power_maps", "degree_range": [4, 16],
            "checkpoints": [4, 8], key: value}
     with pytest.raises(ConfigError, match=re.escape(
             f"experiment config: {key} takes integers, not {bad!r}")):
-        spec_from_config(cfg)
+        make(cfg)
+
+
+@pytest.mark.parametrize("make, key, value, needle", _both_entry_points([
+    # a name is the stem of the report's files, which must stay in out_dir
+    ("name", "../escaped", "name must be one plain file name, not '../escaped'"),
+    ("name", "sub/fs", "name must be one plain file name, not 'sub/fs'"),
+    ("name", "..", "name must be one plain file name"),
+    ("name", "", "name must be one plain file name"),
+    # epsilon = inf wrote "delta": Infinity, which is not JSON
+    ("epsilon", math.inf, "epsilon must be positive and finite, not inf"),
+    ("epsilon", math.nan, "epsilon must be positive and finite, not nan"),
+    # no rung of the default ladder lies in [5, 7]: the runner died at run time
+    ("degree_range", [5, 7], "no default checkpoints inside degree_range"),
+], ["name-parent", "name-subdir", "name-dots", "name-empty", "epsilon-inf",
+    "epsilon-nan", "no-checkpoints"]))
+def test_spec_refuses_before_any_work(make, key, value, needle):
+    cfg = {"name": "x", "family": "power_maps", "set": UNIT_DISK, key: value}
+    with pytest.raises(ConfigError, match=re.escape(
+            f"experiment config: {needle}")):
+        make(cfg)
+
+
+def test_ladder_without_rungs_is_refused():
+    for family in ("cyclotomic", "chebyshev", "power_maps"):
+        with pytest.raises(ConfigError, match="no default checkpoints"):
+            _spec(family=family, checkpoints=None, degree_range=(5, 7))
+    # runaway and user do not read the ladder
+    _spec(family="runaway", checkpoints=None, degree_range=(5, 7))
+    _spec(family="user", user_polys=("0 1 0 1",), checkpoints=None,
+          degree_range=(5, 7))
+
+
+def test_spec_normalises_python_values():
+    # the Python API gets the fields a config would give, so the runners
+    # and the JSON echo see one type per field
+    s = ExperimentSpec(name="x", family="user", degree_range=[4.0, 16],
+                       checkpoints=(4.0, 8), probes=[3, Fraction(5, 2)],
+                       outputs=["csv"], seed=3.0, epsilon=1, n_atoms=1024.0,
+                       user_polys=["0 1 0 1", IntPolynomial((0, 1, 0, 0, 1))])
+    assert (s.degree_range, s.checkpoints, s.probes, s.outputs) == \
+        ((4, 16), (4, 8), ("3", "5/2"), ("csv",))
+    assert all(type(v) is int for v in (*s.degree_range, *s.checkpoints,
+                                        s.seed, s.n_atoms))
+    assert type(s.epsilon) is float and s.epsilon == 1.0
+    assert s.user_polys == (IntPolynomial((0, 1, 0, 1)),
+                            IntPolynomial((0, 1, 0, 0, 1)))
+    cfg = {"name": "x", "family": "user", "degree_range": [4, 16],
+           "checkpoints": [4, 8], "probes": [3, "5/2"], "outputs": ["csv"],
+           "seed": 3, "epsilon": 1.0,
+           "user_polys": ["0 1 0 1", "0 1 0 0 1"]}
+    assert s.config_dict() == spec_from_config(cfg).config_dict()
 
 
 def test_spec_from_config_takes_integral_floats():

@@ -485,3 +485,15 @@ def test_probe_ring_needs_a_ring_kind():
     square = CompactSetModel.polyline_boundary([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
     with pytest.raises(UnsupportedSetError):
         square.probe_ring(0.1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CompactSetModel.interval(0.0, math.inf),
+    lambda: CompactSetModel.disk(0, math.nan),
+    lambda: CompactSetModel.circle(complex(math.inf, 0), 1.0),
+    lambda: CompactSetModel.union_of_intervals([(-2, -1), (1, math.inf)]),
+], ids=["interval-inf", "disk-radius", "circle-center", "union"])
+def test_catalog_sets_refuse_non_finite_parameters(build):
+    # a NaN radius gave capacity nan and an infinite end capacity inf
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
