@@ -1,10 +1,10 @@
 """fekete-dyn: capacities, Green values, Julia rasters, Brolin samples,
 sup-norm distances, heights, and configured experiments from the shell.
 
-Polynomials enter as ascending integer coefficients, `c0 c1 ... cd`, inline
-via --poly or from a file via --poly-file. Sets and experiments are
-described by config files in the flat `key = value` grammar (JSON works
-interchangeably); see parse_config.
+Polynomials enter as ascending integer coefficients, `c0 c1 ... cd`, from
+--poly or --poly-file, never both; sets and experiments from config files in
+the flat `key = value` grammar or JSON (see parse_config). Outside input is
+refused with ConfigError before any work, and main alone reports it (exit 2).
 """
 
 import argparse
@@ -29,12 +29,14 @@ from .harness import (
     config_int,
     emit,
     parse_config,
+    read_poly,
     run_bilu_rumely,
     run_dynamical_fs,
     run_runaway,
     spec_from_config,
 )
-from .heights import AlgebraicNumber, canonical_height, rumely_height, weil_height
+from .heights import (AlgebraicNumber, GoodReductionError, canonical_height,
+                      rumely_height, weil_height)
 from .metric import (
     MIN_SIDE_SAMPLES,
     GreenPair,
@@ -52,41 +54,33 @@ RUNNERS = {
 }
 
 
-def _add_poly_args(sub) -> None:
-    sub.add_argument("--poly", help="coefficients 'c0 c1 ... cd', ascending")
-    sub.add_argument("--poly-file", help="file holding the coefficients")
+def _add_poly_args(sub):
+    """A command's required polynomial source group, to which it may add --config."""
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--poly", help="coefficients 'c0 c1 ... cd', ascending")
+    source.add_argument("--poly-file", help="file holding the coefficients")
+    return source
 
 
-def _read_file(path, parser) -> str:
-    """The text of a file; a missing, unreadable or non-UTF-8 one is a usage error."""
+def _read_file(path) -> str:
+    """The text of a file; a missing, unreadable or non-UTF-8 one is refused."""
     try:
         return pathlib.Path(path).read_text()
     except (OSError, ValueError) as exc:
-        parser.error(f"cannot read {path}: {exc}")
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_poly(raw: str, parser, is_map: bool = True) -> IntPolynomial:
-    """Coefficient text; a bare token naming an existing file is read as
-    one. Malformed text, a map of degree below 2, or a constant minimal
-    polynomial, is a usage error."""
+def _read_poly(raw: str, what: str = "a map", least: int = 2) -> IntPolynomial:
+    """read_poly of coefficient text, or of the file that a bare token names."""
     if " " not in raw and pathlib.Path(raw).is_file():
-        raw = _read_file(raw, parser)
-    try:
-        poly = IntPolynomial.from_text(raw)
-    except ValueError as exc:
-        parser.error(str(exc))
-    least, what = (2, "a map") if is_map else (1, "a minimal polynomial")
-    if poly.degree < least:
-        parser.error(f"{what} needs degree >= {least}, got {poly.to_text()!r}")
-    return poly
+        raw = _read_file(raw)
+    return read_poly(what, raw, least)
 
 
-def _resolve_poly(args, parser, is_map: bool = True) -> IntPolynomial | None:
-    if getattr(args, "poly_file", None):
-        return _read_poly(_read_file(args.poly_file, parser), parser, is_map)
-    if getattr(args, "poly", None):
-        return _read_poly(args.poly, parser, is_map)
-    return None
+def _resolve_poly(args, what: str = "a map", least: int = 2) -> IntPolynomial:
+    """The polynomial of --poly or --poly-file, whichever was given."""
+    raw = args.poly if args.poly_file is None else _read_file(args.poly_file)
+    return _read_poly(raw, what, least)
 
 
 def _set_from_config_path(path) -> CompactSetModel:
@@ -143,33 +137,25 @@ def _print_value(v: float) -> None:
     print("%.17g" % v)
 
 
-def _cmd_capacity(args, parser) -> int:
-    poly = _resolve_poly(args, parser)
-    if poly is not None:
-        _print_value(julia_capacity(poly))
-    elif args.config:
+def _cmd_capacity(args) -> int:
+    if args.config is not None:
         _print_value(math.exp(_set_from_config_path(args.config).log_capacity))
     else:
-        parser.error("capacity needs --poly, --poly-file, or --config")
+        _print_value(julia_capacity(_resolve_poly(args)))
     return 0
 
 
-def _cmd_green(args, parser) -> int:
-    poly = _resolve_poly(args, parser)
-    if poly is not None:
-        vals, _ = DynGreenEvaluator(poly, max_iter=args.max_iter).green_many([args.at])
-        _print_value(vals[0])
-    elif args.config:
+def _cmd_green(args) -> int:
+    if args.config is not None:
         _print_value(green_eval_many(_set_from_config_path(args.config), [args.at])[0])
     else:
-        parser.error("green needs --poly, --poly-file, or --config")
+        evaluator = DynGreenEvaluator(_resolve_poly(args), max_iter=args.max_iter)
+        _print_value(evaluator.green_many([args.at])[0][0])
     return 0
 
 
-def _cmd_julia(args, parser) -> int:
-    poly = _resolve_poly(args, parser)
-    if poly is None:
-        parser.error("julia needs --poly or --poly-file")
+def _cmd_julia(args) -> int:
+    poly = _resolve_poly(args)
     bbox = args.bbox or atoms_bbox(brolin_sample(poly, 512, seed=args.seed).points)
     ras = raster(poly, bbox, args.resolution, max_iter=args.max_iter)
     out = pathlib.Path(args.out)
@@ -181,10 +167,8 @@ def _cmd_julia(args, parser) -> int:
     return 0
 
 
-def _cmd_brolin(args, parser) -> int:
-    poly = _resolve_poly(args, parser)
-    if poly is None:
-        parser.error("brolin needs --poly or --poly-file")
+def _cmd_brolin(args) -> int:
+    poly = _resolve_poly(args)
     atoms = brolin_sample(poly, args.n, seed=args.seed).points
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,22 +178,20 @@ def _cmd_brolin(args, parser) -> int:
     return 0
 
 
-def _klimek_side(cfg: dict, name: str, parser):
+def _klimek_side(cfg: dict, name: str):
     if name in cfg:
         return side_from_set(build_set(cfg[name]))
     key = f"{name}_poly"
     if key in cfg:
-        poly = _read_poly(str(cfg[key]), parser)
-        n = config_int("klimek config", "n_atoms", cfg.get("n_atoms", 1024))
+        poly = _read_poly(str(cfg[key]))
+        n = config_int("klimek config", "n_atoms", cfg.get("n_atoms", 1024),
+                       least=MIN_SIDE_SAMPLES)
         seed = config_int("klimek config", "seed", cfg.get("seed", 0))
-        if n < MIN_SIDE_SAMPLES:
-            raise ConfigError(f"klimek config: need n_atoms >= {MIN_SIDE_SAMPLES} "
-                              f"for the sup-norm formula, got {n}")
         return side_from_map(poly, brolin_sample(poly, n, seed=seed).points)
-    parser.error(f"klimek config needs '{name} = {{...}}' or '{key} = ...'")
+    raise ConfigError(f"klimek config needs '{name} = {{...}}' or '{key} = ...'")
 
 
-def _cmd_klimek(args, parser) -> int:
+def _cmd_klimek(args) -> int:
     cfg = parse_config(args.config)
     check_keys("klimek config", cfg, ("left", "right", "left_poly", "right_poly",
                                       "n_atoms", "seed"))
@@ -217,17 +199,13 @@ def _cmd_klimek(args, parser) -> int:
         if name in cfg and f"{name}_poly" in cfg:
             raise ConfigError(f"klimek config: give '{name} = {{...}}' or "
                               f"'{name}_poly = ...', not both")
-    pair = GreenPair(left=_klimek_side(cfg, "left", parser),
-                     right=_klimek_side(cfg, "right", parser))
+    pair = GreenPair(left=_klimek_side(cfg, "left"), right=_klimek_side(cfg, "right"))
     print(json.dumps(klimek_report(pair), indent=2, sort_keys=True))
     return 0
 
 
-def _cmd_height(args, parser) -> int:
-    poly = _resolve_poly(args, parser, is_map=False)
-    if poly is None:
-        parser.error("height needs --poly or --poly-file")
-    alpha = AlgebraicNumber.from_minpoly(poly)
+def _cmd_height(args) -> int:
+    alpha = AlgebraicNumber.from_minpoly(_resolve_poly(args, "a minimal polynomial", 1))
     if args.kind == "weil":
         rep = weil_height(alpha)
     elif args.kind == "rumely":
@@ -236,8 +214,8 @@ def _cmd_height(args, parser) -> int:
         rep = rumely_height(alpha, e)
     else:
         if not args.dyn:
-            parser.error("height canonical needs --dyn <polynomial>")
-        rep = canonical_height(_read_poly(args.dyn, parser), alpha)
+            raise ConfigError("height canonical needs --dyn <polynomial>")
+        rep = canonical_height(_read_poly(args.dyn), alpha)
     if args.json:
         record = {
             "kind": args.kind,
@@ -253,7 +231,7 @@ def _cmd_height(args, parser) -> int:
     return 0
 
 
-def _cmd_experiment(args, parser) -> int:
+def _cmd_experiment(args) -> int:
     spec = spec_from_config(parse_config(args.config), seed_override=args.seed)
     report = RUNNERS[args.name](spec, out_dir=args.out)
     for path in emit(report, spec.outputs, args.out):
@@ -270,13 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("capacity", help="logarithmic capacity")
-    _add_poly_args(p)
-    p.add_argument("--config", help="set description file")
+    _add_poly_args(p).add_argument("--config", help="set description file")
     p.set_defaults(fn=_cmd_capacity)
 
     p = subs.add_parser("green", help="Green function value at a point")
-    _add_poly_args(p)
-    p.add_argument("--config", help="set description file")
+    _add_poly_args(p).add_argument("--config", help="set description file")
     p.add_argument("--at", required=True, type=_point,
                    help="evaluation point 're,im'")
     p.add_argument("--max-iter", type=_int_at_least(0), default=DEFAULT_MAX_ITER)
@@ -343,9 +319,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_signed_values(argv))
     try:
-        return args.fn(args, parser)
-    except ConfigError as exc:
-        # a config file refused before any output is written
+        return args.fn(args)
+    except (ConfigError, GoodReductionError) as exc:
+        # outside input refused before any output is written
         parser.error(str(exc))
 
 

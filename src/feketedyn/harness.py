@@ -95,9 +95,9 @@ HEIGHT_GAP_TOL = 1e-3
 
 
 class ConfigError(ValueError):
-    """A configuration refused before any work: a file that does not parse,
-    a set that cannot be built, or a spec, family, target or degree range
-    the experiment does not take."""
+    """Outside input refused before any work: a file that does not parse, a
+    polynomial read_poly refuses, a set that cannot be built, or a spec,
+    family, target or degree range the experiment does not take."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,21 +167,18 @@ class ExperimentSpec:
         if not 0 < epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, not {epsilon!r}")
         put("epsilon", epsilon)
-        n_atoms = config_int("experiment config", "n_atoms", self.n_atoms)
-        if n_atoms < MIN_SIDE_SAMPLES:
-            raise ValueError(
-                f"need n_atoms >= {MIN_SIDE_SAMPLES} for the sup-norm formula")
-        put("n_atoms", n_atoms)
+        put("n_atoms", config_int("experiment config", "n_atoms", self.n_atoms,
+                                  least=MIN_SIDE_SAMPLES))
         probes = tuple(str(p) for p in _listed("probes", self.probes))
         for p in probes:
-            AlgebraicNumber.parse(p)
+            v = AlgebraicNumber.parse(p)
+            read_poly("experiment config: probe", v if isinstance(v, IntPolynomial)
+                      else IntPolynomial((-v.numerator, v.denominator)), 1)
         put("probes", probes)
-        polys = tuple(p if isinstance(p, IntPolynomial) else IntPolynomial.from_text(str(p))
+        polys = tuple(read_poly("experiment config: user_polys", p, 2)
                       for p in _listed("user_polys", self.user_polys))
         if self.family == "user" and not polys:
             raise ValueError("user family needs user_polys")
-        if any(p.degree < 2 for p in polys):
-            raise ValueError("user_polys must be integer polynomials of degree >= 2")
         put("user_polys", polys)
 
     def effective_checkpoints(self) -> tuple:
@@ -261,16 +258,36 @@ def check_keys(what: str, cfg: dict, keys) -> None:
         raise ConfigError(f"{what}: unknown key {', '.join(map(repr, unknown))}")
 
 
-def config_int(what: str, key: str, value) -> int:
-    """The value of a config key that takes integers: an int that is not a
-    bool, or an integral float such as JSON's 1024.0. Anything else raises
-    ConfigError naming the key, where int() would truncate n_atoms = 300.9
-    to 300 atoms and read seed = true as seed 1."""
+def config_int(what: str, key: str, value, least: int | None = None) -> int:
+    """The value of a config key that takes integers, not below least if
+    given: an int that is not a bool, or an integral float such as JSON's
+    1024.0. Anything else raises ConfigError naming the key, where int()
+    would truncate n_atoms = 300.9 to 300 atoms and read seed = true as 1."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"{what}: {key} takes integers, not {value!r}")
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{what}: {key} takes integers, not {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{what}: need {key} >= {least}, got {value}")
+    return value
+
+
+def read_poly(what: str, value, least: int) -> IntPolynomial:
+    """An IntPolynomial or its text `c0 c1 ... cd`, of degree >= least and with
+    coefficients a float can hold, as root solves and float Green values
+    read them; else ConfigError naming what."""
+    try:
+        poly = (value if isinstance(value, IntPolynomial)
+                else IntPolynomial.from_text(str(value)))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if poly.degree < least:
+        raise ConfigError(f"{what} needs degree >= {least}, got {poly.to_text()!r}")
+    try:
+        float(max(map(abs, poly.coeffs)))
+    except OverflowError:
+        raise ConfigError(f"{what} needs coefficients a float can hold") from None
+    return poly
 
 
 def _set_block(config) -> dict:

@@ -104,8 +104,14 @@ class CompactSetModel:
 
         def gfn(z, a=a, b=b, sc=sc):
             # exterior map of the segment; exactly zero on it
-            w = (2 * z - (a + b)) / (b - a)
-            val = np.log(np.abs(w + np.sqrt(w - 1) * np.sqrt(w + 1)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = (2 * z - (a + b)) / (b - a)
+                val = np.log(np.abs(w + np.sqrt(w - 1) * np.sqrt(w + 1)))
+            if not np.isfinite(val).all():
+                # 2 z overflowed; the same map in u = w h with h = (b - a) / 16 does not
+                u, h = z / 8 - (a + b) / 16, (b - a) / 16
+                far = np.log(np.abs(u + np.sqrt(u - h) * np.sqrt(u + h))) - math.log(h)
+                val = np.where(np.isfinite(val), val, far)
             on_seg = ((np.abs(z.imag) <= 1e-9 * sc)
                       & (z.real >= a - 1e-9 * sc) & (z.real <= b + 1e-9 * sc))
             return np.where(on_seg, 0.0, val)

@@ -10,6 +10,9 @@ import pytest
 from feketedyn.cli import main
 from feketedyn.polyarith import chebyshev_monic
 
+# an integer past the float range, which stopped root solves with OverflowError
+HUGE = str(10 ** 400)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -186,10 +189,21 @@ def test_julia_chebyshev_64_bbox_from_atoms(capsys, tmp_path, cheb64):
     # a non-finite window wrote a sidecar with "g_max": Infinity
     (("julia", "--poly", "0 0 1", "--bbox", "0,inf,0,1"), "is not finite"),
     (("green", "--poly", "0 0 1", "--at", "nan,0"), "is not finite"),
+    # a coefficient past the float range, which ended in OverflowError
+    (("capacity", "--poly", f"0 0 {HUGE}"), "a float can hold"),
+    (("height", "canonical", "--poly", "-2 1", "--dyn", f"0 0 1 {HUGE}"),
+     "a float can hold"),
+    # two sources, of which --poly-file silently won
+    (("capacity", "--poly", "0 0 1", "--poly-file", "{tmp}/bin.txt"),
+     "not allowed with argument --poly"),
+    (("capacity",), "one of the arguments --poly --poly-file --config is required"),
+    # a non-monic map, which ended in a GoodReductionError traceback
+    (("height", "canonical", "--poly", "-2 1", "--dyn", "0 0 2"), "non-monic map"),
 ], ids=["at", "bbox-part", "bbox-degenerate", "resolution-small",
         "resolution-text", "brolin-n", "green-degree", "capacity-degree",
         "green-max-iter", "julia-max-iter", "height-constant", "poly-file-missing",
-        "poly-file-binary", "poly-binary", "bbox-infinite", "at-nan"])
+        "poly-file-binary", "poly-binary", "bbox-infinite", "at-nan",
+        "capacity-huge", "dyn-huge", "two-sources", "no-source", "dyn-non-monic"])
 def test_malformed_argument_is_usage_error(capsys, tmp_path, argv, needle):
     # bin.txt is a file that is not UTF-8
     (tmp_path / "bin.txt").write_bytes(b"\xff\xfe\x00")
@@ -510,11 +524,22 @@ def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config
     ("dynamical_fs", "name = x\nfamily = power_maps\n"
                      "set = { kind = disk, center = 0, radius = 1 }\ndegree_range = [5, 7]\n",
      "no default checkpoints inside degree_range"),
+    # coefficients past the float range: user_polys wrote MANIFEST.json before
+    # the OverflowError, and probes passed the spec to die in the runner
+    ("dynamical_fs", "name = x\nfamily = user\nset = { kind = disk, center = 0, radius = 1 }\n"
+                     f'user_polys = ["0 0 1 {HUGE}"]\n', "a float can hold"),
+    ("bilu_rumely", "name = x\nfamily = chebyshev\n"
+                    f'set = {{ kind = interval, a = -2, b = 2 }}\nprobes = ["1 0 {HUGE}"]\n',
+     "a float can hold"),
+    ("bilu_rumely", "name = x\nfamily = chebyshev\n"
+                    f"set = {{ kind = interval, a = -2, b = 2 }}\nprobes = [1/{HUGE}]\n",
+     "a float can hold"),
 ], ids=["unknown-kind", "missing-key", "constructor", "bilu-target", "fs-capacity",
         "runaway-range", "degree-range-type", "set-not-block", "probe-literal",
         "probe-zero-denominator", "unknown-key", "set-unknown-key", "set-samples",
         "checkpoints-string", "n-atoms-float", "budget-seconds", "name-parent",
-        "name-subdir", "epsilon-inf", "no-checkpoints"])
+        "name-subdir", "epsilon-inf", "no-checkpoints", "user-polys-huge",
+        "probe-huge", "probe-rational-huge"])
 def test_experiment_set_config_error_is_usage_error(capsys, tmp_path, runner, config,
                                                     needle):
     assert needle in _usage_error(capsys, tmp_path, runner, config)

@@ -331,6 +331,17 @@ def test_green_nonnegative_everywhere():
     assert np.min(green_eval_many(e, z)) >= 0.0
 
 
+def test_green_interval_is_finite_near_float_max():
+    # 2 z overflowed: 72 of these 512 points gave NaN, and dynamical_fs with
+    # epsilon = 1e308 wrote "delta": NaN
+    e = CompactSetModel.interval(-2, 2)
+    ring = e.probe_ring(1e308)
+    g = green_eval_many(e, ring)
+    assert np.isfinite(g).all()
+    # capacity 1: g(z) = log|z| + O(|z|^-2)
+    assert g == pytest.approx(np.log(np.abs(ring)), rel=1e-14)
+
+
 # ------------------------------------------------------------------ geometry
 
 def test_distance_to_set():
