@@ -27,7 +27,7 @@ from .polyarith import (
     eval_intpoly,
     roots,
 )
-from .potential import DiscreteMeasure
+from .potential import DiscreteMeasure, log_abs
 
 DEFAULT_MAX_ITER = 256
 
@@ -136,17 +136,6 @@ class DynGreenEvaluator:
         # escapes: its orbit stays NaN to max_iter, and its value is NaN
         lost = np.flatnonzero(np.isnan(flat))
         z_abs[lost] = np.nan
-        # an input with finite parts whose modulus overflows escapes at step
-        # 0, with the log-modulus log s + log|z/s|, s = max(|Re z|, |Im z|)
-        huge = np.isfinite(flat) & ~np.isfinite(z_abs)
-        if huge.any():
-            zh = flat[huge]
-            s = np.maximum(np.abs(zh.real), np.abs(zh.imag))
-            w = zh / s
-            esc_u[huge] = np.log(s) + np.log(self._abs(w))
-            esc_v[huge] = self._recip(w) / s
-            escaped[huge] = True
-            active[huge] = False
         r = self.escape_radius
         for k in range(self.max_iter + 1):
             ia = np.nonzero(active)[0]
@@ -156,7 +145,7 @@ class DynGreenEvaluator:
             out = mag > r
             if out.any():
                 ie = ia[out]
-                esc_u[ie] = np.log(mag[out])
+                esc_u[ie] = log_abs(za[out], mag[out])
                 # 1/z of a modulus near the float max: numpy flags the underflow
                 with np.errstate(over="ignore"):
                     esc_v[ie] = self._recip(za[out])

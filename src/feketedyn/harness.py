@@ -309,23 +309,31 @@ def _as_center(v) -> complex:
 def parse_config(path) -> dict:
     """Flat key-value text (`key = value`, `{...}` blocks, `[...]` lists,
     `#` comments); a file whose first non-blank byte is `{` is read as JSON.
-    A file that cannot be read or parsed raises ConfigError."""
+    A file that cannot be read or parsed, or repeats a key, raises ConfigError."""
     try:
         text = pathlib.Path(path).read_text()
         if text.lstrip().startswith("{"):
-            return json.loads(text)
+            return json.loads(text, object_pairs_hook=_pairs)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"config {str(path)!r}: {exc}") from exc
+    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    return _pairs(_key_value(line) for line in lines if line)
+
+
+def _pairs(pairs) -> dict:
     out = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}")
-        key, _, val = line.partition("=")
-        out[key.strip()] = _parse_value(val.strip())
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"repeated key {key!r}")
+        out[key] = value
     return out
+
+
+def _key_value(part: str) -> tuple:
+    key, eq, value = part.partition("=")
+    if not eq:
+        raise ConfigError(f"expected 'key = value', got {part!r}")
+    return key.strip(), _parse_value(value)
 
 
 def _split_top(s: str) -> list:
@@ -349,11 +357,7 @@ def _parse_value(s: str):
     if s.startswith("[") and s.endswith("]"):
         return [_parse_value(p) for p in _split_top(s[1:-1])]
     if s.startswith("{") and s.endswith("}"):
-        block = {}
-        for part in _split_top(s[1:-1]):
-            key, _, val = part.partition("=")
-            block[key.strip()] = _parse_value(val.strip())
-        return block
+        return _pairs(map(_key_value, _split_top(s[1:-1])))
     low = s.lower()
     if low in ("true", "false"):
         return low == "true"
@@ -592,11 +596,7 @@ def run_dynamical_fs(spec: ExperimentSpec, out_dir=None) -> Report:
     report.notes["capacity_check"] = {"capacity": cap,
                                       "julia_capacity_bound": 1.0,
                                       "refused": False}
-    threshold = None
-    for n, gamma, _, _ in report.rows:
-        if gamma < delta / 2:
-            threshold = n
-            break
+    threshold = next((n for n, gamma, _, _ in report.rows if gamma < delta / 2), None)
     report.notes["threshold_degree"] = threshold
     if threshold is not None:
         for n, _, max_dist, contained in report.rows:

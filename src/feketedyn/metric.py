@@ -188,10 +188,9 @@ def pullback(p, e: CompactSetModel) -> CompactSetModel:
     log_cap = (e.log_capacity - math.log(lead)) / d
 
     def gfn(z, e=e, cp=cp, d=d):
-        z = np.asarray(z, dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
             w = cp(z)
-        w = np.where(np.isfinite(w), w, 1e300 + 0j)
+        # an overflowed P(z) leaves the value to green_eval_many's far field
         return green_eval_many(e, w) / d
 
     return CompactSetModel(

@@ -5,6 +5,9 @@ A model is a sampled boundary plus closed-form geometry where available
 (membership, distance, capacity). Green values come from the stored discrete
 equilibrium measure, clamped to zero on the polynomially convex hull; models
 built from dynamical data may install an exact evaluator instead.
+One overflow rule serves every kind: a Green value that is not finite at a
+finite z becomes log_abs(z - c) - log cap, c the mean of the boundary
+samples, within -log(1 - R/|z - c|) of the truth when E lies in D(c, R).
 """
 
 from __future__ import annotations
@@ -107,11 +110,6 @@ class CompactSetModel:
             with np.errstate(over="ignore", invalid="ignore"):
                 w = (2 * z - (a + b)) / (b - a)
                 val = np.log(np.abs(w + np.sqrt(w - 1) * np.sqrt(w + 1)))
-            if not np.isfinite(val).all():
-                # 2 z overflowed; the same map in u = w h with h = (b - a) / 16 does not
-                u, h = z / 8 - (a + b) / 16, (b - a) / 16
-                far = np.log(np.abs(u + np.sqrt(u - h) * np.sqrt(u + h))) - math.log(h)
-                val = np.where(np.isfinite(val), val, far)
             on_seg = ((np.abs(z.imag) <= 1e-9 * sc)
                       & (z.real >= a - 1e-9 * sc) & (z.real <= b + 1e-9 * sc))
             return np.where(on_seg, 0.0, val)
@@ -148,7 +146,7 @@ class CompactSetModel:
             return np.abs(np.abs(z - c) - radius)
 
         def gfn(z, c=c, r=radius):
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):
                 val = np.log(np.abs(z - c) / r)
             # boundary band: points within rounding dust of the circle are on it
             return np.where(val <= 1e-9, 0.0, val)
@@ -302,7 +300,7 @@ def _polygon_contains(verts: np.ndarray, z: np.ndarray, tol: float) -> np.ndarra
         x1, y1 = loop[k].real, loop[k].imag
         x2, y2 = loop[k + 1].real, loop[k + 1].imag
         crosses = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
         inside ^= crosses & (x < xint)
     # tolerance band around the boundary counts as inside
@@ -398,16 +396,30 @@ def equilibrium_measure(e: CompactSetModel) -> DiscreteMeasure:
 # --------------------------------------------------------------------------- #
 
 
+def log_abs(z, mag=None) -> np.ndarray:
+    """np.log(mag), mag = |z| by default; where mag overflowed but z is
+    finite, log s + log1p((t/s)^2)/2 with s >= t the moduli of its parts."""
+    out = np.log(np.abs(z) if mag is None else mag)
+    far = (out == np.inf) & np.isfinite(z)
+    if far.any():
+        t, s = np.sort(np.abs([z.real[far], z.imag[far]]), axis=0)
+        out[far] = np.log(s) + 0.5 * np.log1p((t / s) ** 2)
+    return out
+
+
 def green_eval_many(e: CompactSetModel, z) -> np.ndarray:
     """Green function with pole at infinity: discrete equilibrium potential
-    minus log capacity, clamped to zero on the hull and below at zero."""
+    minus log capacity, 0 on the hull, floored at 0, far field on overflow."""
     z = np.asarray(z, dtype=np.complex128)
     if e._green_fn is not None:
         vals = np.asarray(e._green_fn(z), dtype=float)
-        return np.maximum(vals, 0.0)
-    mu = equilibrium_measure(e)
-    with np.errstate(divide="ignore"):
-        pot = np.log(np.abs(z[..., None] - mu.points[None, :])) @ mu.weights
-    vals = pot - e.log_capacity
-    vals = np.where(e.contains_many(z), 0.0, vals)
-    return np.maximum(vals, 0.0)
+    else:
+        mu = equilibrium_measure(e)
+        with np.errstate(divide="ignore"):
+            pot = np.log(np.abs(z[..., None] - mu.points[None, :])) @ mu.weights
+        vals = np.where(e.contains_many(z), 0.0, pot - e.log_capacity)
+    vals = np.array(np.maximum(vals, 0.0))  # an array even for a 0-d z
+    far = ~np.isfinite(vals) & np.isfinite(z)
+    if far.any():
+        vals[far] = log_abs(z[far] - np.mean(e.boundary_samples)) - e.log_capacity
+    return vals

@@ -76,6 +76,22 @@ def test_green_set(capsys, tmp_path):
     assert float(out.strip()) == pytest.approx(math.acosh(1.05), abs=1e-9)
 
 
+@pytest.mark.parametrize("text", [
+    "kind = disk\ncenter = 0\nradius = 1\n",
+    "kind = circle\ncenter = 0\nradius = 1\n",
+    "kind = union_of_intervals\nintervals = [-2, -1, 1, 2]\n",
+], ids=["disk", "circle", "union"])
+def test_green_set_near_float_max(capsys, tmp_path, text):
+    # |z| overflowed and the value printed was inf, with exit 0; for a set of
+    # capacity at most 1 around 0, g is log|z| - log cap, about 710.07 or more
+    cfg = tmp_path / "set.cfg"
+    cfg.write_text(text)
+    code, out, _ = run(capsys, "green", "--config", str(cfg), "--at", "1.7e308,1.7e308")
+    assert code == 0
+    value = float(out.strip())
+    assert math.isfinite(value) and value >= math.log(1.7e308) + 0.5 * math.log(2) - 1e-12
+
+
 # -------------------------------------------------------------------- julia
 
 def test_julia_raster(capsys, tmp_path):
@@ -544,6 +560,18 @@ def test_experiment_set_config_error_is_usage_error(capsys, tmp_path, runner, co
                                                     needle):
     assert needle in _usage_error(capsys, tmp_path, runner, config)
     # nothing is written, inside --out or beside it
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("config, key", [
+    ("name = x\nfamily = power_maps\nset = { kind = disk, center = 0, radius = 1 }\n"
+     "checkpoints = [4]\nn_atoms = 256\nseed = 1\nseed = 7\n", "seed"),
+    ("name = x\nfamily = power_maps\ncheckpoints = [4]\nn_atoms = 256\n"
+     "set = { kind = disk, center = 0, radius = 1, radius = 5 }\n", "radius"),
+], ids=["top-level", "block"])
+def test_experiment_repeated_key_is_usage_error(capsys, tmp_path, config, key):
+    # the last value won, and the run went ahead with exit 0
+    assert f"repeated key '{key}'" in _usage_error(capsys, tmp_path, "dynamical_fs", config)
     assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
 

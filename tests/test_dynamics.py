@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from feketedyn import dynamics
@@ -118,6 +118,35 @@ def test_functional_equation_five_polys():
         gpz, _ = ev.green_many(p(zs))
         err = np.abs(gpz - d * gz)
         assert np.all(err <= 1e-7 * (1 + np.abs(gpz))), p.coeffs
+
+
+random_int_maps = st.integers(2, 6).flatmap(
+    lambda d: st.lists(st.integers(-5, 5), min_size=d, max_size=d).flatmap(
+        lambda low: st.sampled_from([-3, -2, -1, 1, 2, 3]).map(
+            lambda lead: IntPolynomial((*low, lead)))))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(random_int_maps, st.sampled_from(["float", "exact"]),
+       st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-3, 1)),
+                min_size=1, max_size=16))
+def test_functional_equation_random_maps(p, plan, points):
+    # g_P(P z) = d g_P(z) for random integer P, on both plans, at points
+    # inside, near and up to ten times past the escape radius; the exact
+    # plan is forced by a zero coefficient-mass threshold. Points flagged
+    # undecided at z or at P z carry no value and are skipped
+    with pytest.MonkeyPatch.context() as mp:
+        if plan == "exact":
+            mp.setattr(dynamics, "EXACT_EVAL_COEFF_SUM", 0)
+        ev = DynGreenEvaluator(p)
+    assert ev._exact == (plan == "exact")
+    zs = np.array([ev.escape_radius * 10.0 ** s * complex(x, y) for x, y, s in points])
+    pz = ev._step(zs)
+    assume(np.isfinite(pz).all())
+    gz, und_z = ev.green_many(zs)
+    gpz, und_pz = ev.green_many(pz)
+    ok = ~(und_z | und_pz)
+    assert gpz[ok] == pytest.approx(ev.degree * gz[ok], rel=1e-12, abs=1e-12)
 
 
 def test_far_field_asymptotics():

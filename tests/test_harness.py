@@ -157,6 +157,28 @@ def test_parse_config_json_autodetect(tmp_path):
     assert parse_config(path) == cfg
 
 
+@pytest.mark.parametrize("name, text, key", [
+    ("top.cfg", "name = x\nseed = 1\nseed = 7\n", "seed"),
+    ("block.cfg", "set = { kind = disk, radius = 1, radius = 5 }\n", "radius"),
+    ("top.json", '{"seed": 1, "seed": 7}', "seed"),
+    ("block.json", '{"set": {"kind": "disk", "radius": 1, "radius": 5}}', "radius"),
+], ids=["text-top", "text-block", "json-top", "json-block"])
+def test_parse_config_refuses_repeated_key(tmp_path, name, text, key):
+    # the last value silently won: seed 7, or a disk of radius 5
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"repeated key '{key}'"):
+        parse_config(path)
+
+
+def test_parse_config_block_part_needs_key_value(tmp_path):
+    # a block part with no '=' is refused as a top-level line is
+    path = tmp_path / "run.cfg"
+    path.write_text("set = { kind = disk, radius }\n")
+    with pytest.raises(ConfigError, match="expected 'key = value', got 'radius'"):
+        parse_config(path)
+
+
 def test_spec_from_config_types(tmp_path):
     cfg = {"name": "u", "family": "user", "seed": 5,
            "set": {"kind": "disk", "center": 0, "radius": 1},

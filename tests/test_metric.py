@@ -124,6 +124,23 @@ def test_metric_axioms_on_catalog():
                 assert gam[i, k] <= gam[i, j] + gam[j, k] + 1e-6
 
 
+closed_form_sets = st.one_of(
+    st.builds(lambda a, w: CompactSetModel.interval(a, a + w, samples=256),
+              st.floats(-4, 4), st.floats(0.01, 6)),
+    *(st.builds(lambda c, r, ctor=ctor: ctor(c, r, samples=256),
+                st.complex_numbers(max_magnitude=4), st.floats(0.01, 4))
+      for ctor in (CompactSetModel.disk, CompactSetModel.circle)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(closed_form_sets, closed_form_sets)
+def test_klimek_symmetric_and_zero_on_the_diagonal(e, f):
+    # gamma(E, F) = gamma(F, E) and gamma(E, E) = 0 for the closed-form kinds
+    assert klimek_distance(set_pair(e, f)) == klimek_distance(set_pair(f, e))
+    assert klimek_distance(set_pair(e, e)) == 0.0
+
+
 # --------------------------------------------------------------------------- #
 # report and grid audit
 # --------------------------------------------------------------------------- #
@@ -251,6 +268,17 @@ def test_pullback_green_functoriality():
 
     est = capacity_estimate(pulled, 128)
     assert est == pytest.approx(math.exp(pulled.log_capacity), rel=0.05)
+
+
+@pytest.mark.parametrize("x", [1e155, 1e200, 1e300])
+def test_pullback_green_where_the_map_overflows(x):
+    # P(z) = z^2 overflows past 1.3e154: the value was clamped to
+    # g_E(1e300) / 2 = 345.5316 for every real z > 1e155
+    pulled = pullback(IntPolynomial((0, 0, 1)), CompactSetModel.interval(1.0, 4.0))
+    # cap [1, 4] = 3/4, so g(z) = (2 log|z| - log 3/4) / 2 + O(|z|^-2)
+    want = (2 * math.log(x) - math.log(0.75)) / 2
+    for z in (x, -x, 1j * x, x * np.exp(0.3j)):
+        assert green_eval_many(pulled, [z])[0] == pytest.approx(want, rel=1e-15), z
 
 
 # --------------------------------------------------------------------------- #

@@ -1,11 +1,12 @@
 """Compact set models: Fekete search, capacity, equilibrium, Green values."""
 
+import cmath
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from feketedyn.heights import AlgebraicNumber, rumely_height
@@ -18,6 +19,7 @@ from feketedyn.potential import (
     equilibrium_measure,
     fekete_points,
     green_eval_many,
+    log_abs,
 )
 
 
@@ -340,6 +342,96 @@ def test_green_interval_is_finite_near_float_max():
     assert np.isfinite(g).all()
     # capacity 1: g(z) = log|z| + O(|z|^-2)
     assert g == pytest.approx(np.log(np.abs(ring)), rel=1e-14)
+
+
+def _far_field_kinds():
+    # one model of each of the seven kinds, with its far-field centre c (the
+    # mean of its boundary samples, as green_eval_many takes it) and a radius
+    # R with E inside D(c, R)
+    rng = np.random.default_rng(5)
+    square = [0, 2, 2 + 1j, 1j]
+    kinds = {
+        "interval": CompactSetModel.interval(-1.0, 3.0),
+        "disk": CompactSetModel.disk(0.5 + 0.5j, 2.0),
+        "circle": CompactSetModel.circle(-1j, 0.5),
+        "union-of-intervals": CompactSetModel.union_of_intervals(
+            [(-2.0, -1.0), (0.5, 2.0)], samples=256),
+        "polyline-boundary": CompactSetModel.polyline_boundary(square, samples=512),
+        "point-cloud": CompactSetModel.point_cloud(
+            rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300)),
+        "pullback": pullback(IntPolynomial((-1, 0, 1)), CompactSetModel.interval(-2.0, 2.0)),
+    }
+    out = {}
+    for name, e in kinds.items():
+        c = complex(np.mean(e.boundary_samples))
+        hull = np.concatenate([e.boundary_samples, square]) if name == "polyline-boundary" \
+            else e.boundary_samples
+        # the pullback's samples come from 2,048 source points: pad R for the gaps
+        out[name] = (e, c, 1.01 * float(np.max(np.abs(hull - c))))
+    return out
+
+
+FAR_FIELD_KINDS = _far_field_kinds()
+# points whose parts are both near the float maximum
+FLOAT_MAX_CORNERS = [1.7e308 + 1.7e308j, -1.7e308 + 1.7e308j, -1.7e308 - 1e308j,
+                     1.79e308 - 1.79e308j, 1.7e308 + 0j, -1.7e308j]
+
+
+def _far_field_point(c, theta, log_r):
+    # c + r e^(i theta) with log r = log_r, its parts formed in log space so
+    # that |z - c| may pass the float maximum; None when a part overflows
+    with np.errstate(over="ignore"):
+        parts = [math.copysign(float(np.exp(log_r + math.log(abs(t)))), t)
+                 if t else 0.0 for t in (math.cos(theta), math.sin(theta))]
+    z = c + complex(*parts)
+    return z if cmath.isfinite(z) else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(FAR_FIELD_KINDS)),
+       st.one_of(
+           st.tuples(st.floats(0, 2 * math.pi), st.floats(0, 1)).map(lambda t: ("polar", t)),
+           st.sampled_from(FLOAT_MAX_CORNERS).map(lambda z: ("corner", z))))
+def test_green_far_field_bound_past_float_max(name, point):
+    # g_E(z) = log|z - c| - log cap E + err, |err| <= -log(1 - R/|z - c|) for E
+    # in D(c, R): for every kind, from |z - c| = 2R to past the float maximum.
+    # Disk, circle and the sampled kinds gave inf once |z - c| overflowed, and
+    # a pullback a clamped value once P(z) did
+    e, c, big_r = FAR_FIELD_KINDS[name]
+    how, arg = point
+    if how == "corner":
+        z = arg
+    else:
+        theta, s = arg
+        lo, hi = math.log(2 * big_r), 710.5
+        z = _far_field_point(c, theta, lo + s * (hi - lo))
+        assume(z is not None)
+    zc = np.array([z - c])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = green_eval_many(e, [z])[0]
+        far = float(log_abs(zc)[0]) - e.log_capacity
+    assert math.isfinite(g), (name, z)
+    bound = -math.log1p(-math.exp(math.log(big_r) - float(log_abs(zc)[0])))
+    assert abs(g - far) <= bound + 4 * np.spacing(abs(far)), (name, z, g, far)
+
+
+def test_log_abs():
+    z = np.array([3 + 4j, 0.5, -1e-300j, 1.7e308 + 1.7e308j, -1.7e308 + 1e308j,
+                  complex(math.inf, 1), complex(math.nan, 1)])
+    with np.errstate(over="ignore"):
+        mag, hyp = np.abs(z), np.hypot(z.real, z.imag)
+    got = log_abs(z)
+    # np.log(|z|) bit for bit wherever |z| is finite, and for a non-finite part
+    keep = [0, 1, 2, 5, 6]
+    assert got[keep].tobytes() == np.log(mag[keep]).tobytes()
+    log_s = math.log(1.7e308)
+    assert got[3] == pytest.approx(log_s + 0.5 * math.log(2), rel=1e-16)
+    assert got[4] == pytest.approx(log_s + 0.5 * math.log1p((1 / 1.7) ** 2), rel=1e-16)
+    # a given modulus, such as np.hypot's, is taken as it is, and still
+    # replaced where it overflowed
+    assert log_abs(z, hyp)[keep].tobytes() == np.log(hyp[keep]).tobytes()
+    assert log_abs(z, hyp)[3:5].tobytes() == got[3:5].tobytes()
 
 
 # ------------------------------------------------------------------ geometry
