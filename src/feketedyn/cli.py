@@ -47,6 +47,9 @@ from .metric import (
 from .polyarith import IntPolynomial
 from .potential import CompactSetModel, DiscreteMeasure, green_eval_many
 
+# `green` on an orbit still inside the escape radius at --max-iter: no value
+UNDECIDED_EXIT = 3
+
 RUNNERS = {
     "bilu_rumely": run_bilu_rumely,
     "dynamical_fs": run_dynamical_fs,
@@ -150,7 +153,11 @@ def _cmd_green(args) -> int:
         _print_value(green_eval_many(_set_from_config_path(args.config), [args.at])[0])
     else:
         evaluator = DynGreenEvaluator(_resolve_poly(args), max_iter=args.max_iter)
-        _print_value(evaluator.green_many([args.at])[0][0])
+        vals, undecided = evaluator.green_many([args.at])
+        if undecided[0]:
+            print("undecided")
+            return UNDECIDED_EXIT
+        _print_value(vals[0])
     return 0
 
 

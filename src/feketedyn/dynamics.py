@@ -67,22 +67,15 @@ class DynGreenEvaluator:
         self.degree = d
         self.leading_abs = float(abs(c[-1]))
         self.escape_radius = max(2.0, (1.0 + float(np.sum(np.abs(c[:-1])))) / self.leading_abs)
-        self.tail_constant = math.log(self.leading_abs) / (d - 1)
         self.max_iter = int(max_iter)
         if self.max_iter < 0:
             raise ValueError(f"need max_iter >= 0, got {max_iter}")
         self._exact = self.int_poly is not None and \
             sum(abs(a) for a in self.int_poly.coeffs) > EXACT_EVAL_COEFF_SUM
-        # the escape loop's step, modulus and reciprocal; the exact plan works
-        # in Python complex arithmetic, one point at a time: eval_intpoly,
-        # and Python's abs (libm hypot) and division, which round apart
-        # from numpy's
-        if self._exact:
-            self._step = _pointwise(lambda w: eval_intpoly(self.int_poly, w))
-            self._abs = lambda za: np.hypot(za.real, za.imag)
-            self._recip = _pointwise(lambda w: 1.0 / w)
-        else:
-            self._step, self._abs, self._recip = self.poly, np.abs, lambda za: 1.0 / za
+        # the escape loop's step, the one thing the plans do differently:
+        # exact eval_intpoly one point at a time, or numpy Horner
+        self._step = (_pointwise(lambda w: eval_intpoly(self.int_poly, w))
+                      if self._exact else self.poly)
         # the points certified in K at step 0, which skip the loop: 2 T_n(x/2)
         # maps [-2, 2] into itself whatever the plan (float Horner would round
         # some of these orbits out of [-2, 2] and let them escape)
@@ -131,7 +124,7 @@ class DynGreenEvaluator:
         active = ~held
         z = flat.copy()
         with np.errstate(over="ignore"):
-            z_abs = self._abs(z)
+            z_abs = np.abs(z)
         # an input with a NaN part (its modulus may still be inf) never
         # escapes: its orbit stays NaN to max_iter, and its value is NaN
         lost = np.flatnonzero(np.isnan(flat))
@@ -148,7 +141,7 @@ class DynGreenEvaluator:
                 esc_u[ie] = log_abs(za[out], mag[out])
                 # 1/z of a modulus near the float max: numpy flags the underflow
                 with np.errstate(over="ignore"):
-                    esc_v[ie] = self._recip(za[out])
+                    esc_v[ie] = 1.0 / za[out]
                 esc_k[ie] = k
                 escaped[ie] = True
                 active[ie] = False
@@ -157,17 +150,17 @@ class DynGreenEvaluator:
                 continue
             with np.errstate(over="ignore", invalid="ignore"):
                 znew = self._step(za)
-                znew_abs = self._abs(znew)
+                znew_abs = np.abs(znew)
             # a step with finite parts can still overflow in modulus; a NaN
             # orbit is no overflow
             blown = ~np.isfinite(znew_abs)
             if blown.any():
                 blown &= ~np.isnan(mag)
                 ib = ia[blown]
-                eps = self._eps(self._recip(za[blown]))
+                eps = self._eps(1.0 / za[blown])
                 esc_u[ib] = (math.log(self.leading_abs)
                              + self.degree * np.log(mag[blown])
-                             + np.log(self._abs(1.0 + eps)))
+                             + np.log(np.abs(1.0 + eps)))
                 esc_v[ib] = 0.0
                 esc_k[ib] = k + 1
                 escaped[ib] = True

@@ -40,7 +40,7 @@ class GreenSide:
 
     samples: np.ndarray
     green_many: Callable[[np.ndarray], np.ndarray]
-    log_cap: float | None
+    log_cap: float
     regular: bool
 
     def __post_init__(self):
@@ -167,9 +167,11 @@ def pullback(p, e: CompactSetModel) -> CompactSetModel:
     samples, solved as stacked root problems.  The capacity comes from the
     exact identity cap(P^{-1}E) = (cap E / |lead|)^{1/d}, and the Green
     function from g(P(z)) / d; neither is re-estimated from the new samples,
-    so iterated pullbacks do not compound search error.  For a real P,
-    conj(P^{-1}E) = P^{-1}(conj E), so the preimage is conjugation-symmetric
-    exactly when E is; a non-real P is reported as not symmetric.
+    so iterated pullbacks do not compound search error.  Its hull is the
+    preimage of E's hull: z is in it exactly when E.contains_many(P(z)).
+    For a real P, conj(P^{-1}E) = P^{-1}(conj E), so the preimage is
+    conjugation-symmetric exactly when E is; a non-real P is reported as
+    not symmetric.
     """
     cp = ComplexPolynomial.of(p)
     d = cp.degree
@@ -187,19 +189,19 @@ def pullback(p, e: CompactSetModel) -> CompactSetModel:
     lead = abs(complex(cp.coeffs[-1]))
     log_cap = (e.log_capacity - math.log(lead)) / d
 
-    def gfn(z, e=e, cp=cp, d=d):
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = cp(z)
+    def image(z, cp=cp):
         # an overflowed P(z) leaves the value to green_eval_many's far field
-        return green_eval_many(e, w) / d
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cp(z)
 
     return CompactSetModel(
-        kind="point-cloud",
+        kind="pullback",
         params={"count": len(pts), "pullback_degree": d},
         boundary_samples=pts, regular=e.regular,
         symmetric=e.symmetric and not np.any(cp.coeffs.imag),
         log_capacity=log_cap,
-        green_fn=gfn,
+        green_fn=lambda z: green_eval_many(e, image(z)) / d,
+        contains_fn=lambda z: e.contains_many(image(z)),
     )
 
 

@@ -2,9 +2,9 @@
 transfinite diameter, discrete equilibrium measures, and Green evaluation.
 
 A model is a sampled boundary plus closed-form geometry where available
-(membership, distance, capacity). Green values come from the stored discrete
-equilibrium measure, clamped to zero on the polynomially convex hull; models
-built from dynamical data may install an exact evaluator instead.
+(membership, distance, capacity). Green values come from a closed form where
+one is installed, else from the stored discrete equilibrium measure, and are
+zero wherever contains_many puts z in the polynomially convex hull.
 One overflow rule serves every kind: a Green value that is not finite at a
 finite z becomes log_abs(z - c) - log cap, c the mean of the boundary
 samples, within -log(1 - R/|z - c|) of the truth when E lies in D(c, R).
@@ -103,16 +103,12 @@ class CompactSetModel:
     def interval(cls, a: float, b: float, samples: int = DEFAULT_BOUNDARY_SAMPLES):
         if not b > a:
             raise ValueError("need b > a")
-        sc = max(1.0, abs(a), abs(b))
 
-        def gfn(z, a=a, b=b, sc=sc):
-            # exterior map of the segment; exactly zero on it
+        def gfn(z, a=a, b=b):
+            # exterior map of the segment
             with np.errstate(over="ignore", invalid="ignore"):
                 w = (2 * z - (a + b)) / (b - a)
-                val = np.log(np.abs(w + np.sqrt(w - 1) * np.sqrt(w + 1)))
-            on_seg = ((np.abs(z.imag) <= 1e-9 * sc)
-                      & (z.real >= a - 1e-9 * sc) & (z.real <= b + 1e-9 * sc))
-            return np.where(on_seg, 0.0, val)
+                return np.log(np.abs(w + np.sqrt(w - 1) * np.sqrt(w + 1)))
 
         return cls._segments("interval", {"a": a, "b": b}, [(a, b)], samples,
                              log_capacity=math.log((b - a) / 4.0), green_fn=gfn)
@@ -147,9 +143,7 @@ class CompactSetModel:
 
         def gfn(z, c=c, r=radius):
             with np.errstate(divide="ignore", over="ignore"):
-                val = np.log(np.abs(z - c) / r)
-            # boundary band: points within rounding dust of the circle are on it
-            return np.where(val <= 1e-9, 0.0, val)
+                return np.log(np.abs(z - c) / r)
 
         return cls(
             kind=kind, params={"center": c, "radius": r},
@@ -408,17 +402,19 @@ def log_abs(z, mag=None) -> np.ndarray:
 
 
 def green_eval_many(e: CompactSetModel, z) -> np.ndarray:
-    """Green function with pole at infinity: discrete equilibrium potential
-    minus log capacity, 0 on the hull, floored at 0, far field on overflow."""
+    """Green function with pole at infinity: the closed form, or discrete
+    equilibrium potential minus log capacity; 0 wherever contains_many puts
+    z in the hull, floored at 0 elsewhere, far field on overflow."""
     z = np.asarray(z, dtype=np.complex128)
     if e._green_fn is not None:
-        vals = np.asarray(e._green_fn(z), dtype=float)
+        vals = e._green_fn(z)
     else:
         mu = equilibrium_measure(e)
         with np.errstate(divide="ignore"):
             pot = np.log(np.abs(z[..., None] - mu.points[None, :])) @ mu.weights
-        vals = np.where(e.contains_many(z), 0.0, pot - e.log_capacity)
-    vals = np.array(np.maximum(vals, 0.0))  # an array even for a 0-d z
+        vals = pot - e.log_capacity
+    # an array even for a 0-d z
+    vals = np.array(np.where(e.contains_many(z), 0.0, np.maximum(vals, 0.0)))
     far = ~np.isfinite(vals) & np.isfinite(z)
     if far.any():
         vals[far] = log_abs(z[far] - np.mean(e.boundary_samples)) - e.log_capacity

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from feketedyn.cli import main
+from feketedyn.cli import UNDECIDED_EXIT, main
 from feketedyn.polyarith import chebyshev_monic
 
 # an integer past the float range, which stopped root solves with OverflowError
@@ -90,6 +90,31 @@ def test_green_set_near_float_max(capsys, tmp_path, text):
     assert code == 0
     value = float(out.strip())
     assert math.isfinite(value) and value >= math.log(1.7e308) + 0.5 * math.log(2) - 1e-12
+
+
+@pytest.mark.parametrize("text, at", [
+    ("kind = interval\na = -2\nb = 2\n", "0,3e-9"),
+    ("kind = disk\ncenter = 0\nradius = 1\n", "1.0000000015,0"),
+    ("kind = circle\ncenter = 0\nradius = 1\n", "1.0000000015,0"),
+], ids=["interval", "disk", "circle"])
+def test_green_set_zero_on_the_hull_band(capsys, tmp_path, text, at):
+    # within the membership tolerance of the set, so in the hull: the
+    # closed forms' own bands printed 1.4999999009409518e-09 here
+    cfg = tmp_path / "set.cfg"
+    cfg.write_text(text)
+    code, out, _ = run(capsys, "green", "--config", str(cfg), "--at", at)
+    assert (code, out) == (0, "0\n")
+
+
+def test_green_undecided_orbit(capsys):
+    # 0 -> 1 -> 2 stays inside the escape radius 2 of z^2 + 1 for two steps:
+    # no value, where a bare 0 was printed with exit 0
+    assert run(capsys, "green", "--poly", "1 0 1", "--at", "0,0", "--max-iter", "2") \
+        == (UNDECIDED_EXIT, "undecided\n", "")
+    assert UNDECIDED_EXIT not in (0, 1, 2)
+    code, out, _ = run(capsys, "green", "--poly", "1 0 1", "--at", "0,0", "--max-iter", "3")
+    assert code == 0
+    assert float(out) == pytest.approx(0.20367726136974004, rel=1e-12)
 
 
 # -------------------------------------------------------------------- julia

@@ -66,7 +66,7 @@ def test_evaluator_fields():
     assert ev.degree == 3
     assert ev.leading_abs == 2.0
     assert ev.escape_radius == 2.0  # max(2, (1+1)/2)
-    assert ev.tail_constant == pytest.approx(0.5 * math.log(2))
+    assert -math.log(julia_capacity(ev.poly)) == pytest.approx(0.5 * math.log(2))
     ev2 = DynGreenEvaluator(Z2M2)
     assert ev2.escape_radius == pytest.approx(3.0)  # (1 + 2)/1
     with pytest.raises(ValueError):
@@ -156,7 +156,7 @@ def test_far_field_asymptotics():
         ev = DynGreenEvaluator(p)
         z = 1e6 * np.exp(0.3j)
         g = ev.green_many([z])[0][0]
-        assert abs(g - math.log(1e6) - ev.tail_constant) <= 1e-5, coeffs
+        assert abs(g - math.log(1e6) + math.log(julia_capacity(p))) <= 1e-5, coeffs
 
 
 def test_green_exact_eval_big_chebyshev():

@@ -126,6 +126,28 @@ def test_per_prime_breakdown_with_residual():
     assert tags["residual"] == pytest.approx(math.log(p1) + math.log(p2), abs=1e-9)
 
 
+random_numbers = st.one_of(
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+    .map(AlgebraicNumber.from_rational),
+    st.integers(2, 6).flatmap(
+        lambda d: st.lists(st.integers(-20, 20), min_size=d + 1, max_size=d + 1))
+    .filter(lambda c: c[-1] != 0)
+    .map(lambda c: AlgebraicNumber.from_minpoly(IntPolynomial(tuple(c)))),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_numbers)
+def test_height_split_sums_to_total(a):
+    # the per-place parts of every height add up to its total
+    reports = [weil_height(a), rumely_height(a, CompactSetModel.disk(0.0, 1.0)),
+               rumely_height(a, CompactSetModel.interval(-2.0, 2.0)),
+               canonical_height(Z2M1, a)]
+    for rep in reports:
+        parts = math.fsum(v for _, v in rep.per_place)
+        assert parts == pytest.approx(rep.total, rel=1e-15, abs=1e-300), rep
+
+
 # --------------------------------------------------------------------------- #
 # Rumely height
 # --------------------------------------------------------------------------- #

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from feketedyn.dynamics import brolin_sample
 from feketedyn.metric import (
+    MAX_PULLBACK_SOURCES,
     GreenPair,
     GreenSide,
     contraction_check,
@@ -139,6 +140,30 @@ def test_klimek_symmetric_and_zero_on_the_diagonal(e, f):
     # gamma(E, F) = gamma(F, E) and gamma(E, E) = 0 for the closed-form kinds
     assert klimek_distance(set_pair(e, f)) == klimek_distance(set_pair(f, e))
     assert klimek_distance(set_pair(e, e)) == 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(closed_form_sets, closed_form_sets, closed_form_sets)
+def test_klimek_triangle_inequality(e, f, g):
+    # gamma(E, G) <= gamma(E, F) + gamma(F, G) for the closed-form kinds
+    assert klimek_distance(set_pair(e, g)) \
+        <= klimek_distance(set_pair(e, f)) + klimek_distance(set_pair(f, g)) + 1e-12
+
+
+monic_quadratics = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(
+    lambda c: IntPolynomial((c[0], c[1], 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(monic_quadratics, closed_form_sets, closed_form_sets)
+def test_pullback_contracts_exactly(p, e, f):
+    # gamma(P^-1 E, P^-1 F) = gamma(E, F) / d: g_{P^-1 E} = g_E(P z) / d, P is
+    # onto, and P maps each pulled-back sample onto a source sample. 256
+    # samples per side stay below MAX_PULLBACK_SOURCES, whose subsampling
+    # could drop the argmax
+    assert max(len(e.boundary_samples), len(f.boundary_samples)) <= MAX_PULLBACK_SOURCES
+    lhs = klimek_distance(set_pair(pullback(p, e), pullback(p, f)))
+    assert lhs == pytest.approx(klimek_distance(set_pair(e, f)) / 2, rel=1e-12, abs=1e-12)
 
 
 # --------------------------------------------------------------------------- #
