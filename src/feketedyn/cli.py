@@ -74,16 +74,18 @@ def _read_file(path) -> str:
 
 
 def _read_poly(raw: str, what: str = "a map", least: int = 2) -> IntPolynomial:
-    """read_poly of coefficient text, or of the file that a bare token names."""
+    """read_poly of inline text, or of the file that a bare token names."""
     if " " not in raw and pathlib.Path(raw).is_file():
         raw = _read_file(raw)
     return read_poly(what, raw, least)
 
 
 def _resolve_poly(args, what: str = "a map", least: int = 2) -> IntPolynomial:
-    """The polynomial of --poly or --poly-file, whichever was given."""
-    raw = args.poly if args.poly_file is None else _read_file(args.poly_file)
-    return _read_poly(raw, what, least)
+    """The polynomial of --poly or --poly-file, whichever was given; the text
+    of a --poly-file is coefficients, never a path to follow."""
+    if args.poly_file is None:
+        return _read_poly(args.poly, what, least)
+    return read_poly(what, _read_file(args.poly_file), least)
 
 
 def _set_from_config_path(path) -> CompactSetModel:
@@ -150,9 +152,12 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_green(args) -> int:
     if args.config is not None:
+        if args.max_iter is not None:
+            raise ConfigError("--max-iter bounds a map's orbit; a --config set has none")
         _print_value(green_eval_many(_set_from_config_path(args.config), [args.at])[0])
     else:
-        evaluator = DynGreenEvaluator(_resolve_poly(args), max_iter=args.max_iter)
+        max_iter = DEFAULT_MAX_ITER if args.max_iter is None else args.max_iter
+        evaluator = DynGreenEvaluator(_resolve_poly(args), max_iter=max_iter)
         vals, undecided = evaluator.green_many([args.at])
         if undecided[0]:
             print("undecided")
@@ -162,8 +167,11 @@ def _cmd_green(args) -> int:
 
 
 def _cmd_julia(args) -> int:
+    if args.bbox is not None and args.seed is not None:
+        raise ConfigError("--seed picks the Brolin atoms that set the bbox; "
+                          "with --bbox none are drawn")
     poly = _resolve_poly(args)
-    bbox = args.bbox or atoms_bbox(brolin_sample(poly, 512, seed=args.seed).points)
+    bbox = args.bbox or atoms_bbox(brolin_sample(poly, 512, seed=args.seed or 0).points)
     ras = raster(poly, bbox, args.resolution, max_iter=args.max_iter)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -212,6 +220,10 @@ def _cmd_klimek(args) -> int:
 
 
 def _cmd_height(args) -> int:
+    if args.set is not None and args.kind != "rumely":
+        raise ConfigError("--set is the target set of height rumely only")
+    if args.dyn is not None and args.kind != "canonical":
+        raise ConfigError("--dyn is the map of height canonical only")
     alpha = AlgebraicNumber.from_minpoly(_resolve_poly(args, "a minimal polynomial", 1))
     if args.kind == "weil":
         rep = weil_height(alpha)
@@ -262,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poly_args(p).add_argument("--config", help="set description file")
     p.add_argument("--at", required=True, type=_point,
                    help="evaluation point 're,im'")
-    p.add_argument("--max-iter", type=_int_at_least(0), default=DEFAULT_MAX_ITER)
+    p.add_argument("--max-iter", type=_int_at_least(0))
     p.set_defaults(fn=_cmd_green)
 
     p = subs.add_parser("julia", help="filled-set raster as PGM")
@@ -272,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=_resolution, default="256,256",
                    help="'width,height', each at least 16")
     p.add_argument("--max-iter", type=_int_at_least(0), default=DEFAULT_MAX_ITER)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_julia)
 
     p = subs.add_parser("brolin", help="backward-orbit measure as CSV")

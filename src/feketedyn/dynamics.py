@@ -20,11 +20,11 @@ import numpy as np
 
 from .polyarith import (
     EXACT_EVAL_COEFF_SUM,
-    ComplexPolynomial,
     IntPolynomial,
     RootFindingError,
     chebyshev_monic,
     eval_intpoly,
+    horner,
     roots,
 )
 from .potential import DiscreteMeasure, log_abs
@@ -32,11 +32,9 @@ from .potential import DiscreteMeasure, log_abs
 DEFAULT_MAX_ITER = 256
 
 
-def _closed_form(poly) -> str | None:
+def _closed_form(poly: IntPolynomial) -> str | None:
     """Which closed-form map poly is: "power" for z^d, "chebyshev" for
-    2 T_d(z/2), given as an IntPolynomial of degree d >= 2; else None."""
-    if not isinstance(poly, IntPolynomial):
-        return None
+    2 T_d(z/2), of degree d >= 2; else None."""
     c, d = poly.coeffs, poly.degree
     if c[-2:] != (0, 1):
         return None
@@ -55,37 +53,37 @@ def _pointwise(f):
 
 
 class DynGreenEvaluator:
-    """Escape-rate Green function of a degree >= 2 polynomial."""
+    """Escape-rate Green function of a degree >= 2 polynomial map."""
 
-    def __init__(self, poly, max_iter: int = DEFAULT_MAX_ITER):
-        self.poly = ComplexPolynomial.of(poly)
-        self.int_poly = poly if isinstance(poly, IntPolynomial) else None
-        d = self.poly.degree
+    def __init__(self, poly: IntPolynomial, max_iter: int = DEFAULT_MAX_ITER):
+        if not isinstance(poly, IntPolynomial):
+            raise TypeError(f"a map is an IntPolynomial, not a {type(poly).__name__}")
+        d = poly.degree
         if d < 2:
             raise ValueError("dynamical Green functions need degree >= 2")
-        c = self.poly.coeffs
+        self.poly = poly
+        self.coeffs = c = poly.complex_coeffs
         self.degree = d
         self.leading_abs = float(abs(c[-1]))
         self.escape_radius = max(2.0, (1.0 + float(np.sum(np.abs(c[:-1])))) / self.leading_abs)
         self.max_iter = int(max_iter)
         if self.max_iter < 0:
             raise ValueError(f"need max_iter >= 0, got {max_iter}")
-        self._exact = self.int_poly is not None and \
-            sum(abs(a) for a in self.int_poly.coeffs) > EXACT_EVAL_COEFF_SUM
+        self._exact = sum(abs(a) for a in poly.coeffs) > EXACT_EVAL_COEFF_SUM
         # the escape loop's step, the one thing the plans do differently:
         # exact eval_intpoly one point at a time, or numpy Horner
-        self._step = (_pointwise(lambda w: eval_intpoly(self.int_poly, w))
-                      if self._exact else self.poly)
+        self._step = (_pointwise(lambda w: eval_intpoly(poly, w)) if self._exact
+                      else lambda z: horner(c, z))
         # the points certified in K at step 0, which skip the loop: 2 T_n(x/2)
         # maps [-2, 2] into itself whatever the plan (float Horner would round
         # some of these orbits out of [-2, 2] and let them escape)
         self._in_k = None
-        if _closed_form(self.int_poly) == "chebyshev":
+        if _closed_form(poly) == "chebyshev":
             self._in_k = lambda za: (za.imag == 0.0) & (np.abs(za.real) <= 2.0)
 
     def _eps(self, v):
         # (c_{d-1} v + c_{d-2} v^2 + ... + c_0 v^d) / a_d  on v = 1/w
-        c = self.poly.coeffs
+        c = self.coeffs
         acc = np.zeros_like(v)
         for k in range(self.degree):
             acc = acc * v + c[k]
@@ -104,7 +102,7 @@ class DynGreenEvaluator:
             if mult * (abs(log_ad) + float(np.max(np.abs(delta)))) \
                     < 1e-17 * (1.0 + float(np.max(np.abs(g_acc)))):
                 break
-            v = v ** d / (self.poly.coeffs[-1] * (1.0 + eps))
+            v = v ** d / (self.coeffs[-1] * (1.0 + eps))
             mult /= d
         g_acc += mult * log_ad / (d - 1)
         return np.maximum(g_acc * np.exp(-k * math.log(d)), 0.0)
@@ -172,13 +170,12 @@ class DynGreenEvaluator:
         return vals.reshape(zin.shape), (active | held).reshape(zin.shape)
 
 
-def julia_capacity(poly) -> float:
+def julia_capacity(poly: IntPolynomial) -> float:
     """Capacity of the filled set: |a_d| ** (-1/(d-1)), closed form."""
-    c = ComplexPolynomial.of(poly).coeffs
-    d = len(c) - 1
+    d = poly.degree
     if d < 2:
         raise ValueError("need degree >= 2")
-    return float(abs(c[-1])) ** (-1.0 / (d - 1))
+    return float(abs(poly.leading)) ** (-1.0 / (d - 1))
 
 
 # --------------------------------------------------------------------------- #
@@ -275,8 +272,8 @@ def brolin_sample(poly, n_points: int, seed: int = 0) -> DiscreteMeasure:
     _BURN_IN steps each step's preimages are atoms, so moments of order
     m < d are exact: the power sums of the roots of P - c below degree d do
     not depend on c. When d does not divide n_points, the last fiber is a
-    uniformly random subset. Preimages of z^d and 2 T_d(z/2) given as an
-    IntPolynomial come in closed form, of any other map by Aberth."""
+    uniformly random subset. Preimages of z^d and 2 T_d(z/2) come in closed
+    form, of any other map by Aberth."""
     if n_points < 1:
         raise ValueError("need n_points >= 1")
     ev = DynGreenEvaluator(poly)
@@ -305,7 +302,7 @@ def _preimage_solver(ev: DynGreenEvaluator):
     the coefficients outgrow the 53-bit mantissa. For z^d they are the d-th
     roots of c."""
     d = ev.degree
-    kind = _closed_form(ev.int_poly)
+    kind = _closed_form(ev.poly)
     if kind == "chebyshev":
         ks = 2.0 * np.pi * np.arange(d)
         return lambda c: 2.0 * np.cos((np.arccos(np.complex128(c) / 2.0) + ks) / d)
@@ -318,7 +315,7 @@ def _preimage_solver(ev: DynGreenEvaluator):
 
         return pre
     # P - c in one buffer; roots copies its input
-    shifted = ev.poly.coeffs.copy()
+    shifted = ev.coeffs.copy()
     c0 = shifted[0]
 
     def pre(c):

@@ -174,23 +174,15 @@ def rumely_height(a: AlgebraicNumber, e: CompactSetModel) -> HeightReport:
     return _assemble(a, arch, method=f"rumely({e.kind})")
 
 
-def _require_good_reduction(p) -> None:
-    if not isinstance(p, IntPolynomial):
-        raise TypeError("canonical height needs an integer polynomial map")
-    if p.degree < 2:
-        raise ValueError("need a map of degree at least 2")
+def canonical_height(p: IntPolynomial, alpha) -> HeightReport:
+    """Map-adapted height: dynamical Green average plus denominator term."""
+    ev = DynGreenEvaluator(p)
     if not p.is_monic:
         raise GoodReductionError(
             "non-monic map: the finite local heights only collapse to the "
             "denominator term when the map has good reduction at every "
             "finite place, i.e. is monic over the integers")
-
-
-def canonical_height(p: IntPolynomial, alpha) -> HeightReport:
-    """Map-adapted height: dynamical Green average plus denominator term."""
-    _require_good_reduction(p)
     a = AlgebraicNumber.of(alpha)
-    ev = DynGreenEvaluator(p)
     vals, _ = ev.green_many(np.asarray(a.conjugates.roots, dtype=np.complex128))
     arch = float(np.sum(vals)) / a.degree
     return _assemble(a, arch, method=f"canonical({p.to_text()})")

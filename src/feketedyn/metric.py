@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dynamics import DynGreenEvaluator, julia_capacity
-from .polyarith import ComplexPolynomial, roots
+from .polyarith import IntPolynomial, horner, roots
 from .potential import CompactSetModel, DiscreteMeasure, green_eval_many
 
 # boundary sampling below this cannot support a trustworthy sup
@@ -65,7 +65,7 @@ def side_from_set(e: CompactSetModel) -> GreenSide:
     )
 
 
-def side_from_map(poly, atoms) -> GreenSide:
+def side_from_map(poly: IntPolynomial, atoms) -> GreenSide:
     """Side backed by a polynomial Julia set: boundary samples are the given
     atoms (a Brolin sample, say), the Green evaluator is the escape-rate
     function."""
@@ -160,7 +160,7 @@ def grid_audit(pair: GreenPair) -> dict:
 # --------------------------------------------------------------------------- #
 
 
-def pullback(p, e: CompactSetModel) -> CompactSetModel:
+def pullback(p: IntPolynomial, e: CompactSetModel) -> CompactSetModel:
     """Preimage of a compact set under a polynomial of degree >= 2.
 
     Boundary samples are all roots of P(w) = z over the source boundary
@@ -169,12 +169,10 @@ def pullback(p, e: CompactSetModel) -> CompactSetModel:
     function from g(P(z)) / d; neither is re-estimated from the new samples,
     so iterated pullbacks do not compound search error.  Its hull is the
     preimage of E's hull: z is in it exactly when E.contains_many(P(z)).
-    For a real P, conj(P^{-1}E) = P^{-1}(conj E), so the preimage is
-    conjugation-symmetric exactly when E is; a non-real P is reported as
-    not symmetric.
+    P is real, so conj(P^{-1}E) = P^{-1}(conj E), and the preimage is
+    conjugation-symmetric exactly when E is.
     """
-    cp = ComplexPolynomial.of(p)
-    d = cp.degree
+    d = p.degree
     if d < 2:
         raise ValueError("pullback needs degree at least 2")
     src = e.boundary_samples
@@ -183,22 +181,23 @@ def pullback(p, e: CompactSetModel) -> CompactSetModel:
     if len(src) > MAX_PULLBACK_SOURCES:
         idx = np.unique(np.linspace(0, len(src) - 1, MAX_PULLBACK_SOURCES).round().astype(int))
         src = src[idx]
-    shifted = np.repeat(cp.coeffs[None, :], len(src), axis=0)
+    coeffs = p.complex_coeffs
+    shifted = np.repeat(coeffs[None, :], len(src), axis=0)
     shifted[:, 0] -= src
     pts = roots(shifted).roots.ravel()
-    lead = abs(complex(cp.coeffs[-1]))
+    lead = abs(complex(coeffs[-1]))
     log_cap = (e.log_capacity - math.log(lead)) / d
 
-    def image(z, cp=cp):
+    def image(z):
         # an overflowed P(z) leaves the value to green_eval_many's far field
         with np.errstate(over="ignore", invalid="ignore"):
-            return cp(z)
+            return horner(coeffs, z)
 
     return CompactSetModel(
         kind="pullback",
         params={"count": len(pts), "pullback_degree": d},
         boundary_samples=pts, regular=e.regular,
-        symmetric=e.symmetric and not np.any(cp.coeffs.imag),
+        symmetric=e.symmetric,
         log_capacity=log_cap,
         green_fn=lambda z: green_eval_many(e, image(z)) / d,
         contains_fn=lambda z: e.contains_many(image(z)),
@@ -213,12 +212,11 @@ class ContractionResult(NamedTuple):
 
 def contraction_check(p, e: CompactSetModel, f: CompactSetModel) -> ContractionResult:
     """Check dist(P^{-1}E, P^{-1}F) <= dist(E, F) / deg(P) + CONTRACTION_TOL."""
-    cp = ComplexPolynomial.of(p)
     base = klimek_distance(GreenPair(side_from_set(e), side_from_set(f)))
-    pe = pullback(cp, e)
-    pf = pullback(cp, f)
+    pe = pullback(p, e)
+    pf = pullback(p, f)
     lhs = klimek_distance(GreenPair(side_from_set(pe), side_from_set(pf)))
-    rhs = base / cp.degree
+    rhs = base / p.degree
     return ContractionResult(lhs, rhs, bool(lhs <= rhs + CONTRACTION_TOL))
 
 

@@ -66,6 +66,11 @@ class IntPolynomial:
         sign = -1 if self.leading < 0 else 1
         return IntPolynomial(tuple(sign * x // c for x in self.coeffs))
 
+    @property
+    def complex_coeffs(self) -> np.ndarray:
+        """A fresh complex128 copy of the coefficients, which callers may write."""
+        return np.array([complex(c) for c in self.coeffs])
+
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -126,48 +131,26 @@ class IntPolynomial:
         return " ".join(str(c) for c in self.coeffs)
 
 
-# --------------------------------------------------------------------------- #
-# complex coefficient polynomials
-# --------------------------------------------------------------------------- #
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class ComplexPolynomial:
-    coeffs: np.ndarray  # ascending complex128
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        n = len(c)
-        while n > 1 and c[n - 1] == 0:
-            n -= 1
-        object.__setattr__(self, "coeffs", np.array(c[:n]))
-
-    @classmethod
-    def of(cls, p) -> "ComplexPolynomial":
-        """p itself, or a copy of an IntPolynomial or of ascending coefficients."""
-        if isinstance(p, ComplexPolynomial):
-            return p
-        if isinstance(p, IntPolynomial):
-            return cls(np.array([complex(c) for c in p.coeffs]))
-        return cls(p)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        acc = np.full(z.shape, self.coeffs[-1])
-        for c in self.coeffs[-2::-1]:
-            acc = acc * z + c
-        return acc
+def horner(coeffs: np.ndarray, z) -> np.ndarray:
+    """P(z) by numpy Horner from ascending complex coefficients."""
+    z = np.asarray(z, dtype=np.complex128)
+    acc = np.full(z.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
 
 
 def _coerce_coeffs(p) -> np.ndarray:
-    # ascending complex coefficients: 1-D for one polynomial, 2-D for a stack
-    if isinstance(p, (IntPolynomial, ComplexPolynomial)) or np.ndim(p) < 2:
-        return ComplexPolynomial.of(p).coeffs
+    # ascending complex coefficients of an IntPolynomial or an array: 1-D for
+    # one polynomial, trimmed of trailing zeros, or a (K, d+1) stack
+    if isinstance(p, IntPolynomial):
+        return p.complex_coeffs
     c = np.asarray(p, dtype=np.complex128)
+    if c.ndim < 2:
+        n = len(c)
+        while n > 1 and c[n - 1] == 0:
+            n -= 1
+        return np.array(c[:n])
     if c.ndim > 2 or np.any(c[:, -1] == 0):
         raise ValueError("a stack is (K, d+1) with nonzero leading coefficients")
     return c

@@ -240,14 +240,31 @@ def test_julia_chebyshev_64_bbox_from_atoms(capsys, tmp_path, cheb64):
     (("capacity",), "one of the arguments --poly --poly-file --config is required"),
     # a non-monic map, which ended in a GoodReductionError traceback
     (("height", "canonical", "--poly", "-2 1", "--dyn", "0 0 2"), "non-monic map"),
+    # the text of a --poly-file naming another file, which was followed
+    (("capacity", "--poly-file", "{tmp}/pointer.txt"), "invalid literal"),
+    # options that the chosen path never reads, which were silently dropped
+    (("green", "--config", "{tmp}/disk.cfg", "--at", "3,0", "--max-iter", "0"),
+     "--max-iter"),
+    (("height", "weil", "--poly", "-2 0 1", "--set", "{tmp}/disk.cfg"), "--set"),
+    (("height", "canonical", "--poly", "-2 0 1", "--dyn", "0 0 1",
+      "--set", "{tmp}/disk.cfg"), "--set"),
+    (("height", "weil", "--poly", "-2 0 1", "--dyn", "0 0 1"), "--dyn"),
+    (("height", "rumely", "--poly", "-2 0 1", "--dyn", "0 0 1"), "--dyn"),
+    (("julia", "--poly", "0 0 1", "--bbox", "-2,2,-1,1", "--seed", "9"), "--seed"),
 ], ids=["at", "bbox-part", "bbox-degenerate", "resolution-small",
         "resolution-text", "brolin-n", "green-degree", "capacity-degree",
         "green-max-iter", "julia-max-iter", "height-constant", "poly-file-missing",
         "poly-file-binary", "poly-binary", "bbox-infinite", "at-nan",
-        "capacity-huge", "dyn-huge", "two-sources", "no-source", "dyn-non-monic"])
+        "capacity-huge", "dyn-huge", "two-sources", "no-source", "dyn-non-monic",
+        "poly-file-path-text", "green-config-max-iter", "weil-set", "canonical-set",
+        "weil-dyn", "rumely-dyn", "julia-bbox-seed"])
 def test_malformed_argument_is_usage_error(capsys, tmp_path, argv, needle):
-    # bin.txt is a file that is not UTF-8
+    # bin.txt is a file that is not UTF-8; pointer.txt holds the path of a
+    # file of coefficients
     (tmp_path / "bin.txt").write_bytes(b"\xff\xfe\x00")
+    (tmp_path / "sq.txt").write_text("0 0 1")
+    (tmp_path / "pointer.txt").write_text(str(tmp_path / "sq.txt"))
+    (tmp_path / "disk.cfg").write_text("kind = disk\ncenter = 0\nradius = 1\n")
     argv = tuple(a.format(tmp=tmp_path) for a in argv)
     out_dir = tmp_path / "out"
     if argv[0] in ("julia", "brolin"):

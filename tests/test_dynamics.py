@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 from feketedyn import dynamics
 from feketedyn.polyarith import (
-    ComplexPolynomial,
     IntPolynomial,
     RootFindingError,
     chebyshev_monic,
     cyclotomic,
     eval_intpoly,
     power_map,
+    roots,
 )
 from feketedyn.dynamics import (
     DynGreenEvaluator,
@@ -32,6 +32,8 @@ from feketedyn.dynamics import (
     raster,
     write_pgm,
 )
+from feketedyn.heights import canonical_height
+from feketedyn.metric import side_from_map
 from feketedyn.potential import CompactSetModel, green_eval_many
 
 
@@ -41,9 +43,9 @@ def _interval_green(z):
     return max(0.0, math.log(abs(w)))
 
 
-Z2 = ComplexPolynomial([0, 0, 1])
-Z2M1 = ComplexPolynomial([-1, 0, 1])
-Z2M2 = ComplexPolynomial([-2, 0, 1])
+Z2 = IntPolynomial((0, 0, 1))
+Z2M1 = IntPolynomial((-1, 0, 1))
+Z2M2 = IntPolynomial((-2, 0, 1))
 
 
 def _green_at(poly, z):
@@ -61,8 +63,23 @@ def _plan(ev) -> str:
 
 # ----------------------------------------------------------- green evaluator
 
+@pytest.mark.parametrize("use", [
+    DynGreenEvaluator,
+    lambda p: brolin_sample(p, 64),
+    lambda p: raster(p, (-2, 2, -2, 2), (16, 16)),
+    lambda p: side_from_map(p, np.zeros(256, dtype=np.complex128)),
+    lambda p: canonical_height(p, 2),
+], ids=["evaluator", "brolin_sample", "raster", "side_from_map", "canonical_height"])
+@pytest.mark.parametrize("poly", [[-1, 0, 1], np.array([-1, 0, 1], dtype=np.complex128)],
+                         ids=["list", "complex-array"])
+def test_map_of_another_type_is_refused(use, poly):
+    # a map is an IntPolynomial: no second type evaluates it another way
+    with pytest.raises(TypeError):
+        use(poly)
+
+
 def test_evaluator_fields():
-    ev = DynGreenEvaluator(ComplexPolynomial([1, 0, 0, 2]))  # 2z^3 + 1
+    ev = DynGreenEvaluator(IntPolynomial((1, 0, 0, 2)))  # 2z^3 + 1
     assert ev.degree == 3
     assert ev.leading_abs == 2.0
     assert ev.escape_radius == 2.0  # max(2, (1+1)/2)
@@ -70,7 +87,7 @@ def test_evaluator_fields():
     ev2 = DynGreenEvaluator(Z2M2)
     assert ev2.escape_radius == pytest.approx(3.0)  # (1 + 2)/1
     with pytest.raises(ValueError):
-        DynGreenEvaluator(ComplexPolynomial([1, 2]))  # degree 1
+        DynGreenEvaluator(IntPolynomial((1, 2)))  # degree 1
     with pytest.raises(ValueError, match="max_iter"):
         DynGreenEvaluator(Z2, max_iter=-1)
     # max_iter 0 still tests the escape radius at step 0
@@ -107,8 +124,8 @@ def test_green_undecided_flag():
 
 def test_functional_equation_five_polys():
     polys = [Z2, Z2M1, Z2M2,
-             ComplexPolynomial([0, -1, 0, 1]),   # z^3 - z
-             ComplexPolynomial([1, 0, 0, 2])]    # 2z^3 + 1
+             IntPolynomial((0, -1, 0, 1)),   # z^3 - z
+             IntPolynomial((1, 0, 0, 2))]    # 2z^3 + 1
     rng = np.random.default_rng(11)
     for p in polys:
         ev = DynGreenEvaluator(p)
@@ -152,7 +169,7 @@ def test_functional_equation_random_maps(p, plan, points):
 def test_far_field_asymptotics():
     # g(z) = log|z| + log|a_d|/(d-1) + o(1)
     for coeffs in ([0, 0, 1], [-1, 0, 1], [1, 0, 0, 2], [0, -1, 0, 1], [5, 1, 3]):
-        p = ComplexPolynomial(coeffs)
+        p = IntPolynomial(tuple(coeffs))
         ev = DynGreenEvaluator(p)
         z = 1e6 * np.exp(0.3j)
         g = ev.green_many([z])[0][0]
@@ -332,8 +349,8 @@ def test_green_nan_input_is_undecided(poly, plan):
 
 def test_julia_capacity_closed_forms():
     assert julia_capacity(Z2M2) == 1.0
-    assert julia_capacity(ComplexPolynomial([0, 1, 0, 2])) == pytest.approx(2 ** -0.5, rel=1e-15)
-    assert julia_capacity(ComplexPolynomial([0, 0, 3])) == pytest.approx(1 / 3, rel=1e-15)
+    assert julia_capacity(IntPolynomial((0, 1, 0, 2))) == pytest.approx(2 ** -0.5, rel=1e-15)
+    assert julia_capacity(IntPolynomial((0, 0, -3))) == pytest.approx(1 / 3, rel=1e-15)
     assert julia_capacity(IntPolynomial((0, 0, 3))) == pytest.approx(1 / 3, rel=1e-15)
 
 
@@ -435,7 +452,7 @@ def test_brolin_error_names_step(monkeypatch):
 
     monkeypatch.setattr(dynamics, "roots", failing)
     with pytest.raises(RootFindingError, match="backward step 26: "):
-        brolin_sample(Z2, 2048, seed=1)
+        brolin_sample(Z2M1, 2048, seed=1)
 
 
 @pytest.mark.parametrize("poly", [
@@ -496,18 +513,18 @@ def test_brolin_partial_last_fiber():
 @pytest.mark.parametrize("poly", [chebyshev_monic(5), power_map(5)],
                          ids=["chebyshev-5", "power-5"])
 def test_closed_form_preimages_match_generic_roots(poly):
-    # all d preimages, not only some: the same set as the Aberth roots of
-    # P - c, which the same polynomial gets as a ComplexPolynomial
+    # all d preimages, not only some: the same set as the Aberth roots of P - c
     closed = dynamics._preimage_solver(DynGreenEvaluator(poly))
-    generic = dynamics._preimage_solver(DynGreenEvaluator(ComplexPolynomial.of(poly)))
     for c in (0.7 + 0.3j, -1.2, 2.5j):
+        shifted = poly.complex_coeffs
+        shifted[0] -= c
         mine = np.sort_complex(np.asarray(closed(c)))
-        other = np.sort_complex(generic(c))
+        other = np.sort_complex(roots(shifted, tol=1e-9).roots)
         assert np.max(np.abs(mine - other)) <= 1e-8, c
 
 
 def test_brolin_closed_forms_skip_root_finding(monkeypatch):
-    # z^d and 2T_d(z/2) given as IntPolynomial take closed-form preimages
+    # z^d and 2T_d(z/2) take closed-form preimages, z^2 - 1 Aberth roots
     def no_roots(*args, **kwargs):
         raise AssertionError("roots called")
 
@@ -515,7 +532,7 @@ def test_brolin_closed_forms_skip_root_finding(monkeypatch):
     for poly in (power_map(128), chebyshev_monic(2), chebyshev_monic(64)):
         assert len(brolin_sample(poly, 64, seed=2).points) == 64
     with pytest.raises(AssertionError, match="roots called"):
-        brolin_sample(ComplexPolynomial.of(chebyshev_monic(2)), 64, seed=2)
+        brolin_sample(Z2M1, 64, seed=2)
 
 
 def test_brolin_chebyshev_64_stays_on_segment():
@@ -530,7 +547,7 @@ def test_capacity_from_brolin_atoms():
     from feketedyn.potential import capacity_estimate
 
     for coeffs in ([0, 0, 1], [-1, 0, 1], [-2, 0, 1], [0, -1, 0, 1], [1, 0, 0, 2]):
-        p = ComplexPolynomial(coeffs)
+        p = IntPolynomial(tuple(coeffs))
         m = brolin_sample(p, 2048, seed=31)
         cloud = CompactSetModel.point_cloud(m.points)
         est = capacity_estimate(cloud, 256)

@@ -32,7 +32,7 @@ from feketedyn.metric import (
     side_from_map,
     side_from_set,
 )
-from feketedyn.polyarith import ComplexPolynomial, IntPolynomial
+from feketedyn.polyarith import IntPolynomial
 from feketedyn.potential import (
     CompactSetModel,
     DiscreteMeasure,
@@ -42,7 +42,7 @@ from feketedyn.potential import (
 
 LOG2 = math.log(2.0)
 
-Z2 = ComplexPolynomial([0.0, 0.0, 1.0])
+Z2 = IntPolynomial((0, 0, 1))
 Z2M1 = IntPolynomial((-1, 0, 1))
 Z2M2 = IntPolynomial((-2, 0, 1))
 
@@ -246,7 +246,7 @@ def test_pullback_unit_disk_is_fixed():
 
 def test_pullback_rejects_degree_one():
     with pytest.raises(ValueError):
-        pullback(ComplexPolynomial([1.0, 2.0]), CompactSetModel.disk(0.0, 1.0))
+        pullback(IntPolynomial((1, 2)), CompactSetModel.disk(0.0, 1.0))
 
 
 real_maps = st.integers(2, 4).flatmap(
@@ -268,7 +268,7 @@ def test_pullback_of_real_set_under_real_map_is_symmetric(p, e):
 
 
 def test_iterated_pullback_contracts_to_julia():
-    p = ComplexPolynomial([-1.0, 0.0, 1.0])
+    p = IntPolynomial((-1, 0, 1))
     julia = side_from_map(Z2M1, brolin_sample(Z2M1, 2048, seed=3).points)
     e = CompactSetModel.disk(0.0, 4.0)
     gammas = []
@@ -328,7 +328,7 @@ def test_contraction_identical_sets():
 
 
 def test_contraction_mixed_pair():
-    p = ComplexPolynomial([-2.0, 0.0, 1.0])
+    p = IntPolynomial((-2, 0, 1))
     iv = CompactSetModel.interval(-2.0, 2.0)
     d1 = CompactSetModel.disk(0.0, 1.0)
     lhs, rhs, ok = contraction_check(p, iv, d1)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from feketedyn import polyarith
 from feketedyn.dynamics import DynGreenEvaluator
 from feketedyn.polyarith import (
-    ComplexPolynomial,
     IntPolynomial,
     RootFindingError,
     chebyshev_monic,
@@ -54,6 +53,16 @@ def test_int_polynomial_trims_trailing_zeros():
     p = IntPolynomial((1, 2, 0, 0))
     assert p.coeffs == (1, 2)
     assert p.degree == 1
+
+
+def test_complex_coeffs_is_a_fresh_copy():
+    # callers write into their copy (P - c): a write must not reach the next
+    p = IntPolynomial((-2, 0, 1))
+    first = p.complex_coeffs
+    assert first.dtype == np.complex128 and first.tolist() == [-2, 0, 1]
+    first[0] -= 5
+    assert p.complex_coeffs.tolist() == [-2, 0, 1]
+    assert p.complex_coeffs is not p.complex_coeffs
 
 
 def test_int_polynomial_content_and_sign():
@@ -107,6 +116,8 @@ def test_roots_zero_factor_and_multiplicity():
     rs = roots(IntPolynomial((0, -1, 0, 1)))  # z^3 - z = z(z-1)(z+1)
     got = _sorted_roots(rs)
     assert np.allclose(got, [-1.0, 0.0, 1.0], atol=1e-12)
+    # an array's trailing zero coefficients are trimmed, not a leading zero
+    assert np.array_equal(roots([0, -1, 0, 1, 0, 0]).roots, rs.roots)
 
     rs2 = roots(IntPolynomial((0, 0, 3)))  # 3z^2: double root at 0
     assert len(rs2.roots) == 2
@@ -158,7 +169,7 @@ def test_roots_rejects_nonfinite_certificate():
     # "bound > tol" test would pass it
     for coeffs in ([math.nan, 1, 0, 1], [math.inf, 1, 0, 1]):
         with pytest.raises(RootFindingError, match="scaled residual nan"):
-            roots(ComplexPolynomial(coeffs))
+            roots(coeffs)
 
 
 def test_roots_huge_constant_converges():
@@ -207,7 +218,7 @@ def test_residual_certificate_at_a_large_root():
     # certificate is exactly |P(R)| / (1 + |c0| + |c1| R + R^2), with no
     # |z|^(d+1) term in the denominator
     big, e = 2.0**10, 2.0**-8
-    rs = roots(ComplexPolynomial([big * big - e * e, -2 * big, 1]), tol=1e-4)
+    rs = roots([big * big - e * e, -2 * big, 1], tol=1e-4)
     assert np.array_equal(rs.roots, [big, big])
     assert rs.residual_bound == pytest.approx(e * e / (1 + 4 * big * big - e * e), rel=1e-12)
 
@@ -221,7 +232,7 @@ def test_roots_stack_error_names_row():
 def test_roots_stack_shape_and_sweeps():
     # Phi_53(w) - c for 64 values of c on the unit circle, solved in one
     # stack; starts on the Cauchy circle take about 30 sweeps per row
-    base = ComplexPolynomial.of(cyclotomic(53)).coeffs
+    base = cyclotomic(53).complex_coeffs
     stack = np.repeat(base[None, :], 64, axis=0)
     stack[:, 0] -= np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
     rs = roots(stack, tol=1e-9)
@@ -329,7 +340,7 @@ def test_roots_match_frozen_reference(stack):
                                    allow_infinity=False), min_size=1, max_size=4))
 def test_roots_match_frozen_reference_on_shifted_cyclotomics(n, cs):
     # Phi_n - c, the backward step of the cyclotomic Brolin chains
-    stack = np.repeat(ComplexPolynomial.of(cyclotomic(n)).coeffs[None, :], len(cs), axis=0)
+    stack = np.repeat(cyclotomic(n).complex_coeffs[None, :], len(cs), axis=0)
     stack[:, 0] -= cs
     _assert_same_solve(stack, tol=1e-9)
     for row in stack:
