@@ -47,6 +47,16 @@ def _closed_form(poly: IntPolynomial) -> str | None:
     return None
 
 
+def map_degree(poly: IntPolynomial) -> int:
+    """The degree of a map, which is an IntPolynomial (else TypeError) of
+    degree >= 2 (else ValueError)."""
+    if not isinstance(poly, IntPolynomial):
+        raise TypeError(f"a map is an IntPolynomial, not a {type(poly).__name__}")
+    if poly.degree < 2:
+        raise ValueError(f"a map needs degree >= 2, got {poly.to_text()!r}")
+    return poly.degree
+
+
 def _pointwise(f):
     """f applied to each point of an array, as a Python complex."""
     return lambda za: np.array([f(w) for w in za.tolist()], dtype=np.complex128)
@@ -56,11 +66,7 @@ class DynGreenEvaluator:
     """Escape-rate Green function of a degree >= 2 polynomial map."""
 
     def __init__(self, poly: IntPolynomial, max_iter: int = DEFAULT_MAX_ITER):
-        if not isinstance(poly, IntPolynomial):
-            raise TypeError(f"a map is an IntPolynomial, not a {type(poly).__name__}")
-        d = poly.degree
-        if d < 2:
-            raise ValueError("dynamical Green functions need degree >= 2")
+        d = map_degree(poly)
         self.poly = poly
         self.coeffs = c = poly.complex_coeffs
         self.degree = d
@@ -172,9 +178,7 @@ class DynGreenEvaluator:
 
 def julia_capacity(poly: IntPolynomial) -> float:
     """Capacity of the filled set: |a_d| ** (-1/(d-1)), closed form."""
-    d = poly.degree
-    if d < 2:
-        raise ValueError("need degree >= 2")
+    d = map_degree(poly)
     return float(abs(poly.leading)) ** (-1.0 / (d - 1))
 
 

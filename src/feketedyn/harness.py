@@ -280,7 +280,8 @@ def read_poly(what: str, value, least: int) -> IntPolynomial:
         poly = (value if isinstance(value, IntPolynomial)
                 else IntPolynomial.from_text(str(value)))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{what} needs integer coefficients 'c0 c1 ... cd', "
+                          f"got {str(value)!r} ({exc})") from exc
     if poly.degree < least:
         raise ConfigError(f"{what} needs degree >= {least}, got {poly.to_text()!r}")
     try:

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import DynGreenEvaluator, julia_capacity
+from .dynamics import DynGreenEvaluator, julia_capacity, map_degree
 from .polyarith import IntPolynomial, horner, roots
 from .potential import CompactSetModel, DiscreteMeasure, green_eval_many
 
@@ -172,9 +172,7 @@ def pullback(p: IntPolynomial, e: CompactSetModel) -> CompactSetModel:
     P is real, so conj(P^{-1}E) = P^{-1}(conj E), and the preimage is
     conjugation-symmetric exactly when E is.
     """
-    d = p.degree
-    if d < 2:
-        raise ValueError("pullback needs degree at least 2")
+    d = map_degree(p)
     src = e.boundary_samples
     if len(src) == 0:
         raise ValueError("source set has no boundary samples")
@@ -212,9 +210,9 @@ class ContractionResult(NamedTuple):
 
 def contraction_check(p, e: CompactSetModel, f: CompactSetModel) -> ContractionResult:
     """Check dist(P^{-1}E, P^{-1}F) <= dist(E, F) / deg(P) + CONTRACTION_TOL."""
-    base = klimek_distance(GreenPair(side_from_set(e), side_from_set(f)))
     pe = pullback(p, e)
     pf = pullback(p, f)
+    base = klimek_distance(GreenPair(side_from_set(e), side_from_set(f)))
     lhs = klimek_distance(GreenPair(side_from_set(pe), side_from_set(pf)))
     rhs = base / p.degree
     return ContractionResult(lhs, rhs, bool(lhs <= rhs + CONTRACTION_TOL))

@@ -104,14 +104,9 @@ class CompactSetModel:
         if not b > a:
             raise ValueError("need b > a")
 
-        def gfn(z, a=a, b=b):
-            # exterior map of the segment
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = (2 * z - (a + b)) / (b - a)
-                return np.log(np.abs(w + np.sqrt(w - 1) * np.sqrt(w + 1)))
-
         return cls._segments("interval", {"a": a, "b": b}, [(a, b)], samples,
-                             log_capacity=math.log((b - a) / 4.0), green_fn=gfn)
+                             log_capacity=math.log((b - a) / 4.0),
+                             green_fn=_segment_green(a, b))
 
     @classmethod
     def disk(cls, center, radius: float, samples: int = DEFAULT_BOUNDARY_SAMPLES):
@@ -161,7 +156,21 @@ class CompactSetModel:
         for a, b in ivs:
             if not b > a:
                 raise ValueError("need b > a in every interval")
-        return cls._segments("union-of-intervals", {"intervals": ivs}, ivs, samples)
+        closed_forms = {}
+        if len(ivs) == 2:
+            # [c - b, c - a] u [c + a, c + b] is the preimage of [a^2, b^2]
+            # under (z - c)^2 (a = 0 gives the interval [c - b, c + b]); the
+            # test a1 + b2 == b1 + a2 is exact, and squared ends that overflow
+            # or coincide leave the union on the Fekete path
+            (a1, b1), (a2, b2) = sorted(ivs)
+            if b1 <= a2 and a1 + b2 == b1 + a2:
+                c, a, b = (a1 + b2) / 2, (a2 - b1) / 2, (b2 - a1) / 2
+                lo, hi = a * a, b * b
+                if lo < hi < math.inf:
+                    closed_forms = {"log_capacity": math.log((hi - lo) / 4.0) / 2,
+                                    "green_fn": _segment_green(lo, hi, center=c)}
+        return cls._segments("union-of-intervals", {"intervals": ivs}, ivs, samples,
+                             **closed_forms)
 
     @classmethod
     def _segments(cls, kind, params, ivs, samples, **closed_forms):
@@ -187,15 +196,11 @@ class CompactSetModel:
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         total = cum[-1]
         t = total * np.arange(samples) / samples
-
-        def point_at(s):
-            k = int(np.searchsorted(cum, s, side="right")) - 1
-            k = min(k, len(loop) - 2)
-            seg_len = cum[k + 1] - cum[k]
-            frac = 0.0 if seg_len == 0 else (s - cum[k]) / seg_len
-            return complex(loop[k] + frac * (loop[k + 1] - loop[k]))
-
-        pts = np.array([point_at(s) for s in t])
+        # the edge k that holds each arc length t, and how far along it t is
+        k = np.minimum(np.searchsorted(cum, t, side="right") - 1, len(loop) - 2)
+        seg_len = cum[k + 1] - cum[k]
+        frac = np.divide(t - cum[k], seg_len, out=np.zeros_like(t), where=seg_len != 0)
+        pts = loop[k] + frac * (loop[k + 1] - loop[k])
         tol = _membership_tol(pts)
         return cls(
             kind="polyline-boundary", params={"vertices": verts},
@@ -249,6 +254,22 @@ class CompactSetModel:
 def _membership_tol(samples: np.ndarray) -> float:
     # relative to twice the largest sample deviation from the samples' mean
     return _MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(samples - np.mean(samples)))) * 2)
+
+
+def _segment_green(a: float, b: float, center=None):
+    """Green function of [a, b] from its exterior map; with a center c, that
+    of the preimage of [a, b] under (z - c)^2, g_[a, b]((z - c)^2) / 2.
+    Overflow gives inf or NaN without a warning, for green_eval_many's far
+    field."""
+
+    def green(z):
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = z if center is None else (z - center) ** 2
+            w = (2 * w - (a + b)) / (b - a)
+            g = np.log(np.abs(w + np.sqrt(w - 1) * np.sqrt(w + 1)))
+        return g if center is None else g / 2
+
+    return green
 
 
 def _segments_geometry(ivs, tol: float):

@@ -251,13 +251,21 @@ def test_julia_chebyshev_64_bbox_from_atoms(capsys, tmp_path, cheb64):
     (("height", "weil", "--poly", "-2 0 1", "--dyn", "0 0 1"), "--dyn"),
     (("height", "rumely", "--poly", "-2 0 1", "--dyn", "0 0 1"), "--dyn"),
     (("julia", "--poly", "0 0 1", "--bbox", "-2,2,-1,1", "--seed", "9"), "--seed"),
+    # text that is no coefficients, which gave only int()'s message
+    (("capacity", "--poly", "abc"),
+     "a map needs integer coefficients 'c0 c1 ... cd', got 'abc'"),
+    (("height", "canonical", "--poly", "-2 1", "--dyn", "x y"),
+     "a map needs integer coefficients 'c0 c1 ... cd', got 'x y'"),
+    (("height", "weil", "--poly", "1 z"),
+     "a minimal polynomial needs integer coefficients 'c0 c1 ... cd', got '1 z'"),
 ], ids=["at", "bbox-part", "bbox-degenerate", "resolution-small",
         "resolution-text", "brolin-n", "green-degree", "capacity-degree",
         "green-max-iter", "julia-max-iter", "height-constant", "poly-file-missing",
         "poly-file-binary", "poly-binary", "bbox-infinite", "at-nan",
         "capacity-huge", "dyn-huge", "two-sources", "no-source", "dyn-non-monic",
         "poly-file-path-text", "green-config-max-iter", "weil-set", "canonical-set",
-        "weil-dyn", "rumely-dyn", "julia-bbox-seed"])
+        "weil-dyn", "rumely-dyn", "julia-bbox-seed", "poly-text", "dyn-text",
+        "minpoly-text"])
 def test_malformed_argument_is_usage_error(capsys, tmp_path, argv, needle):
     # bin.txt is a file that is not UTF-8; pointer.txt holds the path of a
     # file of coefficients

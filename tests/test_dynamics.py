@@ -33,7 +33,7 @@ from feketedyn.dynamics import (
     write_pgm,
 )
 from feketedyn.heights import canonical_height
-from feketedyn.metric import side_from_map
+from feketedyn.metric import contraction_check, pullback, side_from_map
 from feketedyn.potential import CompactSetModel, green_eval_many
 
 
@@ -69,7 +69,11 @@ def _plan(ev) -> str:
     lambda p: raster(p, (-2, 2, -2, 2), (16, 16)),
     lambda p: side_from_map(p, np.zeros(256, dtype=np.complex128)),
     lambda p: canonical_height(p, 2),
-], ids=["evaluator", "brolin_sample", "raster", "side_from_map", "canonical_height"])
+    lambda p: pullback(p, CompactSetModel.disk(0, 1)),
+    lambda p: contraction_check(p, CompactSetModel.interval(-2, 2), CompactSetModel.disk(0, 1)),
+    julia_capacity,
+], ids=["evaluator", "brolin_sample", "raster", "side_from_map", "canonical_height",
+        "pullback", "contraction_check", "julia_capacity"])
 @pytest.mark.parametrize("poly", [[-1, 0, 1], np.array([-1, 0, 1], dtype=np.complex128)],
                          ids=["list", "complex-array"])
 def test_map_of_another_type_is_refused(use, poly):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from feketedyn import potential
 from feketedyn.heights import AlgebraicNumber, rumely_height
 from feketedyn.metric import pullback
 from feketedyn.polyarith import IntPolynomial
@@ -264,6 +265,82 @@ def test_capacity_estimate_two_intervals():
     assert target - 0.005 <= est <= target * 1.06
 
 
+# ------------------------------------------------------------ mirror pairs
+
+def _mirror_probes(e):
+    # random points around the set, and points 1e-3 off its samples
+    rng = np.random.default_rng(2)
+    c = complex(np.mean(e.boundary_samples))
+    box = c + rng.uniform(-4, 4, 500) + 1j * rng.uniform(-2, 2, 500)
+    return np.concatenate([box, e.boundary_samples[::64] + 1e-3j])
+
+
+def _no_fekete_search(*args):
+    raise AssertionError("fekete_points called")
+
+
+def test_mirror_union_is_the_square_preimage_of_an_interval(monkeypatch):
+    # [0, 1] u [3, 4], given in reverse order, is the preimage of [1, 4]
+    # under (z - 2)^2: log cap = log cap [1, 4] / 2 and
+    # g(z) = g_[1, 4]((z - 2)^2) / 2, with no Fekete search
+    monkeypatch.setattr(potential, "fekete_points", _no_fekete_search)
+    e = CompactSetModel.union_of_intervals([(3, 4), (0, 1)])
+    image = CompactSetModel.interval(1.0, 4.0)
+    assert abs(e.log_capacity - image.log_capacity / 2) <= 1e-15
+    z = _mirror_probes(e)
+    want = green_eval_many(image, (z - 2) ** 2) / 2
+    assert np.max(np.abs(green_eval_many(e, z) - want)) <= 1e-15
+    # samples and params keep the order the intervals were given in
+    assert e.params == {"intervals": [(3.0, 4.0), (0.0, 1.0)]}
+    assert e.boundary_samples[0] == 3.0 and e.boundary_samples[-1] == 1.0
+
+
+def test_touching_mirror_union_is_the_interval(monkeypatch):
+    # A = 0: [-2, 0] u [0, 2] is [-2, 2]
+    monkeypatch.setattr(potential, "fekete_points", _no_fekete_search)
+    e = CompactSetModel.union_of_intervals([(-2, 0), (0, 2)])
+    seg = CompactSetModel.interval(-2, 2)
+    assert abs(e.log_capacity - seg.log_capacity) <= 1e-15
+    z = _mirror_probes(e)
+    # (z - c)^2 sits next to the end A^2 = 0 of [0, 4] near z = 0, where the
+    # square loses digits: 5e-14 at the points 1e-3 off the samples there
+    assert np.max(np.abs(green_eval_many(e, z) - green_eval_many(seg, z))) <= 1e-13
+
+
+def test_mirror_union_with_overflowing_squares_keeps_the_fekete_path():
+    # B^2 = 1e400 is past the float range, where the closed form would give
+    # log cap NaN; cap = sqrt(B^2 - A^2) / 2 with A = 1e199, B = 1e200
+    e = CompactSetModel.union_of_intervals([(-1e200, -1e199), (1e199, 1e200)], samples=256)
+    exact = math.log(1e200) + 0.5 * math.log1p(-0.01) - math.log(2)
+    assert e.log_capacity == pytest.approx(exact, abs=0.1)
+
+
+def _reference_polyline_samples(vertices, samples):
+    # the arc-length walk, one sample at a time
+    verts = np.asarray([complex(v) for v in vertices], dtype=np.complex128)
+    loop = np.concatenate([verts, verts[:1]])
+    cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(loop)))])
+    out = []
+    for s in cum[-1] * np.arange(samples) / samples:
+        k = min(int(np.searchsorted(cum, s, side="right")) - 1, len(loop) - 2)
+        seg_len = cum[k + 1] - cum[k]
+        frac = 0.0 if seg_len == 0 else (s - cum[k]) / seg_len
+        out.append(complex(loop[k] + frac * (loop[k + 1] - loop[k])))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("samples", [3, 17, 4096])
+@pytest.mark.parametrize("vertices", [
+    SQUARE,
+    [v * np.exp(0.7j) for v in SQUARE],
+    list(np.random.default_rng(4).normal(size=7) + 1j * np.random.default_rng(5).normal(size=7)),
+    [0, 1, 1, 1j],
+], ids=["square", "rotated-square", "random-7-gon", "repeated-vertex"])
+def test_polyline_samples_match_reference_walk(vertices, samples):
+    got = CompactSetModel.polyline_boundary(vertices, samples).boundary_samples
+    assert got.tobytes() == _reference_polyline_samples(vertices, samples).tobytes()
+
+
 # --------------------------------------------------------------- equilibrium
 
 def test_equilibrium_measure_uniform_weights():
@@ -440,11 +517,14 @@ EXACT_HULL_KINDS = {
     "disk": CompactSetModel.disk(0, 1),
     "circle": CompactSetModel.circle(0, 1),
     "pullback": pullback(IntPolynomial((-1, 0, 1)), CompactSetModel.interval(-2.0, 2.0)),
+    "mirror-union": CompactSetModel.union_of_intervals(
+        [(-2.5, -1.0), (1.0, 2.5)], samples=256),
 }
-# kinds whose Green function is a Fekete potential minus a sampled log cap
+# kinds whose Green function is a Fekete potential minus a sampled log cap;
+# the union is no mirror pair, which would take the closed form
 SAMPLED_HULL_KINDS = {
     "union-of-intervals": CompactSetModel.union_of_intervals(
-        [(-2.5, -1.0), (1.0, 2.5)], samples=256),
+        [(-2.5, -1.0), (1.0, 3.0)], samples=256),
     "polyline-boundary": CompactSetModel.polyline_boundary(
         [0, 2, 2 + 1j, 1j], samples=512),
 }
