@@ -23,6 +23,7 @@ from .dynamics import (
     write_pgm,
 )
 from .harness import (
+    SPEC_KEYS,
     ConfigError,
     build_set,
     check_keys,
@@ -45,7 +46,7 @@ from .metric import (
     side_from_set,
 )
 from .polyarith import IntPolynomial
-from .potential import CompactSetModel, DiscreteMeasure, green_eval_many
+from .potential import CompactSetModel, green_eval_many
 
 # `green` on an orbit still inside the escape radius at --max-iter: no value
 UNDECIDED_EXIT = 3
@@ -89,8 +90,13 @@ def _resolve_poly(args, what: str = "a map", least: int = 2) -> IntPolynomial:
 
 
 def _set_from_config_path(path) -> CompactSetModel:
+    """The set a file describes: the `set` block of an experiment config,
+    whose other keys must be experiment keys, or else a bare set block."""
     cfg = parse_config(path)
-    return build_set(cfg.get("set", cfg))
+    e = build_set(cfg.get("set", cfg))
+    if "set" in cfg:
+        check_keys("experiment config", cfg, SPEC_KEYS)
+    return e
 
 
 # argparse converters: a value they refuse is a usage error
@@ -184,11 +190,11 @@ def _cmd_julia(args) -> int:
 
 def _cmd_brolin(args) -> int:
     poly = _resolve_poly(args)
-    atoms = brolin_sample(poly, args.n, seed=args.seed).points
+    measure = brolin_sample(poly, args.n, seed=args.seed)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "brolin.csv"
-    DiscreteMeasure.uniform(atoms).to_csv(path)
+    measure.to_csv(path)
     print(path)
     return 0
 

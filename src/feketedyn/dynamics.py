@@ -297,7 +297,7 @@ def brolin_sample(poly, n_points: int, seed: int = 0) -> DiscreteMeasure:
             r = min(d, n_points - lo)
             pts[lo:lo + r] = pre if r == d else pre[rng.choice(d, r, replace=False)]
         z = complex(pre[int(rng.integers(d))])
-    return DiscreteMeasure.uniform(pts)
+    return DiscreteMeasure(pts)
 
 
 def _preimage_solver(ev: DynGreenEvaluator):

@@ -3,10 +3,10 @@
 Three runners cover the desk-scale experiments:
 
 * run_bilu_rumely: per-degree table tying a polynomial family to a fixed
-  target set of capacity one (root-cloud diameter, set height of the root
-  cloud, distance of the cloud to the set, sup-norm Green distance, moment
-  discrepancy of the backward-orbit measure against the target's
-  equilibrium measure);
+  conjugation-symmetric target set of capacity one (root-cloud diameter,
+  set height of the root cloud, distance of the cloud to the set, sup-norm
+  Green distance, moment discrepancy of the backward-orbit measure against
+  the target's equilibrium measure);
 * run_dynamical_fs: containment of the family's filled sets in an
   epsilon-neighborhood of a target, judged by the threshold criterion
   gamma < delta/2 where delta is the Green minimum on the neighborhood's
@@ -68,6 +68,7 @@ from .polyarith import (
 from .potential import (
     CompactSetModel,
     DiscreteMeasure,
+    equilibrium_measure,
     green_eval_many,
     transfinite_diameter_of_points,
 )
@@ -79,7 +80,6 @@ BILU_COLUMNS = ("n", "d_n", "h_E", "dist", "gamma", "discrepancy")
 FS_COLUMNS = ("n", "gamma", "max_dist", "contained")
 RUNAWAY_COLUMNS = ("d", "N_d", "inside", "max_modulus", "h", "target")
 
-MOMENT_ORDER = 8
 TARGET_SAMPLES = 1024
 RASTER_RESOLUTION = (256, 256)
 TREND_FLOOR = 1e-9
@@ -375,14 +375,14 @@ def _parse_value(s: str):
 
 
 # the top-level keys of an experiment config
-_SPEC_KEYS = ("name", "family", "set", "degree_range", "checkpoints",
+SPEC_KEYS = ("name", "family", "set", "degree_range", "checkpoints",
               "probes", "outputs", "seed", "epsilon", "n_atoms", "user_polys")
 
 
 def spec_from_config(cfg: dict, seed_override: int | None = None) -> ExperimentSpec:
     """The spec a parsed config describes; a key it does not read, or a
     value the spec refuses, raises ConfigError."""
-    check_keys("experiment config", cfg, _SPEC_KEYS)
+    check_keys("experiment config", cfg, SPEC_KEYS)
     kw = {"name": "experiment", "family": "", **cfg}
     kw["set_config"] = kw.pop("set", {})
     if seed_override is not None:
@@ -512,25 +512,18 @@ def _julia_ladder(spec: ExperimentSpec, e: CompactSetModel, columns, row,
 # --------------------------------------------------------------------------- #
 
 
-def _target_measure(e: CompactSetModel) -> DiscreteMeasure:
-    """A bilu_rumely target's equilibrium measure as 64 equal atoms with
-    exact moments of order 1..63: Gauss-Chebyshev nodes on [-2, 2], 64th
-    roots of unity on the unit circle and disk; ConfigError on any other."""
-    if (e.kind == "interval" and abs(e.params["a"] + 2) <= 1e-12
-            and abs(e.params["b"] - 2) <= 1e-12):
-        return DiscreteMeasure.uniform(_chebyshev_roots(64))
-    if (e.kind in ("disk", "circle") and abs(e.params["center"]) <= 1e-12
-            and abs(e.params["radius"] - 1.0) <= 1e-12):
-        return DiscreteMeasure.uniform(np.exp(2j * np.pi * np.arange(64) / 64))
-    raise ConfigError("equidistribution target must be the unit circle, the "
-                      "closed unit disk, or the segment [-2, 2]")
-
-
 def run_bilu_rumely(spec: ExperimentSpec, out_dir=None) -> Report:
-    """Per-degree equidistribution table for one family against one target."""
+    """Per-degree equidistribution table for one family against one target,
+    which must be conjugation-symmetric and of capacity 1 (to 1e-12 in its
+    log), as the theorems of Bilu and Rumely ask."""
     check_family("bilu_rumely", spec.family)
     e = build_set(spec.set_config, samples=TARGET_SAMPLES)
-    eq = _target_measure(e)
+    if not e.symmetric:
+        raise ConfigError("equidistribution target must be conjugation-symmetric")
+    if not abs(e.log_capacity) <= 1e-12:
+        raise ConfigError("equidistribution target must have capacity 1, not "
+                          f"{math.exp(e.log_capacity):.17g}")
+    eq = equilibrium_measure(e)
     closed_roots = _LADDERS[spec.family][1]
     # the probes and their target heights do not depend on the degree
     probes = []
@@ -541,8 +534,7 @@ def run_bilu_rumely(spec: ExperimentSpec, out_dir=None) -> Report:
 
     def row(n, poly, atoms, gamma):
         orbit = closed_roots(n)
-        disc = float(measure_discrepancy(DiscreteMeasure.uniform(atoms), eq,
-                                         MOMENT_ORDER))
+        disc = float(measure_discrepancy(DiscreteMeasure(atoms), eq))
         alg = AlgebraicNumber(minpoly=poly,
                               conjugates=RootSet(roots=orbit, residual_bound=0.0))
         dist = float(np.max(e.distance_to_many(orbit)))

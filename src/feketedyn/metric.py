@@ -31,6 +31,8 @@ GRID_AUDIT_TOL = 1e-3
 CONTRACTION_TOL = 1e-3
 # iterated pullbacks multiply sample counts by the degree; cap the source side
 MAX_PULLBACK_SOURCES = 2048
+# the moments measure_discrepancy compares, of order 1..MOMENT_ORDER
+MOMENT_ORDER = 8
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -233,16 +235,14 @@ def _diameter(pts: np.ndarray) -> float:
     return best
 
 
-def measure_discrepancy(m1: DiscreteMeasure, m2: DiscreteMeasure,
-                        k_max: int) -> float:
-    """Largest gap of the first k_max moments after mapping both supports
-    jointly into a unit-diameter frame centered at the joint support mean.
+def measure_discrepancy(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
+    """Largest gap of the moments of order 1..MOMENT_ORDER after mapping
+    both supports jointly into a unit-diameter frame centered at the joint
+    support mean.
 
     The frame makes the value invariant under applying one affine map
     z -> a z + b to both measures: the residual rotation only multiplies
     each moment by a unit-modulus phase."""
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
     pts = np.concatenate([m1.points, m2.points])
     span = _diameter(pts)
     if span == 0.0:
@@ -253,7 +253,7 @@ def measure_discrepancy(m1: DiscreteMeasure, m2: DiscreteMeasure,
     p1 = np.ones_like(z1)
     p2 = np.ones_like(z2)
     worst = 0.0
-    for _ in range(int(k_max)):
+    for _ in range(MOMENT_ORDER):
         p1 = p1 * z1
         p2 = p2 * z2
         worst = max(worst, abs(complex(p1 @ m1.weights) - complex(p2 @ m2.weights)))

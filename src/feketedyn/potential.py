@@ -13,6 +13,8 @@ samples, within -log(1 - R/|z - c|) of the truth when E lies in D(c, R).
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -30,28 +32,20 @@ class UnsupportedSetError(ValueError):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Finitely supported probability measure."""
+    """Probability measure with mass 1/n at each of its n atoms; a point
+    listed k times carries k shares."""
 
     points: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.complex128)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if len(pts) != len(w):
-            raise ValueError("points and weights must align")
-        if np.any(w < -1e-15):
-            raise ValueError("negative weight")
-        total = float(np.sum(w))
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {total}, not 1")
+        if len(pts) == 0:
+            raise ValueError("a measure needs at least one atom")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def uniform(cls, points) -> "DiscreteMeasure":
-        pts = np.asarray(points, dtype=np.complex128)
-        return cls(pts, np.full(len(pts), 1.0 / len(pts)))
+    @property
+    def weights(self) -> np.ndarray:
+        return np.full(len(self.points), 1.0 / len(self.points))
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -69,10 +63,8 @@ class CompactSetModel:
         self.kind = kind
         self.params = params
         self.boundary_samples = np.asarray(boundary_samples, dtype=np.complex128)
-        if symmetric is None:  # conjugation symmetry read off the samples
-            im = self.boundary_samples.imag
-            symmetric = np.allclose(np.sort(im), np.sort(-im), atol=1e-9)
-        self.symmetric = bool(symmetric)
+        if symmetric is not None:  # else read off the samples when first read
+            self.symmetric = bool(symmetric)
         self.regular = bool(regular)
         self._log_capacity = log_capacity
         self._green_fn = green_fn
@@ -80,6 +72,14 @@ class CompactSetModel:
         self._distance_fn = distance_fn
         self._ring_fn = ring_fn
         self._measure: DiscreteMeasure | None = None
+
+    @functools.cached_property
+    def symmetric(self) -> bool:
+        """Conjugation symmetry: unless the constructor states it, whether
+        the samples and their conjugates are one point set within the
+        membership tolerance."""
+        return _conjugation_closed(self.boundary_samples,
+                                   _membership_tol(self.boundary_samples))
 
     @property
     def log_capacity(self) -> float:
@@ -103,10 +103,15 @@ class CompactSetModel:
     def interval(cls, a: float, b: float, samples: int = DEFAULT_BOUNDARY_SAMPLES):
         if not b > a:
             raise ValueError("need b > a")
-
-        return cls._segments("interval", {"a": a, "b": b}, [(a, b)], samples,
-                             log_capacity=math.log((b - a) / 4.0),
-                             green_fn=_segment_green(a, b))
+        e = cls._segments("interval", {"a": a, "b": b}, [(a, b)], samples,
+                          log_capacity=math.log((b - a) / 4.0),
+                          green_fn=_segment_green(a, b))
+        # the Gauss-Chebyshev nodes: equal atoms whose moments of order
+        # 1..2N-1 are the arcsine law's
+        k = np.arange(EQUILIBRIUM_N)
+        e._measure = DiscreteMeasure(
+            (a + b) / 2 + (b - a) / 2 * np.cos((2 * k + 1) * np.pi / (2 * EQUILIBRIUM_N)))
+        return e
 
     @classmethod
     def disk(cls, center, radius: float, samples: int = DEFAULT_BOUNDARY_SAMPLES):
@@ -140,13 +145,17 @@ class CompactSetModel:
             with np.errstate(divide="ignore", over="ignore"):
                 return np.log(np.abs(z - c) / r)
 
-        return cls(
+        e = cls(
             kind=kind, params={"center": c, "radius": r},
             boundary_samples=pts, symmetric=(c.imag == 0.0), regular=True,
             log_capacity=math.log(radius), green_fn=gfn,
             contains_fn=contains, distance_fn=distance,
             ring_fn=lambda eps: c + (r + eps) * np.exp(1j * th),
         )
+        # N equal atoms on the circle, exact moments of order 1..N-1
+        e._measure = DiscreteMeasure(
+            c + r * np.exp(2j * np.pi * np.arange(EQUILIBRIUM_N) / EQUILIBRIUM_N))
+        return e
 
     @classmethod
     def union_of_intervals(cls, intervals, samples: int = DEFAULT_BOUNDARY_SAMPLES):
@@ -164,11 +173,11 @@ class CompactSetModel:
             # or coincide leave the union on the Fekete path
             (a1, b1), (a2, b2) = sorted(ivs)
             if b1 <= a2 and a1 + b2 == b1 + a2:
-                c, a, b = (a1 + b2) / 2, (a2 - b1) / 2, (b2 - a1) / 2
+                a, b = (a2 - b1) / 2, (b2 - a1) / 2
                 lo, hi = a * a, b * b
                 if lo < hi < math.inf:
                     closed_forms = {"log_capacity": math.log((hi - lo) / 4.0) / 2,
-                                    "green_fn": _segment_green(lo, hi, center=c)}
+                                    "green_fn": _segment_green(a1, b2, gap=(b1, a2))}
         return cls._segments("union-of-intervals", {"intervals": ivs}, ivs, samples,
                              **closed_forms)
 
@@ -182,8 +191,8 @@ class CompactSetModel:
         contains, distance, ring = _segments_geometry(ivs, _membership_tol(pts))
         return cls(
             kind=kind, params=params, boundary_samples=pts, regular=True,
-            contains_fn=contains, distance_fn=distance, ring_fn=ring,
-            **closed_forms,
+            symmetric=True, contains_fn=contains, distance_fn=distance,
+            ring_fn=ring, **closed_forms,
         )
 
     @classmethod
@@ -256,18 +265,30 @@ def _membership_tol(samples: np.ndarray) -> float:
     return _MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(samples - np.mean(samples)))) * 2)
 
 
-def _segment_green(a: float, b: float, center=None):
-    """Green function of [a, b] from its exterior map; with a center c, that
-    of the preimage of [a, b] under (z - c)^2, g_[a, b]((z - c)^2) / 2.
-    Overflow gives inf or NaN without a warning, for green_eval_many's far
-    field."""
+def _segment_green(a: float, b: float, gap=None):
+    """Green function of [a, b], log|w + sqrt(w - 1) sqrt(w + 1)| at
+    w = (2z - a - b) / (b - a). With gap = (a', b'), that of the mirror
+    pair [a, a'] u [b', b], the preimage of [A^2, B^2] under (z - c)^2 for
+    its centre c and the half-widths A of the gap and B of the pair: there
+    w is taken at (z - c)^2 on [A^2, B^2] and g halved, and w - 1 and w + 1
+    are 2 / (B^2 - A^2) times (z - a)(z - b) and (z - a')(z - b'), so that
+    no digit cancels near c or the four ends. Overflow gives inf or NaN
+    without a warning, for green_eval_many's far field."""
 
     def green(z):
         with np.errstate(over="ignore", invalid="ignore"):
-            w = z if center is None else (z - center) ** 2
-            w = (2 * w - (a + b)) / (b - a)
-            g = np.log(np.abs(w + np.sqrt(w - 1) * np.sqrt(w + 1)))
-        return g if center is None else g / 2
+            if gap is None:
+                w = (2 * z - (a + b)) / (b - a)
+                return np.log(np.abs(w + np.sqrt(w - 1) * np.sqrt(w + 1)))
+            half_gap, half_pair = (gap[1] - gap[0]) / 2, (b - a) / 2
+            s = 2 / (half_pair * half_pair - half_gap * half_gap)
+            w_minus, w_plus = s * ((z - a) * (z - b)), s * ((z - gap[0]) * (z - gap[1]))
+            w, r = (w_minus + w_plus) / 2, np.sqrt(w_minus) * np.sqrt(w_plus)
+            # w + r and w - r solve t + 1/t = 2w, and g is log|t| at the
+            # root with |t| >= 1: formed apart, w - 1 and w + 1 may carry
+            # zero imaginary parts of opposite signs, and so take their
+            # square roots on opposite sides of the cut
+            return np.log(np.maximum(np.abs(w + r), np.abs(w - r))) / 2
 
     return green
 
@@ -305,6 +326,31 @@ def _segments_geometry(ivs, tol: float):
         return pts[keep] if np.any(keep) else pts
 
     return contains, distance, ring
+
+
+def _conjugation_closed(pts: np.ndarray, tol: float) -> bool:
+    """Whether the conjugate of each point lies within tol of a point of
+    pts; conjugation is an involution, so pts and its conjugates are then
+    one point set within tol. The points are sorted into square cells of
+    side tol, and each conjugate is measured only against the points of the
+    3 x 3 cells around its own: O(n log n) for n points, few to a cell."""
+    if abs(np.max(pts.imag) + np.min(pts.imag)) > tol:
+        # the extreme imaginary parts must mirror; past this test, with tol
+        # the membership tolerance, the cell numbers stay below 2^53
+        return False
+    pts = np.unique(pts)
+    col, row = np.floor((pts.real - np.min(pts.real)) / tol), np.floor(-pts.imag / tol)
+    cells = col + 1j * np.floor(pts.imag / tol)  # complex sorts by (re, im)
+    order = np.argsort(cells)
+    cells, by_cell = cells[order], pts[order]
+    best = np.full(len(pts), np.inf)
+    for dc, dr in itertools.product((-1, 0, 1), repeat=2):
+        cell = (col + dc) + 1j * (row + dr)  # around the conjugate's cell
+        j, end = np.searchsorted(cells, cell), np.searchsorted(cells, cell, side="right")
+        while (live := j < end).any():
+            best[live] = np.minimum(best[live], np.abs(by_cell[j[live]] - np.conj(pts[live])))
+            j = j + live
+    return bool(np.all(best <= tol))
 
 
 def _polygon_contains(verts: np.ndarray, z: np.ndarray, tol: float) -> np.ndarray:
@@ -399,10 +445,11 @@ def transfinite_diameter_of_points(pts) -> float:
 
 
 def equilibrium_measure(e: CompactSetModel) -> DiscreteMeasure:
-    """Uniform weights on the EQUILIBRIUM_N-point Fekete configuration,
-    computed once per model."""
+    """The measure a closed-form kind installs (interval, disk, circle), or
+    else equal atoms on the EQUILIBRIUM_N-point Fekete configuration,
+    searched once per model."""
     if e._measure is None:
-        e._measure = DiscreteMeasure.uniform(fekete_points(e, EQUILIBRIUM_N))
+        e._measure = DiscreteMeasure(fekete_points(e, EQUILIBRIUM_N))
     return e._measure
 
 

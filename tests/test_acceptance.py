@@ -15,7 +15,6 @@ import pytest
 
 from feketedyn.dynamics import DynGreenEvaluator, brolin_sample, julia_capacity
 from feketedyn.harness import (
-    MOMENT_ORDER,
     ExperimentSpec,
     run_bilu_rumely,
     run_dynamical_fs,
@@ -28,6 +27,7 @@ from feketedyn.heights import (
     weil_height,
 )
 from feketedyn.metric import (
+    MOMENT_ORDER,
     GreenPair,
     contraction_check,
     klimek_distance,

@@ -537,8 +537,13 @@ def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config
     # a constructor that refuses its values
     ("dynamical_fs", "name = x\nfamily = power_maps\nset = { kind = interval, a = 1, b = 0 }\n",
      "need b > a"),
+    # a bilu_rumely target must be conjugation-symmetric of capacity 1
     ("bilu_rumely", "name = x\nfamily = cyclotomic\n"
-                    "set = { kind = disk, center = 0, radius = 2 }\n", "unit circle"),
+                    "set = { kind = disk, center = 0, radius = 2 }\n",
+     "equidistribution target must have capacity 1, not 2"),
+    ("bilu_rumely", "name = x\nfamily = cyclotomic\n"
+                    "set = { kind = circle, center = [0, 1], radius = 1 }\n",
+     "equidistribution target must be conjugation-symmetric"),
     ("dynamical_fs", "name = x\nfamily = power_maps\n"
                      "set = { kind = interval, a = -1, b = 1 }\n", "below 1"),
     ("runaway", "name = x\nfamily = runaway\ndegree_range = [2, 6]\n", "[4, 14]"),
@@ -600,7 +605,8 @@ def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config
     ("bilu_rumely", "name = x\nfamily = chebyshev\n"
                     f"set = {{ kind = interval, a = -2, b = 2 }}\nprobes = [1/{HUGE}]\n",
      "a float can hold"),
-], ids=["unknown-kind", "missing-key", "constructor", "bilu-target", "fs-capacity",
+], ids=["unknown-kind", "missing-key", "constructor", "bilu-target",
+        "bilu-target-off-axis", "fs-capacity",
         "runaway-range", "degree-range-type", "set-not-block", "probe-literal",
         "probe-zero-denominator", "unknown-key", "set-unknown-key", "set-samples",
         "checkpoints-string", "n-atoms-float", "budget-seconds", "name-parent",
@@ -678,6 +684,31 @@ def test_set_config_error_is_usage_error(capsys, tmp_path, argv, text, needle):
     last = err.strip().splitlines()[-1]
     assert last.startswith("fekete-dyn: error: ") and needle in last
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text, needle", [
+    # a bare disk beside a set block: the disk was dropped and capacity
+    # printed 1, the interval's
+    ("kind = disk\nradius = 3\nset = { kind = interval, a = -2, b = 2 }\n",
+     "experiment config: unknown key 'kind', 'radius'"),
+    # an experiment config with a misspelt key, which was read for its set
+    ("name = x\nfamly = chebyshev\nset = { kind = interval, a = -2, b = 2 }\n",
+     "experiment config: unknown key 'famly'"),
+], ids=["mixed-set-file", "misspelt-experiment-key"])
+@pytest.mark.parametrize("argv", [
+    ("capacity", "--config", "{cfg}"),
+    ("green", "--config", "{cfg}", "--at", "3,0"),
+    ("height", "rumely", "--poly", "-3 1", "--set", "{cfg}"),
+], ids=["capacity", "green", "height-rumely"])
+def test_set_file_with_a_set_block_takes_experiment_keys_only(capsys, tmp_path,
+                                                              argv, text, needle):
+    cfg = tmp_path / "mixed.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exit_info:
+        main([a.format(cfg=cfg) for a in argv])
+    assert exit_info.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("fekete-dyn: error: ") and needle in last
 
 
 def test_no_subcommand_errors(capsys):

@@ -400,6 +400,30 @@ def test_bilu_target_measure_in_closed_form(monkeypatch, family, target, n):
     assert len(rep.rows) == 1
 
 
+@pytest.mark.parametrize("target", [
+    {"kind": "interval", "a": 0, "b": 4},
+    {"kind": "circle", "center": 3, "radius": 1},
+    {"kind": "disk", "center": -1.5, "radius": 1},
+    # Q^-1([-2, 2]) for Q = z^2 - 3, whose equilibrium measure is searched
+    {"kind": "union_of_intervals",
+     "intervals": [[-math.sqrt(5), -1], [1, math.sqrt(5)]]},
+], ids=["interval-0-4", "circle-at-3", "disk-at-minus-1.5", "mirror-pair"])
+def test_bilu_takes_every_symmetric_target_of_capacity_one(target):
+    rep = run_bilu_rumely(_spec(family="chebyshev", set_config=target,
+                                checkpoints=(4,), n_atoms=256))
+    assert len(rep.rows) == 1
+    assert rep.notes["capacity"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("target, needle", [
+    ({"kind": "disk", "center": 0, "radius": 2}, "must have capacity 1, not 2"),
+    ({"kind": "circle", "center": [0, 1], "radius": 1}, "must be conjugation-symmetric"),
+], ids=["disk-radius-2", "circle-at-i"])
+def test_bilu_refuses_targets_outside_the_theorem(target, needle):
+    with pytest.raises(ConfigError, match=needle):
+        run_bilu_rumely(_spec(set_config=target))
+
+
 def test_bilu_chebyshev_ladder_without_violations():
     # the benchmark's ladder: rungs 16, 32 and 64 are whole fibers, so their
     # discrepancy is rounding, and the column falls on every rung

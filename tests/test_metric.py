@@ -344,35 +344,28 @@ def test_contraction_mixed_pair():
 
 def test_discrepancy_identical_measure_is_zero():
     m = equilibrium_measure(CompactSetModel.circle(0.0, 1.0))
-    assert measure_discrepancy(m, m, 8) == 0.0
+    assert measure_discrepancy(m, m) == 0.0
 
 
 def test_discrepancy_haar_vs_circle_equilibrium():
     rng = np.random.default_rng(11)
-    haar = DiscreteMeasure.uniform(np.exp(2j * np.pi * rng.uniform(size=4096)))
+    haar = DiscreteMeasure(np.exp(2j * np.pi * rng.uniform(size=4096)))
     eq = equilibrium_measure(CompactSetModel.circle(0.0, 1.0))
-    assert measure_discrepancy(haar, eq, 8) <= 0.05
+    assert measure_discrepancy(haar, eq) <= 0.05
 
 
 def test_discrepancy_brolin_vs_arcsine():
     atoms = brolin_sample(Z2M2, 4096, seed=7)
     eq = equilibrium_measure(CompactSetModel.interval(-2.0, 2.0))
-    assert measure_discrepancy(atoms, eq, 8) <= 0.05
+    assert measure_discrepancy(atoms, eq) <= 0.05
 
 
 def test_discrepancy_affine_equivariance():
     rng = np.random.default_rng(13)
-    m1 = DiscreteMeasure.uniform(rng.normal(size=256) + 1j * rng.normal(size=256))
-    m2 = DiscreteMeasure.uniform(rng.normal(size=256) + 1j * rng.normal(size=256))
-    base = measure_discrepancy(m1, m2, 6)
+    m1 = DiscreteMeasure(rng.normal(size=256) + 1j * rng.normal(size=256))
+    m2 = DiscreteMeasure(rng.normal(size=256) + 1j * rng.normal(size=256))
+    base = measure_discrepancy(m1, m2)
     a, b = 3.0 + 4.0j, 5.0 - 1.0j
-    m1s = DiscreteMeasure(a * m1.points + b, m1.weights)
-    m2s = DiscreteMeasure(a * m2.points + b, m2.weights)
-    moved = measure_discrepancy(m1s, m2s, 6)
+    moved = measure_discrepancy(DiscreteMeasure(a * m1.points + b),
+                                DiscreteMeasure(a * m2.points + b))
     assert moved == pytest.approx(base, abs=1e-12)
-
-
-def test_discrepancy_rejects_bad_order():
-    m = equilibrium_measure(CompactSetModel.circle(0.0, 1.0))
-    with pytest.raises(ValueError):
-        measure_discrepancy(m, m, 0)

@@ -1,6 +1,7 @@
 """Compact set models: Fekete search, capacity, equilibrium, Green values."""
 
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -15,6 +16,7 @@ from feketedyn.metric import pullback
 from feketedyn.polyarith import IntPolynomial
 from feketedyn.potential import (
     CompactSetModel,
+    DiscreteMeasure,
     UnsupportedSetError,
     capacity_estimate,
     equilibrium_measure,
@@ -60,6 +62,9 @@ SQUARE = (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)
     (lambda: CompactSetModel.polyline_boundary([0, 1, 1j]), False),
     (lambda: CompactSetModel.point_cloud([1 + 1j, 1 - 1j, -2, 3j, -3j]), True),
     (lambda: CompactSetModel.point_cloud([1 + 1j, 1 - 1j, -2, 3j]), False),
+    # sets whose imaginary parts mirror, but not their points
+    (lambda: CompactSetModel.polyline_boundary([-1j, 2 - 1j, 3 + 1j, 1 + 1j]), False),
+    (lambda: CompactSetModel.point_cloud([1 + 1j, 2 - 1j]), False),
     # a pullback under a real P is symmetric exactly when its source is; its
     # samples would mislead: the roots +-sqrt(w) of z^2 = w pair up for any
     # w, and the subsampled source angles of the unit disk are not
@@ -69,7 +74,8 @@ SQUARE = (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)
     (lambda: pullback(IntPolynomial((0, 0, 0, 1)), CompactSetModel.disk(0, 1)), True),
     (lambda: pullback(IntPolynomial((0, 0, 0, 1)), CompactSetModel.disk(0.5j, 0.25)),
      False),
-], ids=["square", "triangle", "paired-cloud", "unpaired-cloud", "pullback-z2-disk",
+], ids=["square", "triangle", "paired-cloud", "unpaired-cloud", "parallelogram",
+        "shifted-pair-cloud", "pullback-z2-disk",
         "pullback-z2-off-axis-disk", "pullback-z3-disk", "pullback-z3-off-axis-disk"])
 def test_symmetry_derived_from_samples(build, symmetric):
     assert build().symmetric is symmetric
@@ -302,9 +308,32 @@ def test_touching_mirror_union_is_the_interval(monkeypatch):
     seg = CompactSetModel.interval(-2, 2)
     assert abs(e.log_capacity - seg.log_capacity) <= 1e-15
     z = _mirror_probes(e)
-    # (z - c)^2 sits next to the end A^2 = 0 of [0, 4] near z = 0, where the
-    # square loses digits: 5e-14 at the points 1e-3 off the samples there
-    assert np.max(np.abs(green_eval_many(e, z) - green_eval_many(seg, z))) <= 1e-13
+    assert np.max(np.abs(green_eval_many(e, z) - green_eval_many(seg, z))) <= 1e-15
+
+
+@pytest.mark.parametrize("intervals", [
+    [(-2, 0), (0, 2)], [(-2, -1), (1, 2)], [(1, 2.5), (3.5, 5)],
+], ids=["touching", "centred", "shifted"])
+def test_mirror_union_green_keeps_its_digits_near_the_centre_and_ends(intervals):
+    # against 50 digits: g = |log|t|| / 2 for t + 1/t = 2W, W the image of
+    # (z - c)^2 in [A^2, B^2] mapped to [-1, 1]; with W formed in floats from
+    # (z - c)^2, g is 2.2e-11 off at 1e-6 i on [-2, 0] u [0, 2]
+    import mpmath
+    (a1, b1), (a2, b2) = intervals
+    c, half_gap, half_pair = (a1 + b2) / 2, (a2 - b1) / 2, (b2 - a1) / 2
+    e = CompactSetModel.union_of_intervals(intervals)
+    z = np.array([base + r * cmath.exp(1j * (k * math.pi / 6 + 0.1))
+                  for base in (c, a1, b1, a2, b2)
+                  for r in (1e-7, 1e-6, 1e-5, 1e-4) for k in range(12)])
+
+    def exact(p):
+        lo, hi = mpmath.mpf(half_gap) ** 2, mpmath.mpf(half_pair) ** 2
+        w = (2 * (mpmath.mpc(p.real, p.imag) - c) ** 2 - lo - hi) / (hi - lo)
+        return float(abs(mpmath.log(abs(w + mpmath.sqrt(w - 1) * mpmath.sqrt(w + 1)))) / 2)
+
+    with mpmath.workdps(50):
+        want = np.array([exact(p) for p in z])
+    assert np.max(np.abs(green_eval_many(e, z) - want)) <= 1e-15
 
 
 def test_mirror_union_with_overflowing_squares_keeps_the_fekete_path():
@@ -342,6 +371,51 @@ def test_polyline_samples_match_reference_walk(vertices, samples):
 
 
 # --------------------------------------------------------------- equilibrium
+
+def test_a_measure_is_its_atoms():
+    assert [f.name for f in dataclasses.fields(DiscreteMeasure)] == ["points"]
+    m = DiscreteMeasure([1, 2j, 2j])
+    assert m.weights.tobytes() == np.full(3, 1.0 / 3).tobytes()
+    with pytest.raises(ValueError, match="at least one atom"):
+        DiscreteMeasure([])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CompactSetModel.interval(0, 4),
+    lambda: CompactSetModel.disk(3, 1),
+    lambda: CompactSetModel.circle(1 + 1j, 2),
+], ids=["interval", "disk", "circle"])
+def test_closed_form_kinds_carry_their_equilibrium_measure(monkeypatch, build):
+    monkeypatch.setattr(potential, "fekete_points", _no_fekete_search)
+    assert len(equilibrium_measure(build()).points) == potential.EQUILIBRIUM_N
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-10, 10), st.floats(-2, 1.3))
+def test_interval_atoms_have_the_arcsine_moments(a, log_width):
+    # Gauss-Chebyshev: the mean of T_m over the atoms, moved onto [-1, 1],
+    # is 0 for 1 <= m < 128, up to the rounding of the move
+    b = a + 10 ** log_width
+    mid, half = (a + b) / 2, (b - a) / 2
+    x = (equilibrium_measure(CompactSetModel.interval(a, b)).points.real - mid) / half
+    m = np.arange(1, 128)
+    moments = np.polynomial.chebyshev.chebvander(x, 127).mean(axis=0)[1:]
+    assert np.all(np.abs(moments) <= 4 * np.finfo(float).eps * m ** 2 * (1 + abs(mid) / half))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["disk", "circle"]), st.floats(-10, 10), st.floats(-10, 10),
+       st.floats(-2, 1), st.integers(256, 4096))
+def test_round_atoms_have_the_uniform_moments(kind, re, im, log_r, samples):
+    # equal atoms on the circle, however it is sampled: the mean of
+    # (z - c)^m is 0 for 1 <= m < 64
+    c, r = complex(re, im), 10 ** log_r
+    e = getattr(CompactSetModel, kind)(c, r, samples=samples)
+    u = (equilibrium_measure(e).points - c) / r
+    m = np.arange(1, 64)
+    moments = np.array([np.mean(u ** k) for k in m])
+    assert np.all(np.abs(moments) <= 4 * np.finfo(float).eps * m * (1 + abs(c) / r))
+
 
 def test_equilibrium_measure_uniform_weights():
     e = CompactSetModel.circle(0, 1)
