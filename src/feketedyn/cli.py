@@ -23,9 +23,11 @@ from .dynamics import (
     write_pgm,
 )
 from .harness import (
+    RUNNER_KEYS,
     SPEC_KEYS,
     ConfigError,
     build_set,
+    check_family,
     check_keys,
     config_int,
     emit,
@@ -75,9 +77,13 @@ def _read_file(path) -> str:
 
 
 def _read_poly(raw: str, what: str = "a map", least: int = 2) -> IntPolynomial:
-    """read_poly of inline text, or of the file that a bare token names."""
-    if " " not in raw and pathlib.Path(raw).is_file():
-        raw = _read_file(raw)
+    """read_poly of inline text, or, when a bare token reads as no
+    coefficients, of the file it names."""
+    try:
+        IntPolynomial.from_text(raw)
+    except ValueError:
+        if " " not in raw and pathlib.Path(raw).is_file():
+            raw = _read_file(raw)
     return read_poly(what, raw, least)
 
 
@@ -257,7 +263,15 @@ def _cmd_height(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    spec = spec_from_config(parse_config(args.config), seed_override=args.seed)
+    cfg = parse_config(args.config)
+    # the keys a runner reads depend on its family: a user family has no
+    # ladder, and a ladder family no user_polys
+    family = cfg.get("family", "")
+    check_family(args.name, family)
+    unread = ("checkpoints", "degree_range") if family == "user" else ("user_polys",)
+    check_keys(f"experiment {args.name} with family {family!r}", cfg,
+               set(RUNNER_KEYS[args.name]) - set(unread))
+    spec = spec_from_config(cfg, seed_override=args.seed)
     report = RUNNERS[args.name](spec, out_dir=args.out)
     for path in emit(report, spec.outputs, args.out):
         print(path)

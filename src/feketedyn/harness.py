@@ -155,9 +155,15 @@ class ExperimentSpec:
             if cps[0] < lo or cps[-1] > hi:
                 raise ValueError("checkpoints must lie inside degree_range")
             put("checkpoints", cps)
-        if self.family in _LADDERS and not self.effective_checkpoints():
-            raise ValueError(
-                "no default checkpoints inside degree_range; give explicit ones")
+        if self.family in _LADDERS:
+            rungs = self.effective_checkpoints()
+            if not rungs:
+                raise ValueError(
+                    "no default checkpoints inside degree_range; give explicit ones")
+            # a map a float cannot hold would fail in the runner, after output
+            for n in rungs:
+                read_poly(f"experiment config: {self.family} checkpoint {n}",
+                          _LADDERS[self.family][0](n), 2)
         outputs = _listed("outputs", self.outputs)
         if not all(o in OUTPUT_FORMATS for o in outputs):
             raise ValueError(f"outputs must be a subset of {OUTPUT_FORMATS}")
@@ -429,6 +435,12 @@ RUNNER_FAMILIES = {
     "runaway": ("runaway",),
 }
 FAMILIES = tuple(dict.fromkeys(f for fams in RUNNER_FAMILIES.values() for f in fams))
+# the config keys each runner reads
+RUNNER_KEYS = {
+    "bilu_rumely": tuple(k for k in SPEC_KEYS if k not in ("epsilon", "user_polys")),
+    "dynamical_fs": tuple(k for k in SPEC_KEYS if k != "probes"),
+    "runaway": ("name", "family", "degree_range", "checkpoints", "outputs", "seed"),
+}
 
 
 def check_family(runner: str, family: str) -> None:

@@ -43,7 +43,6 @@ class GreenSide:
     samples: np.ndarray
     green_many: Callable[[np.ndarray], np.ndarray]
     log_cap: float
-    regular: bool
 
     def __post_init__(self):
         pts = np.asarray(self.samples, dtype=np.complex128)
@@ -63,7 +62,6 @@ def side_from_set(e: CompactSetModel) -> GreenSide:
         samples=e.boundary_samples,
         green_many=lambda z, e=e: green_eval_many(e, z),
         log_cap=float(e.log_capacity),
-        regular=e.regular,
     )
 
 
@@ -76,10 +74,8 @@ def side_from_map(poly: IntPolynomial, atoms) -> GreenSide:
     def gm(z, ev=ev):
         return ev.green_many(np.asarray(z, dtype=np.complex128))[0]
 
-    # polynomial Julia sets carry a continuous Green function
     return GreenSide(samples=atoms, green_many=gm,
-                     log_cap=math.log(julia_capacity(poly)),
-                     regular=True)
+                     log_cap=math.log(julia_capacity(poly)))
 
 
 # --------------------------------------------------------------------------- #
@@ -117,19 +113,13 @@ def klimek_distance(pair: GreenPair) -> float:
 
 
 def klimek_report(pair: GreenPair) -> dict:
-    """Distance together with where and how it was attained.
-
-    regularity_verified is False when either side lacks the regularity
-    flag; the boundary-maximum formula needs continuity of both Green
-    functions, which is not checked for raw point clouds.
-    """
+    """Distance together with where and how it was attained."""
     val, side, point, cap_gap = _evaluate(pair)
     return {
         "gamma": val,
         "argmax_point": None if point is None else (point.real, point.imag),
         "side": side,
         "cap_gap": cap_gap,
-        "regularity_verified": bool(pair.left.regular and pair.right.regular),
     }
 
 
@@ -196,8 +186,7 @@ def pullback(p: IntPolynomial, e: CompactSetModel) -> CompactSetModel:
     return CompactSetModel(
         kind="pullback",
         params={"count": len(pts), "pullback_degree": d},
-        boundary_samples=pts, regular=e.regular,
-        symmetric=e.symmetric,
+        boundary_samples=pts, symmetric=e.symmetric,
         log_capacity=log_cap,
         green_fn=lambda z: green_eval_many(e, image(z)) / d,
         contains_fn=lambda z: e.contains_many(image(z)),

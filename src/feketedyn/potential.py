@@ -1,8 +1,9 @@
 """Compact plane sets with boundary sampling, Fekete configurations,
 transfinite diameter, discrete equilibrium measures, and Green evaluation.
 
-A model is a sampled boundary plus closed-form geometry where available
-(membership, distance, capacity). Green values come from a closed form where
+A model is a sampled boundary plus the conjugation symmetry and hull
+membership its constructor states, and closed forms where available
+(distance, capacity). Green values come from a closed form where
 one is installed, else from the stored discrete equilibrium measure, and are
 zero wherever contains_many puts z in the polynomially convex hull.
 One overflow rule serves every kind: a Green value that is not finite at a
@@ -13,8 +14,6 @@ samples, within -log(1 - R/|z - c|) of the truth when E lies in D(c, R).
 from __future__ import annotations
 
 import dataclasses
-import functools
-import itertools
 import math
 
 import numpy as np
@@ -57,29 +56,18 @@ class DiscreteMeasure:
 class CompactSetModel:
     """Sampled compact set. Construct through the kind classmethods."""
 
-    def __init__(self, kind, params, boundary_samples, regular, symmetric=None,
-                 log_capacity=None, green_fn=None, contains_fn=None,
-                 distance_fn=None, ring_fn=None):
+    def __init__(self, kind, params, boundary_samples, symmetric, contains_fn,
+                 log_capacity=None, green_fn=None, distance_fn=None, ring_fn=None):
         self.kind = kind
         self.params = params
         self.boundary_samples = np.asarray(boundary_samples, dtype=np.complex128)
-        if symmetric is not None:  # else read off the samples when first read
-            self.symmetric = bool(symmetric)
-        self.regular = bool(regular)
+        self.symmetric = bool(symmetric)
         self._log_capacity = log_capacity
         self._green_fn = green_fn
         self._contains_fn = contains_fn
         self._distance_fn = distance_fn
         self._ring_fn = ring_fn
         self._measure: DiscreteMeasure | None = None
-
-    @functools.cached_property
-    def symmetric(self) -> bool:
-        """Conjugation symmetry: unless the constructor states it, whether
-        the samples and their conjugates are one point set within the
-        membership tolerance."""
-        return _conjugation_closed(self.boundary_samples,
-                                   _membership_tol(self.boundary_samples))
 
     @property
     def log_capacity(self) -> float:
@@ -88,11 +76,11 @@ class CompactSetModel:
             # from two rungs instead of quoting a single high estimate
             n2 = min(256, len(self.boundary_samples))
             n1 = max(2, n2 // 2)
-            l2 = math.log(capacity_estimate(self, n2))
+            l2 = math.log(capacity_estimate(self.boundary_samples, n2))
             if n1 == n2:
                 self._log_capacity = l2
             else:
-                l1 = math.log(capacity_estimate(self, n1))
+                l1 = math.log(capacity_estimate(self.boundary_samples, n1))
                 t1, t2 = math.log(n1) / n1, math.log(n2) / n2
                 self._log_capacity = (t1 * l2 - t2 * l1) / (t1 - t2)
         return self._log_capacity
@@ -147,7 +135,7 @@ class CompactSetModel:
 
         e = cls(
             kind=kind, params={"center": c, "radius": r},
-            boundary_samples=pts, symmetric=(c.imag == 0.0), regular=True,
+            boundary_samples=pts, symmetric=(c.imag == 0.0),
             log_capacity=math.log(radius), green_fn=gfn,
             contains_fn=contains, distance_fn=distance,
             ring_fn=lambda eps: c + (r + eps) * np.exp(1j * th),
@@ -190,8 +178,7 @@ class CompactSetModel:
         pts = t.astype(np.complex128)
         contains, distance, ring = _segments_geometry(ivs, _membership_tol(pts))
         return cls(
-            kind=kind, params=params, boundary_samples=pts, regular=True,
-            symmetric=True, contains_fn=contains, distance_fn=distance,
+            kind=kind, params=params, boundary_samples=pts, symmetric=True, contains_fn=contains, distance_fn=distance,
             ring_fn=ring, **closed_forms,
         )
 
@@ -211,41 +198,28 @@ class CompactSetModel:
         frac = np.divide(t - cum[k], seg_len, out=np.zeros_like(t), where=seg_len != 0)
         pts = loop[k] + frac * (loop[k + 1] - loop[k])
         tol = _membership_tol(pts)
+        # the polygon is its own conjugate when the conjugated loop, which
+        # runs the other way round, is the loop from another start vertex
+        mirror = np.conj(verts[::-1])
         return cls(
-            kind="polyline-boundary", params={"vertices": verts},
-            boundary_samples=pts, regular=True,
+            kind="polyline-boundary", params={"vertices": verts}, boundary_samples=pts,
+            symmetric=any(np.array_equal(np.roll(mirror, k), verts) for k in range(len(verts))),
             contains_fn=lambda z: _polygon_contains(verts, z, tol),
-        )
-
-    @classmethod
-    def point_cloud(cls, points):
-        pts = np.asarray(points, dtype=np.complex128)
-        if len(pts) < 2:
-            raise ValueError("need at least two points")
-        return cls(
-            kind="point-cloud", params={"count": len(pts)},
-            boundary_samples=pts, regular=False,
         )
 
     # ------------------------------------------------------------------ geometry
 
-    def _nearest_sample(self, z) -> np.ndarray:
-        return np.min(np.abs(z[..., None] - self.boundary_samples[None, :]), axis=-1)
-
     def contains_many(self, z) -> np.ndarray:
         """Membership in the polynomially convex hull (with a small tolerance)."""
-        z = np.asarray(z, dtype=np.complex128)
-        if self._contains_fn is not None:
-            return self._contains_fn(z)
-        # point clouds have no interior; only the samples themselves count
-        return self._nearest_sample(z) <= _membership_tol(self.boundary_samples)
+        return self._contains_fn(np.asarray(z, dtype=np.complex128))
 
     def distance_to_many(self, z) -> np.ndarray:
-        """Distance to the set E itself (not its hull)."""
+        """Distance to the set E itself (not its hull): closed form, else
+        the nearest boundary sample."""
         z = np.asarray(z, dtype=np.complex128)
         if self._distance_fn is not None:
             return self._distance_fn(z)
-        return self._nearest_sample(z)
+        return np.min(np.abs(z[..., None] - self.boundary_samples[None, :]), axis=-1)
 
     def hull_distance_to_many(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
@@ -328,31 +302,6 @@ def _segments_geometry(ivs, tol: float):
     return contains, distance, ring
 
 
-def _conjugation_closed(pts: np.ndarray, tol: float) -> bool:
-    """Whether the conjugate of each point lies within tol of a point of
-    pts; conjugation is an involution, so pts and its conjugates are then
-    one point set within tol. The points are sorted into square cells of
-    side tol, and each conjugate is measured only against the points of the
-    3 x 3 cells around its own: O(n log n) for n points, few to a cell."""
-    if abs(np.max(pts.imag) + np.min(pts.imag)) > tol:
-        # the extreme imaginary parts must mirror; past this test, with tol
-        # the membership tolerance, the cell numbers stay below 2^53
-        return False
-    pts = np.unique(pts)
-    col, row = np.floor((pts.real - np.min(pts.real)) / tol), np.floor(-pts.imag / tol)
-    cells = col + 1j * np.floor(pts.imag / tol)  # complex sorts by (re, im)
-    order = np.argsort(cells)
-    cells, by_cell = cells[order], pts[order]
-    best = np.full(len(pts), np.inf)
-    for dc, dr in itertools.product((-1, 0, 1), repeat=2):
-        cell = (col + dc) + 1j * (row + dr)  # around the conjugate's cell
-        j, end = np.searchsorted(cells, cell), np.searchsorted(cells, cell, side="right")
-        while (live := j < end).any():
-            best[live] = np.minimum(best[live], np.abs(by_cell[j[live]] - np.conj(pts[live])))
-            j = j + live
-    return bool(np.all(best <= tol))
-
-
 def _polygon_contains(verts: np.ndarray, z: np.ndarray, tol: float) -> np.ndarray:
     loop = np.concatenate([verts, verts[:1]])
     x, y = z.real, z.imag
@@ -374,8 +323,8 @@ def _polygon_contains(verts: np.ndarray, z: np.ndarray, tol: float) -> np.ndarra
 # --------------------------------------------------------------------------- #
 
 
-def fekete_points(e: CompactSetModel, n: int) -> np.ndarray:
-    """n-point Fekete configuration from the boundary samples.
+def fekete_points(samples, n: int) -> np.ndarray:
+    """n-point Fekete configuration drawn from the sample points.
 
     Deterministic greedy (Leja) seeding followed by local exchange sweeps on
     the sample grid; maximizes the pairwise log-distance sum. A sweep moves
@@ -387,10 +336,10 @@ def fekete_points(e: CompactSetModel, n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    cand = e.boundary_samples
+    cand = np.asarray(samples, dtype=np.complex128)
     m = len(cand)
     if n > m:
-        raise ValueError(f"n={n} exceeds {m} boundary samples")
+        raise ValueError(f"n={n} exceeds {m} samples")
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # greedy Leja phase; rows[k] is log|cand - cand[idx[k]]|, and total
@@ -426,9 +375,9 @@ def fekete_points(e: CompactSetModel, n: int) -> np.ndarray:
     return cand[np.sort(idx)]
 
 
-def capacity_estimate(e: CompactSetModel, n: int) -> float:
+def capacity_estimate(samples, n: int) -> float:
     """Transfinite-diameter estimate d_n from an n-point Fekete search."""
-    return transfinite_diameter_of_points(fekete_points(e, n))
+    return transfinite_diameter_of_points(fekete_points(samples, n))
 
 
 def transfinite_diameter_of_points(pts) -> float:
@@ -449,7 +398,7 @@ def equilibrium_measure(e: CompactSetModel) -> DiscreteMeasure:
     else equal atoms on the EQUILIBRIUM_N-point Fekete configuration,
     searched once per model."""
     if e._measure is None:
-        e._measure = DiscreteMeasure(fekete_points(e, EQUILIBRIUM_N))
+        e._measure = DiscreteMeasure(fekete_points(e.boundary_samples, EQUILIBRIUM_N))
     return e._measure
 
 

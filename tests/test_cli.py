@@ -287,6 +287,22 @@ def test_malformed_argument_is_usage_error(capsys, tmp_path, argv, needle):
     assert not out_dir.exists()
 
 
+def test_numeric_token_is_coefficients_beside_a_file_of_that_name(capsys, tmp_path,
+                                                                    monkeypatch):
+    # a file named 5 holding z^2 was read in place of the constant 5
+    (tmp_path / "5").write_text("0 0 1")
+    (tmp_path / "map.txt").write_text("-2 0 1")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["height", "weil", "--poly", "5"])
+    assert exit_info.value.code == 2
+    assert "needs degree >= 1, got '5'" in capsys.readouterr().err
+    # a token that reads as no coefficients still names its file
+    code, out, _ = run(capsys, "height", "canonical", "--poly", "-3 1", "--dyn", "map.txt")
+    assert code == 0
+    assert float(out) == pytest.approx(math.log((3 + math.sqrt(5)) / 2), abs=1e-6)
+
+
 # ------------------------------------------------------------------- klimek
 
 def test_klimek_two_sets(capsys, tmp_path):
@@ -605,13 +621,46 @@ def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config
     ("bilu_rumely", "name = x\nfamily = chebyshev\n"
                     f"set = {{ kind = interval, a = -2, b = 2 }}\nprobes = [1/{HUGE}]\n",
      "a float can hold"),
+    # keys the named runner or family never reads, which were silently dropped
+    ("runaway", "name = x\nfamily = runaway\nset = { kind = bogus }\nprobes = [3]\n"
+                "epsilon = 5\nn_atoms = 300\n",
+     "experiment runaway with family 'runaway': unknown key 'epsilon', 'n_atoms', "
+     "'probes', 'set'"),
+    ("dynamical_fs", "name = x\nfamily = power_maps\n"
+                     "set = { kind = disk, center = 0, radius = 1 }\nprobes = [3, 5/2]\n",
+     "unknown key 'probes'"),
+    ("bilu_rumely", "name = x\nfamily = chebyshev\n"
+                    "set = { kind = interval, a = -2, b = 2 }\nepsilon = 0.5\n",
+     "unknown key 'epsilon'"),
+    ("dynamical_fs", "name = x\nfamily = user\nset = { kind = disk, center = 0, radius = 1 }\n"
+                     'user_polys = ["0 0 1"]\ncheckpoints = [4, 8]\n',
+     "with family 'user': unknown key 'checkpoints'"),
+    ("dynamical_fs", "name = x\nfamily = user\nset = { kind = disk, center = 0, radius = 1 }\n"
+                     'user_polys = ["0 0 1"]\ndegree_range = [2, 8]\n',
+     "with family 'user': unknown key 'degree_range'"),
+    ("dynamical_fs", "name = x\nfamily = power_maps\n"
+                     "set = { kind = disk, center = 0, radius = 1 }\n"
+                     'checkpoints = [4]\nuser_polys = ["0 0 1"]\n',
+     "with family 'power_maps': unknown key 'user_polys'"),
+    ("bilu_rumely", "name = x\nfamily = chebyshev\n"
+                    "set = { kind = interval, a = -2, b = 2 }\n"
+                    'checkpoints = [4]\nuser_polys = ["0 0 1"]\n',
+     "unknown key 'user_polys'"),
+    # a ladder map past the float range, which wrote MANIFEST.json before
+    # the OverflowError
+    ("bilu_rumely", "name = x\nfamily = chebyshev\n"
+                    "set = { kind = interval, a = -2, b = 2 }\n"
+                    "degree_range = [4, 4096]\ncheckpoints = [2048]\n",
+     "chebyshev checkpoint 2048 needs coefficients a float can hold"),
 ], ids=["unknown-kind", "missing-key", "constructor", "bilu-target",
         "bilu-target-off-axis", "fs-capacity",
         "runaway-range", "degree-range-type", "set-not-block", "probe-literal",
         "probe-zero-denominator", "unknown-key", "set-unknown-key", "set-samples",
         "checkpoints-string", "n-atoms-float", "budget-seconds", "name-parent",
         "name-subdir", "epsilon-inf", "no-checkpoints", "user-polys-huge",
-        "probe-huge", "probe-rational-huge"])
+        "probe-huge", "probe-rational-huge", "runaway-set", "fs-probes",
+        "bilu-epsilon", "user-checkpoints", "user-degree-range", "ladder-user-polys",
+        "bilu-user-polys", "chebyshev-2048"])
 def test_experiment_set_config_error_is_usage_error(capsys, tmp_path, runner, config,
                                                     needle):
     assert needle in _usage_error(capsys, tmp_path, runner, config)

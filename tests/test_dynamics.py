@@ -553,6 +553,5 @@ def test_capacity_from_brolin_atoms():
     for coeffs in ([0, 0, 1], [-1, 0, 1], [-2, 0, 1], [0, -1, 0, 1], [1, 0, 0, 2]):
         p = IntPolynomial(tuple(coeffs))
         m = brolin_sample(p, 2048, seed=31)
-        cloud = CompactSetModel.point_cloud(m.points)
-        est = capacity_estimate(cloud, 256)
+        est = capacity_estimate(m.points, 256)
         assert est == pytest.approx(julia_capacity(p), rel=0.05), coeffs

@@ -55,27 +55,35 @@ def test_symmetry_flag():
 
 
 SQUARE = (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)
+A, B, C = 1 + 1j, -1 + 2j, -2 + 0.5j
 
 
 @pytest.mark.parametrize("build, symmetric", [
     (lambda: CompactSetModel.polyline_boundary(SQUARE), True),
+    # the same square from another start vertex, and clockwise
+    (lambda: CompactSetModel.polyline_boundary(SQUARE[2:] + SQUARE[:2]), True),
+    (lambda: CompactSetModel.polyline_boundary(SQUARE[::-1]), True),
+    (lambda: CompactSetModel.polyline_boundary([2, 1 + 1j, -1 + 1.5j, -1 - 1.5j, 1 - 1j]),
+     True),
     (lambda: CompactSetModel.polyline_boundary([0, 1, 1j]), False),
-    (lambda: CompactSetModel.point_cloud([1 + 1j, 1 - 1j, -2, 3j, -3j]), True),
-    (lambda: CompactSetModel.point_cloud([1 + 1j, 1 - 1j, -2, 3j]), False),
-    # sets whose imaginary parts mirror, but not their points
+    # imaginary parts that mirror, but not the points
     (lambda: CompactSetModel.polyline_boundary([-1j, 2 - 1j, 3 + 1j, 1 + 1j]), False),
-    (lambda: CompactSetModel.point_cloud([1 + 1j, 2 - 1j]), False),
-    # a pullback under a real P is symmetric exactly when its source is; its
-    # samples would mislead: the roots +-sqrt(w) of z^2 = w pair up for any
-    # w, and the subsampled source angles of the unit disk are not
-    # conjugation-closed
+    # a conjugation-closed vertex set whose edges a -> conj(a) -> b ... are not
+    (lambda: CompactSetModel.polyline_boundary(
+        [A, A.conjugate(), B, B.conjugate(), C, C.conjugate()]), False),
+    # the square with a redundant vertex on its right edge: the conservative
+    # answer, since the loop and its mirror no longer match vertex for vertex
+    (lambda: CompactSetModel.polyline_boundary([*SQUARE[:2], 1 + 0.5j, *SQUARE[2:]]),
+     False),
+    # a pullback under a real P is symmetric exactly when its source is
     (lambda: pullback(IntPolynomial((0, 0, 1)), CompactSetModel.disk(0, 1)), True),
     (lambda: pullback(IntPolynomial((0, 0, 1)), CompactSetModel.disk(0.5j, 0.25)), False),
     (lambda: pullback(IntPolynomial((0, 0, 0, 1)), CompactSetModel.disk(0, 1)), True),
     (lambda: pullback(IntPolynomial((0, 0, 0, 1)), CompactSetModel.disk(0.5j, 0.25)),
      False),
-], ids=["square", "triangle", "paired-cloud", "unpaired-cloud", "parallelogram",
-        "shifted-pair-cloud", "pullback-z2-disk",
+], ids=["square", "square-other-start", "square-clockwise", "axis-pentagon",
+        "triangle", "parallelogram", "conjugate-pairs-loop", "collinear-vertex",
+        "pullback-z2-disk",
         "pullback-z2-off-axis-disk", "pullback-z3-disk", "pullback-z3-off-axis-disk"])
 def test_symmetry_derived_from_samples(build, symmetric):
     assert build().symmetric is symmetric
@@ -105,13 +113,13 @@ def test_real_unions_are_symmetric():
 
 def test_fekete_interval_two_points_are_endpoints():
     e = CompactSetModel.interval(-2, 2)
-    pts = fekete_points(e, 2)
+    pts = fekete_points(e.boundary_samples, 2)
     assert np.allclose(np.sort(pts.real), [-2, 2], atol=1e-9)
 
 
 def test_fekete_circle_four_points_form_square():
     e = CompactSetModel.circle(0, 1)
-    pts = fekete_points(e, 4)
+    pts = fekete_points(e.boundary_samples, 4)
     # pairwise distance product for a square inscribed in the unit circle is
     # n^(n/2) = 16, the roots-of-unity discriminant value
     prod = 1.0
@@ -127,16 +135,15 @@ def test_fekete_circle_four_points_form_square():
 
 def test_fekete_disk_three_points_equilateral_on_boundary():
     e = CompactSetModel.disk(0, 1)
-    pts = fekete_points(e, 3)
+    pts = fekete_points(e.boundary_samples, 3)
     assert np.allclose(np.abs(pts), 1.0, atol=1e-9)
     prod = abs(pts[0] - pts[1]) * abs(pts[0] - pts[2]) * abs(pts[1] - pts[2])
     assert prod == pytest.approx(3 ** 1.5, rel=1e-4)
 
 
-def _fekete_reference(e, n):
+def _fekete_reference(cand, n):
     """The Fekete search written as a plain loop, with no cache: every
     log-distance row is computed where it is used, twice per position."""
-    cand = e.boundary_samples
     m = len(cand)
     with np.errstate(divide="ignore", invalid="ignore"):
         i0 = int(np.argmax(np.abs(cand - np.mean(cand))))
@@ -167,9 +174,9 @@ def _fekete_reference(e, n):
     return cand[np.sort(idx)]
 
 
-def _assert_same_fekete(e, n):
-    got = fekete_points(e, n)
-    want = _fekete_reference(e, n)
+def _assert_same_fekete(samples, n):
+    got = fekete_points(samples, n)
+    want = _fekete_reference(samples, n)
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()
 
@@ -178,17 +185,20 @@ def _repeated_cloud():
     # 600 points rounded to a 0.05 grid, so many coincide
     rng = np.random.default_rng(7)
     pts = rng.normal(size=600) + 1j * rng.normal(size=600)
-    return CompactSetModel.point_cloud(np.round(pts / 0.05) * 0.05)
+    return np.round(pts / 0.05) * 0.05
 
 
 FEKETE_SETS = {
-    "union": lambda: CompactSetModel.union_of_intervals([(-2, -1), (1, 2)], samples=1024),
+    "union": lambda: CompactSetModel.union_of_intervals(
+        [(-2, -1), (1, 2)], samples=1024).boundary_samples,
     # the two sample grids share points where the intervals overlap
-    "overlapping-union": lambda: CompactSetModel.union_of_intervals([(-1, 1), (0.5, 2)]),
-    "interval": lambda: CompactSetModel.interval(-1.5, 2.5, samples=1024),
-    "disk": lambda: CompactSetModel.disk(0.3 + 0.2j, 1.7, samples=1024),
+    "overlapping-union": lambda: CompactSetModel.union_of_intervals(
+        [(-1, 1), (0.5, 2)]).boundary_samples,
+    "interval": lambda: CompactSetModel.interval(-1.5, 2.5, samples=1024).boundary_samples,
+    "disk": lambda: CompactSetModel.disk(0.3 + 0.2j, 1.7, samples=1024).boundary_samples,
     "rotated-polyline": lambda: CompactSetModel.polyline_boundary(
-        [v * np.exp(0.7j) for v in (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)], samples=1024),
+        [v * np.exp(0.7j) for v in (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)],
+        samples=1024).boundary_samples,
     "repeated-cloud": _repeated_cloud,
 }
 
@@ -196,11 +206,10 @@ FEKETE_SETS = {
 @pytest.mark.parametrize("n", [2, 3, 64, 256])
 @pytest.mark.parametrize("name", sorted(FEKETE_SETS))
 def test_fekete_matches_reference_loop(name, n):
-    e = FEKETE_SETS[name]()
+    s = FEKETE_SETS[name]()
     if name in ("overlapping-union", "repeated-cloud"):
-        s = e.boundary_samples
         assert len(np.unique(s)) < len(s)
-    _assert_same_fekete(e, n)
+    _assert_same_fekete(s, n)
 
 
 # aligned grids: every interval has the same length and a dyadic sample step,
@@ -209,22 +218,24 @@ aligned_unions = st.tuples(
     st.integers(2, 4), st.integers(2, 64),
     st.lists(st.integers(-40, 40), min_size=1, max_size=3),
 ).map(lambda t: CompactSetModel.union_of_intervals(
-    [(k * 2.0 ** -t[0], (k + t[1]) * 2.0 ** -t[0]) for k in t[2]], samples=t[1] + 1))
+    [(k * 2.0 ** -t[0], (k + t[1]) * 2.0 ** -t[0]) for k in t[2]],
+    samples=t[1] + 1).boundary_samples)
 free_unions = st.lists(
     st.tuples(st.floats(-4, 4), st.floats(0.05, 3)), min_size=1, max_size=3,
 ).flatmap(lambda ivs: st.integers(2, 600 // len(ivs)).map(
-    lambda k: CompactSetModel.union_of_intervals([(a, a + w) for a, w in ivs], samples=k)))
+    lambda k: CompactSetModel.union_of_intervals(
+        [(a, a + w) for a, w in ivs], samples=k).boundary_samples))
 # points of a coarse grid drawn with repetition; at least two distinct
 grid_clouds = st.integers(2, 600).flatmap(lambda k: st.lists(
     st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=k, max_size=k),
 ).filter(lambda ps: len(set(ps)) >= 2).map(
-    lambda ps: CompactSetModel.point_cloud([complex(x, y) / 4 for x, y in ps]))
+    lambda ps: np.array([complex(x, y) / 4 for x, y in ps]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.one_of(aligned_unions, free_unions, grid_clouds), st.integers(2, 48))
-def test_fekete_matches_reference_loop_on_random_sets(e, n):
-    _assert_same_fekete(e, min(n, len(e.boundary_samples)))
+def test_fekete_matches_reference_loop_on_random_sets(samples, n):
+    _assert_same_fekete(samples, min(n, len(samples)))
 
 
 # ------------------------------------------------------------ capacity estimates
@@ -232,7 +243,7 @@ def test_fekete_matches_reference_loop_on_random_sets(e, n):
 def test_capacity_estimate_circle_closed_form():
     e = CompactSetModel.circle(0, 1)
     # d_16 = 16^(1/15) for the unit circle
-    assert capacity_estimate(e, 16) == pytest.approx(16 ** (1 / 15), rel=1e-4)
+    assert capacity_estimate(e.boundary_samples, 16) == pytest.approx(16 ** (1 / 15), rel=1e-4)
 
 
 def _lobatto_dn_interval(n: int) -> float:
@@ -250,15 +261,15 @@ def _lobatto_dn_interval(n: int) -> float:
 
 def test_capacity_estimate_interval_matches_lobatto_oracle():
     e = CompactSetModel.interval(-2, 2)
-    assert capacity_estimate(e, 64) == pytest.approx(_lobatto_dn_interval(64), rel=1e-4)
+    assert capacity_estimate(e.boundary_samples, 64) == pytest.approx(_lobatto_dn_interval(64), rel=1e-4)
     # slow convergence toward cap = 1 from above
-    assert 1.0 < capacity_estimate(e, 128) < 1.05
+    assert 1.0 < capacity_estimate(e.boundary_samples, 128) < 1.05
 
 
 def test_capacity_estimate_monotone_in_n():
     for e in (CompactSetModel.circle(0, 1), CompactSetModel.interval(-2, 2),
               CompactSetModel.disk(0, 2)):
-        ladder = [capacity_estimate(e, n) for n in (4, 8, 16, 32, 64)]
+        ladder = [capacity_estimate(e.boundary_samples, n) for n in (4, 8, 16, 32, 64)]
         for lo, hi in zip(ladder[1:], ladder[:-1]):
             assert lo <= hi + 1e-9, (e.kind, ladder)
 
@@ -267,7 +278,7 @@ def test_capacity_estimate_two_intervals():
     # independent closed form: cap([-b,-a] u [a,b]) = sqrt(b^2 - a^2) / 2
     e = CompactSetModel.union_of_intervals([(-2, -1), (1, 2)])
     target = math.sqrt(3) / 2
-    est = capacity_estimate(e, 128)
+    est = capacity_estimate(e.boundary_samples, 128)
     assert target - 0.005 <= est <= target * 1.06
 
 
@@ -496,10 +507,9 @@ def test_green_interval_is_finite_near_float_max():
 
 
 def _far_field_kinds():
-    # one model of each of the seven kinds, with its far-field centre c (the
+    # one model of each of the six kinds, with its far-field centre c (the
     # mean of its boundary samples, as green_eval_many takes it) and a radius
     # R with E inside D(c, R)
-    rng = np.random.default_rng(5)
     square = [0, 2, 2 + 1j, 1j]
     kinds = {
         "interval": CompactSetModel.interval(-1.0, 3.0),
@@ -508,8 +518,6 @@ def _far_field_kinds():
         "union-of-intervals": CompactSetModel.union_of_intervals(
             [(-2.0, -1.0), (0.5, 2.0)], samples=256),
         "polyline-boundary": CompactSetModel.polyline_boundary(square, samples=512),
-        "point-cloud": CompactSetModel.point_cloud(
-            rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300)),
         "pullback": pullback(IntPolynomial((-1, 0, 1)), CompactSetModel.interval(-2.0, 2.0)),
     }
     out = {}
@@ -682,7 +690,7 @@ def _reference_tol(e):
 def _reference_geometry(e, z):
     """Membership and distance by kind, written out independently of the
     model; polylines test a ray crossing plus a vertex band, and their
-    distance, like a cloud's, is the nearest boundary sample."""
+    distance is the nearest boundary sample."""
     s = e.boundary_samples
     tol = _reference_tol(e)
     nearest = np.min(np.abs(z[..., None] - s[None, :]), axis=-1)
@@ -727,8 +735,6 @@ GEOMETRY_SETS = {
         [(-3.0, -1.2), (0.5, 2.0)], samples=256),
     "polyline": lambda: CompactSetModel.polyline_boundary(
         [2 + 0j, 0.5 + 0.5j, 1j * 2, -1.5 + 0.25j, -0.5 - 1.5j], samples=512),
-    "cloud": lambda: CompactSetModel.point_cloud(
-        np.exp(2j * np.pi * np.arange(300) / 300) * (1 + 0.3 * np.cos(np.arange(300)))),
 }
 
 
@@ -759,10 +765,9 @@ def test_geometry_matches_reference_formulas(name):
 
 
 def test_point_cloud_kind():
+    # a point cloud is a plain sample array to the Fekete search
     pts = np.exp(2j * np.pi * np.arange(512) / 512)
-    e = CompactSetModel.point_cloud(pts)
-    assert not e.regular
-    assert abs(capacity_estimate(e, 64) - 1.0) < 0.08
+    assert abs(capacity_estimate(pts, 64) - 1.0) < 0.08
 
 
 def test_polyline_square():
@@ -771,7 +776,7 @@ def test_polyline_square():
     assert e.contains_many(np.array([0.0, 2.0])).tolist() == [True, False]
     # cap(square of side a) = a * Gamma(1/4)^2 / (4 pi^(3/2))
     target = 2 * math.gamma(0.25) ** 2 / (4 * math.pi ** 1.5)
-    assert capacity_estimate(e, 128) == pytest.approx(target, rel=0.05)
+    assert capacity_estimate(e.boundary_samples, 128) == pytest.approx(target, rel=0.05)
 
 
 def _reference_ring(e, eps, m=512):
