@@ -266,16 +266,16 @@ def write_json(path, obj) -> None:
 # measure of maximal entropy
 # --------------------------------------------------------------------------- #
 
-_BURN_IN = 20
-
-
 def brolin_sample(poly, n_points: int, seed: int = 0) -> DiscreteMeasure:
-    """Backward random iteration in whole fibers: from just outside the
-    escape radius, each step solves the d preimages of the current point and
-    jumps to one of them, chosen by one RNG stream seeded by seed. After
-    _BURN_IN steps each step's preimages are atoms, so moments of order
-    m < d are exact: the power sums of the roots of P - c below degree d do
-    not depend on c. When d does not divide n_points, the last fiber is a
+    """Backward random iteration in whole fibers from a point of the Julia
+    set: e^i for z^d, 2 cos 1 for 2 T_d(z/2), else the preimage farthest from
+    the fixed point of largest |P'| (_julia_start). Each step solves the d
+    preimages of the current point, keeps them as atoms and jumps to one of
+    them, chosen by one RNG stream seeded by seed. A chain on J needs no
+    burn-in (Brolin; Lyubich), so N atoms cost ceil(N/d) steps, plus two start
+    solves for a map without closed-form preimages. Moments of order m < d
+    are exact: the power sums of the roots of P - c below degree d do not
+    depend on c. When d does not divide n_points, the last fiber is a
     uniformly random subset. Preimages of z^d and 2 T_d(z/2) come in closed
     form, of any other map by Aberth."""
     if n_points < 1:
@@ -285,19 +285,44 @@ def brolin_sample(poly, n_points: int, seed: int = 0) -> DiscreteMeasure:
     d = ev.degree
     rng = np.random.default_rng(int(seed) & ((1 << 63) - 1))
     pts = np.empty(n_points, dtype=np.complex128)
-    z = complex(ev.escape_radius + 1.0)
-    for step in range(_BURN_IN + (n_points + d - 1) // d):
+    try:
+        z = _julia_start(ev, preimages)
+    except RootFindingError as err:
+        raise RootFindingError(f"start solve failed: {err}") from err
+    for step in range((n_points + d - 1) // d):
         try:
             pre = np.asarray(preimages(z), dtype=np.complex128)
         except RootFindingError as err:
             raise RootFindingError(
                 f"preimage solve failed at backward step {step}: {err}") from err
-        lo = (step - _BURN_IN) * d
-        if lo >= 0:
-            r = min(d, n_points - lo)
-            pts[lo:lo + r] = pre if r == d else pre[rng.choice(d, r, replace=False)]
+        lo = step * d
+        r = min(d, n_points - lo)
+        pts[lo:lo + r] = pre if r == d else pre[rng.choice(d, r, replace=False)]
         z = complex(pre[int(rng.integers(d))])
     return DiscreteMeasure(pts)
+
+
+def _julia_start(ev: DynGreenEvaluator, preimages) -> complex:
+    """The point of J where a backward chain starts. z^d starts at e^i and
+    2 T_d(z/2) at 2 cos 1: since 1/pi is irrational, neither backward tree
+    meets a critical value or repeats a node. Any other map starts at the
+    preimage farthest from z*, its fixed point of largest |P'| (one solve of
+    P - z). z* is repelling, or parabolic when no fixed point is repelling,
+    so it lies in J (Milnor, Dynamics in One Complex Variable, section 12);
+    z* itself lies in its own fiber, so a chain from it would revisit it."""
+    kind = _closed_form(ev.poly)
+    if kind == "power":
+        return complex(math.cos(1.0), math.sin(1.0))
+    if kind == "chebyshev":
+        return complex(2.0 * math.cos(1.0))
+    c = ev.coeffs
+    shifted = c.copy()
+    shifted[1] -= 1.0
+    fixed = roots(shifted, tol=1e-9).roots
+    slope = horner(c[1:] * np.arange(1, len(c)), fixed)
+    z_star = fixed[int(np.argmax(np.abs(slope)))]
+    pre = preimages(z_star)
+    return complex(pre[int(np.argmax(np.abs(pre - z_star)))])
 
 
 def _preimage_solver(ev: DynGreenEvaluator):

@@ -419,8 +419,7 @@ def test_brolin_squaring_circle():
 
 def test_brolin_z2m2_arcsine():
     m = brolin_sample(Z2M2, 4096, seed=5)
-    # atoms that round marginally past +-2 pick up sqrt-scale imaginary parts
-    assert np.max(np.abs(m.points.imag)) <= 1e-5
+    assert np.all(m.points.imag == 0)
     x = m.points.real
     assert np.min(x) >= -2 - 1e-9 and np.max(x) <= 2 + 1e-9
     lo = np.mean((x >= -2) & (x <= -1.8))
@@ -443,20 +442,36 @@ def test_brolin_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.points, c.points)
 
 
-def test_brolin_error_names_step(monkeypatch):
+def _fail_roots_at(monkeypatch, call):
+    """Make the call-th roots call of dynamics fail; returns the calls made."""
     calls = []
     solve = dynamics.roots
 
     def failing(p, tol):
         calls.append(p)
-        # call 20 + k is backward step 20 + k - 1; k = 7 is past the burn-in
-        if len(calls) == 20 + 7:
+        if len(calls) == call:
             p = np.array([math.nan, 0, 1])
         return solve(p, tol=tol)
 
     monkeypatch.setattr(dynamics, "roots", failing)
-    with pytest.raises(RootFindingError, match="backward step 26: "):
+    return calls
+
+
+def test_brolin_error_names_step(monkeypatch):
+    # calls 1 and 2 are the start solves; call 2 + k is backward step k - 1
+    _fail_roots_at(monkeypatch, 2 + 7)
+    with pytest.raises(RootFindingError, match="backward step 6: "):
         brolin_sample(Z2M1, 2048, seed=1)
+
+
+@pytest.mark.parametrize("call", [1, 2], ids=["fixed-points", "start-preimages"])
+def test_brolin_start_solve_error_is_no_backward_step(monkeypatch, call):
+    # the fixed-point solve of P - z, then the preimages of z*
+    calls = _fail_roots_at(monkeypatch, call)
+    with pytest.raises(RootFindingError, match="^start solve failed: ") as info:
+        brolin_sample(Z2M1, 2048, seed=1)
+    assert "backward step" not in str(info.value)
+    assert len(calls) == call
 
 
 @pytest.mark.parametrize("poly", [
@@ -541,8 +556,30 @@ def test_brolin_closed_forms_skip_root_finding(monkeypatch):
 
 def test_brolin_chebyshev_64_stays_on_segment():
     m = brolin_sample(chebyshev_monic(64), 1024, seed=17)
-    assert np.max(np.abs(m.points.imag)) <= 1e-9
-    assert np.max(np.abs(m.points.real)) <= 2 + 1e-9
+    assert np.all(m.points.imag == 0)
+    assert np.max(np.abs(m.points.real)) <= 2
+
+
+# a chain that starts on J keeps every atom on J: the largest Green value over
+# 1,024 atoms is rounding (the 1e-9 maps take Aberth preimages)
+@pytest.mark.parametrize("poly, bound", [
+    (Z2, 1e-15), (Z2M2, 1e-15), (power_map(3), 1e-15), (power_map(4), 1e-15),
+    (Z2M1, 1e-9), (IntPolynomial((-1, 0, 0, 1)), 1e-9), (IntPolynomial((0, 1, 0, 2)), 1e-9),
+    (cyclotomic(5), 1e-9), (cyclotomic(17), 1e-9), (cyclotomic(53), 1e-9),
+], ids=["z2", "z2-2", "z3", "z4", "z2-1", "z3-1", "2z3+z", "phi-5", "phi-17", "phi-53"])
+def test_brolin_atoms_lie_on_julia_set(poly, bound):
+    ev = DynGreenEvaluator(poly)
+    for seed in range(4):
+        g, _ = ev.green_many(brolin_sample(poly, 1024, seed=seed).points)
+        assert np.max(g) <= bound, seed
+
+
+@pytest.mark.parametrize("poly", [Z2M2, cyclotomic(17)], ids=["chebyshev-2", "cyclotomic-17"])
+def test_brolin_atoms_are_distinct(poly):
+    # the start is no fixed point, whose own fiber would bring the chain back
+    # to it; 2T_2(z/2) from 2 reaches the fiber {0, 0}
+    atoms = brolin_sample(poly, 1024, seed=0).points
+    assert len(set(atoms.tolist())) == 1024
 
 
 # ----------------------------------------- capacity consistency (atoms vs formula)

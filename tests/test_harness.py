@@ -523,6 +523,14 @@ def test_fs_chebyshev_contained():
     assert rep.violations == []
 
 
+def test_fs_squaring_map_is_the_unit_circle():
+    # J(z^2) is the unit circle: gamma is rounding and every atom is in the disk
+    rep = run_dynamical_fs(ExperimentSpec(name="sq", family="user", set_config=UNIT_DISK,
+                                          user_polys=["0 0 1"]))
+    assert _col(rep, "gamma")[0] <= 1e-15
+    assert _col(rep, "max_dist") == [0.0]
+
+
 def test_fs_user_family_ring_and_threshold():
     polys = tuple(IntPolynomial((0, 1) + (0,) * (n - 2) + (1,))
                   for n in (4, 8, 16))
