@@ -8,6 +8,7 @@ refused with ConfigError before any work, and main alone reports it (exit 2).
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import pathlib
@@ -248,14 +249,7 @@ def _cmd_height(args) -> int:
             raise ConfigError("height canonical needs --dyn <polynomial>")
         rep = canonical_height(_read_poly(args.dyn), alpha)
     if args.json:
-        record = {
-            "kind": args.kind,
-            "total": rep.total,
-            "archimedean": rep.archimedean,
-            "nonarchimedean": rep.nonarchimedean,
-            "per_place": dict(rep.per_place),
-            "method": rep.method,
-        }
+        record = {**dataclasses.asdict(rep), "kind": args.kind, "per_place": dict(rep.per_place)}
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
         _print_value(rep.total)

@@ -57,11 +57,6 @@ def map_degree(poly: IntPolynomial) -> int:
     return poly.degree
 
 
-def _pointwise(f):
-    """f applied to each point of an array, as a Python complex."""
-    return lambda za: np.array([f(w) for w in za.tolist()], dtype=np.complex128)
-
-
 class DynGreenEvaluator:
     """Escape-rate Green function of a degree >= 2 polynomial map."""
 
@@ -78,102 +73,96 @@ class DynGreenEvaluator:
         self._exact = sum(abs(a) for a in poly.coeffs) > EXACT_EVAL_COEFF_SUM
         # the escape loop's step, the one thing the plans do differently:
         # exact eval_intpoly one point at a time, or numpy Horner
-        self._step = (_pointwise(lambda w: eval_intpoly(poly, w)) if self._exact
-                      else lambda z: horner(c, z))
+        self._step = ((lambda z: np.array([eval_intpoly(poly, w) for w in z.tolist()],
+                                          dtype=np.complex128))
+                      if self._exact else lambda z: horner(c, z))
+        self.closed_form = _closed_form(poly)
         # the points certified in K at step 0, which skip the loop: 2 T_n(x/2)
         # maps [-2, 2] into itself whatever the plan (float Horner would round
         # some of these orbits out of [-2, 2] and let them escape)
-        self._in_k = None
-        if _closed_form(poly) == "chebyshev":
-            self._in_k = lambda za: (za.imag == 0.0) & (np.abs(za.real) <= 2.0)
+        self._in_k = ((lambda za: (za.imag == 0.0) & (np.abs(za.real) <= 2.0))
+                      if self.closed_form == "chebyshev" else None)
 
     def _eps(self, v):
         # (c_{d-1} v + c_{d-2} v^2 + ... + c_0 v^d) / a_d  on v = 1/w
-        c = self.coeffs
-        acc = np.zeros_like(v)
-        for k in range(self.degree):
-            acc = acc * v + c[k]
-        return acc * v / c[-1]
+        return horner(self.coeffs[-2::-1], v) * v / self.coeffs[-1]
 
     def _tail(self, u: np.ndarray, v: np.ndarray, k: np.ndarray) -> np.ndarray:
         d = self.degree
         log_ad = math.log(self.leading_abs)
-        g_acc = u.astype(float).copy()
-        v = v.astype(np.complex128).copy()
+        g_acc = u.astype(float)
+        # the series still summing, and their v: each stops at its own first
+        # term below 1e-17 (1 + |g|)
+        live = np.arange(len(g_acc))
         mult = 1.0 / d
         for _ in range(64):
             eps = self._eps(v)
             delta = np.log(np.abs(1.0 + eps))
-            g_acc += mult * (log_ad + delta)
-            if mult * (abs(log_ad) + float(np.max(np.abs(delta)))) \
-                    < 1e-17 * (1.0 + float(np.max(np.abs(g_acc)))):
-                break
-            v = v ** d / (self.coeffs[-1] * (1.0 + eps))
+            g_acc[live] += mult * (log_ad + delta)
+            done = mult * (abs(log_ad) + np.abs(delta)) < 1e-17 * (1.0 + np.abs(g_acc[live]))
+            g_acc[live[done]] += mult * log_ad / (d - 1)
+            live, v = live[~done], v[~done] ** d / (self.coeffs[-1] * (1.0 + eps[~done]))
             mult /= d
-        g_acc += mult * log_ad / (d - 1)
+            if len(live) == 0:
+                break
+        g_acc[live] += mult * log_ad / (d - 1)
         return np.maximum(g_acc * np.exp(-k * math.log(d)), 0.0)
 
     def green_many(self, zs):
-        """Green values and the per-point never-escaped flag; an input with a
-        NaN part gets value NaN and the flag."""
+        """Green values and the per-point never-escaped flag: certified in K,
+        a NaN part (value NaN), or still inside the escape radius at
+        max_iter. The loop steps only the live orbits."""
         zin = np.asarray(zs, dtype=np.complex128)
         flat = zin.ravel()
         n = len(flat)
-        vals = np.zeros(n)
         esc_u = np.zeros(n)
         esc_v = np.zeros(n, dtype=np.complex128)
         esc_k = np.zeros(n)
         escaped = np.zeros(n, dtype=bool)
-        held = np.zeros(n, dtype=bool) if self._in_k is None else self._in_k(flat)
-        active = ~held
-        z = flat.copy()
+        # the live orbits: their indices, points and moduli
+        idx = np.arange(n) if self._in_k is None else np.flatnonzero(~self._in_k(flat))
+        z = flat[idx]
         with np.errstate(over="ignore"):
-            z_abs = np.abs(z)
+            mag = np.abs(z)
         # an input with a NaN part (its modulus may still be inf) never
         # escapes: its orbit stays NaN to max_iter, and its value is NaN
-        lost = np.flatnonzero(np.isnan(flat))
-        z_abs[lost] = np.nan
+        lost = np.isnan(flat)
+        mag[lost[idx]] = np.nan
         r = self.escape_radius
         for k in range(self.max_iter + 1):
-            ia = np.nonzero(active)[0]
-            if len(ia) == 0:
-                break
-            za, mag = z[ia], z_abs[ia]
             out = mag > r
             if out.any():
-                ie = ia[out]
-                esc_u[ie] = log_abs(za[out], mag[out])
+                ie = idx[out]
+                esc_u[ie] = log_abs(z[out], mag[out])
                 # 1/z of a modulus near the float max: numpy flags the underflow
                 with np.errstate(over="ignore"):
-                    esc_v[ie] = 1.0 / za[out]
+                    esc_v[ie] = 1.0 / z[out]
                 esc_k[ie] = k
                 escaped[ie] = True
-                active[ie] = False
-                ia, za, mag = ia[~out], za[~out], mag[~out]
-            if k == self.max_iter or len(ia) == 0:
-                continue
+                idx, z, mag = idx[~out], z[~out], mag[~out]
+            if k == self.max_iter or len(idx) == 0:
+                break
             with np.errstate(over="ignore", invalid="ignore"):
-                znew = self._step(za)
+                znew = self._step(z)
                 znew_abs = np.abs(znew)
             # a step with finite parts can still overflow in modulus; a NaN
             # orbit is no overflow
             blown = ~np.isfinite(znew_abs)
             if blown.any():
                 blown &= ~np.isnan(mag)
-                ib = ia[blown]
-                eps = self._eps(1.0 / za[blown])
+                ib = idx[blown]
+                eps = self._eps(1.0 / z[blown])
                 esc_u[ib] = (math.log(self.leading_abs)
                              + self.degree * np.log(mag[blown])
                              + np.log(np.abs(1.0 + eps)))
-                esc_v[ib] = 0.0
                 esc_k[ib] = k + 1
                 escaped[ib] = True
-                active[ib] = False
-            z[ia], z_abs[ia] = znew, znew_abs
-        if escaped.any():
-            vals[escaped] = self._tail(esc_u[escaped], esc_v[escaped], esc_k[escaped])
+                idx, znew, znew_abs = idx[~blown], znew[~blown], znew_abs[~blown]
+            z, mag = znew, znew_abs
+        vals = np.zeros(n)
+        vals[escaped] = self._tail(esc_u[escaped], esc_v[escaped], esc_k[escaped])
         vals[lost] = np.nan
-        return vals.reshape(zin.shape), (active | held).reshape(zin.shape)
+        return vals.reshape(zin.shape), ~escaped.reshape(zin.shape)
 
 
 def julia_capacity(poly: IntPolynomial) -> float:
@@ -310,10 +299,9 @@ def _julia_start(ev: DynGreenEvaluator, preimages) -> complex:
     P - z). z* is repelling, or parabolic when no fixed point is repelling,
     so it lies in J (Milnor, Dynamics in One Complex Variable, section 12);
     z* itself lies in its own fiber, so a chain from it would revisit it."""
-    kind = _closed_form(ev.poly)
-    if kind == "power":
+    if ev.closed_form == "power":
         return complex(math.cos(1.0), math.sin(1.0))
-    if kind == "chebyshev":
+    if ev.closed_form == "chebyshev":
         return complex(2.0 * math.cos(1.0))
     c = ev.coeffs
     shifted = c.copy()
@@ -331,11 +319,10 @@ def _preimage_solver(ev: DynGreenEvaluator):
     the coefficients outgrow the 53-bit mantissa. For z^d they are the d-th
     roots of c."""
     d = ev.degree
-    kind = _closed_form(ev.poly)
-    if kind == "chebyshev":
+    if ev.closed_form == "chebyshev":
         ks = 2.0 * np.pi * np.arange(d)
         return lambda c: 2.0 * np.cos((np.arccos(np.complex128(c) / 2.0) + ks) / d)
-    if kind == "power":
+    if ev.closed_form == "power":
         rot = np.exp(2j * np.pi * np.arange(d) / d)
 
         def pre(c):

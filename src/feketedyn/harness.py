@@ -26,10 +26,12 @@ array.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 
@@ -169,7 +171,7 @@ class ExperimentSpec:
             raise ValueError(f"outputs must be a subset of {OUTPUT_FORMATS}")
         put("outputs", outputs)
         put("seed", config_int("experiment config", "seed", self.seed))
-        epsilon = float(self.epsilon)
+        epsilon = config_float("experiment config", "epsilon", self.epsilon)
         if not 0 < epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, not {epsilon!r}")
         put("epsilon", epsilon)
@@ -232,28 +234,38 @@ def build_set(config: dict, samples: int | None = None) -> CompactSetModel:
     kind = cfg.get("kind")
     if not isinstance(kind, str) or kind not in _SET_KEYS:
         raise ConfigError(f"unknown set kind {kind!r}")
-    check_keys(f"set kind {kind!r}", cfg, ("kind", *_SET_KEYS[kind]))
+    what = f"set kind {kind!r}"
+    check_keys(what, cfg, ("kind", *_SET_KEYS[kind]))
     kw = {} if samples is None else {"samples": samples}
+    num = functools.partial(config_float, what)
     try:
         if kind == "interval":
-            return CompactSetModel.interval(float(cfg["a"]), float(cfg["b"]), **kw)
+            return CompactSetModel.interval(num("a", cfg["a"]), num("b", cfg["b"]), **kw)
         if kind in ("disk", "circle"):
             ctor = CompactSetModel.disk if kind == "disk" else CompactSetModel.circle
-            return ctor(_as_center(cfg.get("center", 0)), float(cfg["radius"]), **kw)
+            c = cfg.get("center", 0)
+            if isinstance(c, str):
+                c = complex(c.replace(" ", ""))
+            else:  # a number or [re, im]
+                x, y = c if isinstance(c, (list, tuple)) else (c, 0)
+                c = complex(num("center", x), num("center", y))
+            return ctor(c, num("radius", cfg["radius"]), **kw)
         # a union_of_intervals
         iv = cfg["intervals"]
         if iv and isinstance(iv[0], (list, tuple)):
-            pairs = [(float(a), float(b)) for a, b in iv]
+            pairs = [(num("intervals", a), num("intervals", b)) for a, b in iv]
         else:
             if len(iv) % 2:
                 raise ValueError("flat interval list needs an even length")
-            flat = [float(x) for x in iv]
+            flat = [num("intervals", x) for x in iv]
             pairs = list(zip(flat[0::2], flat[1::2]))
         return CompactSetModel.union_of_intervals(pairs, **kw)
     except KeyError as exc:
-        raise ConfigError(f"set kind {kind!r} needs key {exc}") from exc
+        raise ConfigError(f"{what} needs key {exc}") from exc
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"set kind {kind!r}: {exc}") from exc
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def check_keys(what: str, cfg: dict, keys) -> None:
@@ -276,6 +288,19 @@ def config_int(what: str, key: str, value, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ConfigError(f"{what}: need {key} >= {least}, got {value}")
     return value
+
+
+def config_float(what: str, key: str, value) -> float:
+    """The value of a config key that takes numbers: an int that is not a
+    bool, or a float, that a float can hold. Anything else raises
+    ConfigError naming the key, where float() would read epsilon = true as
+    1.0 and a = "2" as 2."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{what}: {key} takes numbers, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what}: {key} takes numbers a float can hold") from None
 
 
 def read_poly(what: str, value, least: int) -> IntPolynomial:
@@ -304,27 +329,27 @@ def _set_block(config) -> dict:
     return dict(config)
 
 
-def _as_center(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        re, im = v
-        return complex(float(re), float(im))
-    if isinstance(v, str):
-        return complex(v.replace(" ", ""))
-    return complex(v)
-
-
 def parse_config(path) -> dict:
     """Flat key-value text (`key = value`, `{...}` blocks, `[...]` lists,
-    `#` comments); a file whose first non-blank byte is `{` is read as JSON.
-    A file that cannot be read or parsed, or repeats a key, raises ConfigError."""
+    `#` comments outside quotes); a file whose first non-blank byte is `{`
+    is read as JSON. A file that cannot be read or parsed, repeats a key or
+    leaves a quote open raises ConfigError."""
     try:
         text = pathlib.Path(path).read_text()
         if text.lstrip().startswith("{"):
             return json.loads(text, object_pairs_hook=_pairs)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"config {str(path)!r}: {exc}") from exc
-    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    lines = [_uncommented(raw).strip() for raw in text.splitlines()]
     return _pairs(_key_value(line) for line in lines if line)
+
+
+def _uncommented(line: str) -> str:
+    # the line up to its first `#` outside quotes; a quote left open is an error
+    kept, rest = re.fullmatch(r"""((?:[^#'"]|'[^']*'|"[^"]*")*)(.*)""", line).groups()
+    if rest[:1] not in ("", "#"):
+        raise ConfigError(f"unterminated {rest[0]} in {line.strip()!r}")
+    return kept
 
 
 def _pairs(pairs) -> dict:

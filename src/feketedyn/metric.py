@@ -70,11 +70,7 @@ def side_from_map(poly: IntPolynomial, atoms) -> GreenSide:
     atoms (a Brolin sample, say), the Green evaluator is the escape-rate
     function."""
     ev = DynGreenEvaluator(poly)
-
-    def gm(z, ev=ev):
-        return ev.green_many(np.asarray(z, dtype=np.complex128))[0]
-
-    return GreenSide(samples=atoms, green_many=gm,
+    return GreenSide(samples=atoms, green_many=lambda z: ev.green_many(z)[0],
                      log_cap=math.log(julia_capacity(poly)))
 
 

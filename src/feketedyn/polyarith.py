@@ -228,9 +228,10 @@ class RootSet:
         return float(np.max(np.abs(self.roots)))
 
 
-def _powers(z: np.ndarray, d: int) -> np.ndarray:
-    # z**0 .. z**d along a new last axis, as running products
-    pw = np.empty(z.shape + (d + 1,), dtype=z.dtype)
+def _powers(z: np.ndarray, d: int, out=None) -> np.ndarray:
+    # z**0 .. z**d along a new last axis, as running products, into out
+    # (of shape z.shape + (d + 1,)) when given
+    pw = np.empty(z.shape + (d + 1,), dtype=z.dtype) if out is None else out
     pw[..., 0] = 1.0
     pw[..., 1:] = z[..., None]
     return np.multiply.accumulate(pw, axis=-1, out=pw)
@@ -298,17 +299,13 @@ def _aberth(a: np.ndarray, tol_abs: np.ndarray, z: np.ndarray):
     zl, coef, lim = z, pair, 0.01 * tol_abs
     moving = np.ones(z.shape, dtype=bool)
     powers = np.empty((n_rows, d, d + 1), dtype=np.complex128)
-    powers[..., 0] = 1.0
     pv = np.empty((n_rows, d, 2), dtype=np.complex128)
     diff = np.empty((n_rows, d, d), dtype=np.complex128)
     diag = diff.reshape(n_rows, d * d)[:, ::d + 1]
 
     def values(zl, coef):
-        # p and p' at zl: z**0 .. z**d as running products, times coef
-        table = powers[:len(zl)]
-        table[..., 1:] = zl[..., None]
-        np.multiply.accumulate(table, axis=-1, out=table)
-        return np.matmul(table, coef, out=pv[:len(zl)])
+        # p and p' at zl: the power table times coef
+        return np.matmul(_powers(zl, d, powers[:len(zl)]), coef, out=pv[:len(zl)])
 
     sweeps = 0
     while len(live) and sweeps < 500:

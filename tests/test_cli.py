@@ -471,6 +471,19 @@ def test_experiment_runaway(capsys, tmp_path):
     assert header == "d,N_d,inside,max_modulus,h,target"
 
 
+def test_experiment_name_with_hash(capsys, tmp_path):
+    # a # inside quotes is no comment: name = "run#2" wrote "run.csv, with
+    # the quote in its file name
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('name = "run#2"  # the second run\nfamily = runaway\ndegree_range = [4, 6]\n')
+    out_dir = tmp_path / "out"
+    code, out, _ = run(capsys, "experiment", "runaway",
+                       "--config", str(cfg), "--out", str(out_dir))
+    assert code == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["MANIFEST.json", "run#2.csv",
+                                                         "run#2.json"]
+
+
 def test_experiment_seed_override(capsys, tmp_path):
     cfg = tmp_path / "pow.cfg"
     cfg.write_text(
@@ -652,6 +665,25 @@ def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config
                     "set = { kind = interval, a = -2, b = 2 }\n"
                     "degree_range = [4, 4096]\ncheckpoints = [2048]\n",
      "chebyshev checkpoint 2048 needs coefficients a float can hold"),
+    # booleans are not numbers: epsilon = true ran with epsilon 1.0, and a
+    # disk of center true and radius true was the disk D(1, 1)
+    ("dynamical_fs", "name = x\nfamily = power_maps\n"
+                     "set = { kind = disk, center = 0, radius = 1 }\n"
+                     "checkpoints = [4]\nepsilon = true\n",
+     "experiment config: epsilon takes numbers, not True"),
+    ("dynamical_fs", "name = x\nfamily = power_maps\n"
+                     "set = { kind = disk, center = 0, radius = true }\ncheckpoints = [4]\n",
+     "set kind 'disk': radius takes numbers, not True"),
+    ("dynamical_fs", "name = x\nfamily = power_maps\n"
+                     "set = { kind = disk, center = true, radius = 1 }\ncheckpoints = [4]\n",
+     "set kind 'disk': center takes numbers, not True"),
+    ("dynamical_fs", "name = x\nfamily = power_maps\n"
+                     "set = { kind = disk, center = 0, radius = 1 }\n"
+                     f"checkpoints = [4]\nepsilon = {10 ** 400}\n",
+     "experiment config: epsilon takes numbers a float can hold"),
+    # a quote left open: name = "run was the name '"run'
+    ("runaway", 'name = "run\nfamily = runaway\ndegree_range = [4, 6]\n',
+     "unterminated \" in 'name = \"run'"),
 ], ids=["unknown-kind", "missing-key", "constructor", "bilu-target",
         "bilu-target-off-axis", "fs-capacity",
         "runaway-range", "degree-range-type", "set-not-block", "probe-literal",
@@ -660,7 +692,8 @@ def test_experiment_config_error_is_usage_error(capsys, tmp_path, runner, config
         "name-subdir", "epsilon-inf", "no-checkpoints", "user-polys-huge",
         "probe-huge", "probe-rational-huge", "runaway-set", "fs-probes",
         "bilu-epsilon", "user-checkpoints", "user-degree-range", "ladder-user-polys",
-        "bilu-user-polys", "chebyshev-2048"])
+        "bilu-user-polys", "chebyshev-2048", "epsilon-bool", "radius-bool", "center-bool",
+        "epsilon-huge", "unterminated-quote"])
 def test_experiment_set_config_error_is_usage_error(capsys, tmp_path, runner, config,
                                                     needle):
     assert needle in _usage_error(capsys, tmp_path, runner, config)
@@ -704,8 +737,22 @@ def _every_side(block: str) -> str:
      "set kind 'disk': center and radius must be finite"),
     (_every_side("{ kind = interval, a = -2, b = inf }"),
      "set kind 'interval': interval ends must be finite"),
+    # booleans and strings are not numbers: capacity printed 0.25 for
+    # a = false, b = true, the interval [0, 1]
+    (_every_side("{ kind = interval, a = false, b = true }"),
+     "set kind 'interval': a takes numbers, not False"),
+    (_every_side("{ kind = disk, center = [0, true], radius = 1 }"),
+     "set kind 'disk': center takes numbers, not True"),
+    (_every_side('{ kind = circle, center = 0, radius = "1" }'),
+     "set kind 'circle': radius takes numbers, not '1'"),
+    (_every_side("{ kind = union_of_intervals, intervals = [-2, -1, 1, true] }"),
+     "set kind 'union_of_intervals': intervals takes numbers, not True"),
+    # an integer past the float range ended in an OverflowError traceback
+    (_every_side(f"{{ kind = disk, center = 0, radius = {10 ** 400} }}"),
+     "set kind 'disk': radius takes numbers a float can hold"),
 ], ids=["missing-key", "unknown-kind", "not-key-value", "malformed-json",
-        "intervals-type", "samples-key", "value-type", "radius-nan", "end-inf"])
+        "intervals-type", "samples-key", "value-type", "radius-nan", "end-inf",
+        "ends-bool", "center-part-bool", "radius-string", "intervals-bool", "radius-huge"])
 @pytest.mark.parametrize("argv", [
     ("capacity", "--config", "{cfg}"),
     ("green", "--config", "{cfg}", "--at", "3,0"),

@@ -349,6 +349,43 @@ def test_green_nan_input_is_undecided(poly, plan):
     assert cmath.isnan(eval_intpoly(poly, complex(math.nan, 1.0)))
 
 
+# inputs at the ends of the loop: NaN parts, an infinite part, moduli past
+# the float maximum with finite parts, and huge finite points
+_edge_points = [math.nan, complex(math.nan, 1.0), complex(math.inf, math.nan), math.inf,
+                1.7e308 + 1.7e308j, -1.7e308 + 1e308j, 1e300, 1e154 + 1e154j]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.tuples(random_int_maps, st.sampled_from(["float", "exact"])),
+                 st.just((chebyshev_monic(64), "chebyshev"))),
+       st.lists(st.one_of(
+           st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-3, 1)),
+           st.floats(-2, 2).map(complex),
+           st.sampled_from(_edge_points).map(complex)), min_size=1, max_size=12),
+       st.data())
+def test_green_many_point_ignores_its_batch(map_plan, points, data):
+    # a point's value and flag do not depend on the other points of its
+    # batch: any permutation or subset of a batch that mixes escaping,
+    # bounded, NaN, overflowing and huge inputs reads the same bits. Tuples
+    # are points inside, near and up to ten times past the escape radius;
+    # the exact plan is forced by a zero coefficient-mass threshold
+    p, plan = map_plan
+    with pytest.MonkeyPatch.context() as mp:
+        if plan == "exact":
+            mp.setattr(dynamics, "EXACT_EVAL_COEFF_SUM", 0)
+        ev = DynGreenEvaluator(p)
+    assert _plan(ev) == {"float": "float", "exact": "horner"}.get(plan, plan)
+    zs = np.array([ev.escape_radius * 10.0 ** z[2] * complex(z[0], z[1])
+                   if isinstance(z, tuple) else z for z in points])
+    vals, und = ev.green_many(zs)
+    perm = data.draw(st.permutations(range(len(zs))))
+    subset = sorted(data.draw(st.sets(st.integers(0, len(zs) - 1), min_size=1)))
+    for pick in (perm, subset):
+        v, u = ev.green_many(zs[pick])
+        assert v.tobytes() == vals[pick].tobytes(), (p.coeffs, zs, pick)
+        assert np.array_equal(u, und[pick])
+
+
 # ----------------------------------------------------------------- capacity
 
 def test_julia_capacity_closed_forms():

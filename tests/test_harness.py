@@ -171,6 +171,22 @@ def test_parse_config_refuses_repeated_key(tmp_path, name, text, key):
         parse_config(path)
 
 
+def test_parse_config_hash_in_quotes_is_no_comment(tmp_path):
+    # name = "run#2" was cut to the name '"run'
+    path = tmp_path / "run.cfg"
+    path.write_text('name = "run#2"  # a comment\nprobes = [\'a # b\', 3] # more\n')
+    assert parse_config(path) == {"name": "run#2", "probes": ["a # b", 3]}
+
+
+@pytest.mark.parametrize("text", ['name = "run\n', "name = 'run#2\n",
+                                  "set = { kind = 'disk }\n"])
+def test_parse_config_refuses_unterminated_quote(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="unterminated"):
+        parse_config(path)
+
+
 def test_parse_config_block_part_needs_key_value(tmp_path):
     # a block part with no '=' is refused as a top-level line is
     path = tmp_path / "run.cfg"
