@@ -245,7 +245,10 @@ def build_set(config: dict, samples: int | None = None) -> CompactSetModel:
             ctor = CompactSetModel.disk if kind == "disk" else CompactSetModel.circle
             c = cfg.get("center", 0)
             if isinstance(c, str):
-                c = complex(c.replace(" ", ""))
+                try:
+                    c = complex(c.replace(" ", ""))
+                except ValueError:
+                    raise ConfigError(f"{what}: center {c!r} is not a complex number") from None
             else:  # a number or [re, im]
                 x, y = c if isinstance(c, (list, tuple)) else (c, 0)
                 c = complex(num("center", x), num("center", y))
@@ -344,12 +347,20 @@ def parse_config(path) -> dict:
     return _pairs(_key_value(line) for line in lines if line)
 
 
+# a quoted string, else one character; a quote with no partner reads alone
+_QUOTE_SCAN = r"""'[^']*'|"[^"]*"|."""
+
+
 def _uncommented(line: str) -> str:
     # the line up to its first `#` outside quotes; a quote left open is an error
-    kept, rest = re.fullmatch(r"""((?:[^#'"]|'[^']*'|"[^"]*")*)(.*)""", line).groups()
-    if rest[:1] not in ("", "#"):
-        raise ConfigError(f"unterminated {rest[0]} in {line.strip()!r}")
-    return kept
+    kept = []
+    for chunk in re.findall(_QUOTE_SCAN, line):
+        if chunk == "#":
+            break
+        if chunk in ("'", '"'):
+            raise ConfigError(f"unterminated {chunk} in {line.strip()!r}")
+        kept.append(chunk)
+    return "".join(kept)
 
 
 def _pairs(pairs) -> dict:
@@ -369,17 +380,19 @@ def _key_value(part: str) -> tuple:
 
 
 def _split_top(s: str) -> list:
+    # the items of a list or the parts of a block: s split at its commas
+    # outside brackets and quotes
     parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch in "[{":
+    for chunk in re.findall(_QUOTE_SCAN, s):
+        if chunk in ("[", "{"):
             depth += 1
-        elif ch in "]}":
+        elif chunk in ("]", "}"):
             depth -= 1
-        if ch == "," and depth == 0:
+        if chunk == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
-            cur.append(ch)
+            cur.append(chunk)
     parts.append("".join(cur))
     return [p.strip() for p in parts if p.strip()]
 

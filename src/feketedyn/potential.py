@@ -187,6 +187,8 @@ class CompactSetModel:
         verts = np.asarray([complex(v) for v in vertices], dtype=np.complex128)
         if len(verts) < 3:
             raise ValueError("need at least three vertices")
+        if not np.isfinite(verts).all():
+            raise ValueError("vertices must be finite")
         loop = np.concatenate([verts, verts[:1]])
         seg = np.abs(np.diff(loop))
         cum = np.concatenate([[0.0], np.cumsum(seg)])
@@ -329,10 +331,14 @@ def fekete_points(samples, n: int) -> np.ndarray:
     Deterministic greedy (Leja) seeding followed by local exchange sweeps on
     the sample grid; maximizes the pairwise log-distance sum. A sweep moves
     each point to the best candidate when that raises the sum by more than
-    1e-12; a candidate that leaves is never readmitted. The log-distance row
-    of each chosen point over all m samples is computed once, when it
-    enters, and held in an (n, m) float64 array (n*m*8 bytes, 16.8 MB at
-    n = 256 on 8192 samples) until the search returns.
+    1e-12; a candidate that leaves is never readmitted. The sweeps stop after
+    n visits in a row without a swap (at most 16 sweeps): the state is then
+    what it was at each of those visits, so no later visit could swap. The
+    log-distance row of each chosen point over all m samples is computed
+    once, when it enters, and held in an (n, m) float64 array (n*m*8 bytes,
+    16.8 MB at n = 256 on 8192 samples) until the search returns; so are
+    those rows at the other chosen points, in an (n, n - 1) array
+    (n*(n-1)*8 bytes, 0.5 MB at n = 256). Samples must be finite.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -340,38 +346,62 @@ def fekete_points(samples, n: int) -> np.ndarray:
     m = len(cand)
     if n > m:
         raise ValueError(f"n={n} exceeds {m} samples")
+    if not np.isfinite(cand).all():
+        raise ValueError("samples must be finite")
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        # greedy Leja phase; rows[k] is log|cand - cand[idx[k]]|, and total
-        # their sum, which the exchange sweeps keep current
-        idx = np.empty(n, dtype=np.int64)
+        # rows[k] is log|cand - cand[idx[k]]|, and total their sum, which the
+        # exchange sweeps keep current. own[k] is rows[k] at the other chosen
+        # points, in idx order. log|a - b| is symmetric in a and b bit for
+        # bit, so a point entering at pos writes own's row pos and, in each
+        # other row q, column pos - (q < pos) from its own row. In the Leja
+        # phase the places not yet filled hold sample 0, and what a point
+        # writes for them is rewritten when they fill
+        idx = np.zeros(n, dtype=np.int64)
         rows = np.empty((n, m))
-        idx[0] = np.argmax(np.abs(cand - np.mean(cand)))
-        rows[0] = np.log(np.abs(cand - cand[idx[0]]))
+        own = np.empty((n, n - 1))
+        diff = np.empty(m, dtype=np.complex128)
+
+        def enter(pos, j):
+            idx[pos] = j
+            np.subtract(cand, cand[j], out=diff)
+            np.abs(diff, out=rows[pos])
+            np.log(rows[pos], out=rows[pos])
+            at = rows[pos][idx]
+            own[pos, :pos] = own[:pos, pos - 1] = at[:pos]
+            if pos < n - 1:
+                own[pos, pos:] = own[pos + 1:, pos] = at[pos + 1:]
+
+        # greedy Leja phase
+        enter(0, np.argmax(np.abs(cand - np.mean(cand))))
         total = rows[0].copy()
         for k in range(1, n):
-            idx[k] = np.argmax(total)
-            rows[k] = np.log(np.abs(cand - cand[idx[k]]))
+            enter(k, np.argmax(total))
             total += rows[k]
 
         # local exchange sweeps. total - rows[pos] is NaN at idx[pos] and at
         # its duplicates, and a swap carries that NaN into total, so a
         # candidate that left is never readmitted. fmax reads NaN as -inf, so
         # argmax picks what nanargmax would whenever the best value is
-        # finite, the only case that can swap
-        for _ in range(16):
-            swapped = False
-            for pos in range(n):
-                own = float(np.sum(rows[pos][np.delete(idx, pos)]))
-                t_wo = total - rows[pos]
-                best = int(np.argmax(np.fmax(t_wo, -np.inf)))
-                if t_wo[best] > own + 1e-12 and best not in idx:
-                    rows[pos] = np.log(np.abs(cand - cand[best]))
-                    total = t_wo + rows[pos]
-                    idx[pos] = best
-                    swapped = True
-            if not swapped:
-                break
+        # finite, the only case that can swap. held counts each sample's
+        # places in idx, which may repeat a sample
+        held = np.bincount(idx, minlength=m)
+        t_wo, score = np.empty(m), np.empty(m)
+        quiet = 0
+        for visit in range(16 * n):
+            pos = visit % n
+            np.subtract(total, rows[pos], out=t_wo)
+            best = int(np.fmax(t_wo, -np.inf, out=score).argmax())
+            if t_wo[best] > float(own[pos].sum()) + 1e-12 and not held[best]:
+                held[idx[pos]] -= 1
+                held[best] += 1
+                enter(pos, best)
+                np.add(t_wo, rows[pos], out=total)
+                quiet = 0
+            else:
+                quiet += 1
+                if quiet == n:
+                    break
     return cand[np.sort(idx)]
 
 

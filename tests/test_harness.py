@@ -178,6 +178,35 @@ def test_parse_config_hash_in_quotes_is_no_comment(tmp_path):
     assert parse_config(path) == {"name": "run#2", "probes": ["a # b", 3]}
 
 
+@pytest.mark.parametrize("text, key, value", [
+    # split at the quoted comma into ['0 0 1', '"0', '1"']
+    ('user_polys = ["0 0 1", "0, 1"]\n', "user_polys", ["0 0 1", "0, 1"]),
+    # split into the part '1j"', which has no '='
+    ('set = { kind = circle, center = "1, 1j", radius = 1 }\n', "set",
+     {"kind": "circle", "center": "1, 1j", "radius": 1}),
+    # brackets inside quotes opened or closed a level
+    ("""probes = ['[3', "{5,", '}]', 7]\n""", "probes", ["[3", "{5,", "}]", 7]),
+], ids=["list", "block", "brackets"])
+def test_parse_config_quoted_commas_do_not_split(tmp_path, text, key, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert parse_config(path) == {key: value}
+
+
+@pytest.mark.parametrize("text, read, needle", [
+    ('name = q\nfamily = user\nset = { kind = disk, center = 0, radius = 1 }\n'
+     'user_polys = ["0 0 1", "-1, 0 1"]\n', spec_from_config, "got '-1, 0 1'"),
+    ('set = { kind = circle, center = "1, 1j", radius = 1 }\n',
+     lambda cfg: build_set(cfg["set"]), "center '1, 1j'"),
+], ids=["user-polys", "center"])
+def test_config_error_names_whole_quoted_value(tmp_path, text, read, needle):
+    # the errors named the fragments '"-1' and '1j"'
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(needle)):
+        read(parse_config(path))
+
+
 @pytest.mark.parametrize("text", ['name = "run\n', "name = 'run#2\n",
                                   "set = { kind = 'disk }\n"])
 def test_parse_config_refuses_unterminated_quote(tmp_path, text):

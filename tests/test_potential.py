@@ -23,6 +23,7 @@ from feketedyn.potential import (
     fekete_points,
     green_eval_many,
     log_abs,
+    transfinite_diameter_of_points,
 )
 
 
@@ -188,6 +189,18 @@ def _repeated_cloud():
     return np.round(pts / 0.05) * 0.05
 
 
+def _bench_square():
+    # the square of perfbench's sampled_sets at seed 1, rotated by its
+    # seeded angle, at the default 4096 samples
+    theta = float(np.random.default_rng(1).uniform(0.0, math.pi / 2))
+    return CompactSetModel.polyline_boundary([v * cmath.exp(1j * theta) for v in SQUARE])
+
+
+def _bench_union():
+    # a union with no closed form, at its default 2 x 4096 samples
+    return CompactSetModel.union_of_intervals([(-2.5, -1), (1, 3)])
+
+
 FEKETE_SETS = {
     "union": lambda: CompactSetModel.union_of_intervals(
         [(-2, -1), (1, 2)], samples=1024).boundary_samples,
@@ -200,16 +213,47 @@ FEKETE_SETS = {
         [v * np.exp(0.7j) for v in (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)],
         samples=1024).boundary_samples,
     "repeated-cloud": _repeated_cloud,
+    # the searches log_capacity makes at the benchmark's geometry
+    "bench-square": lambda: _bench_square().boundary_samples,
+    "bench-union": lambda: _bench_union().boundary_samples,
 }
+# the rungs each set is searched at, where not the default four
+FEKETE_RUNGS = {"bench-square": (128, 256), "bench-union": (256,)}
 
 
-@pytest.mark.parametrize("n", [2, 3, 64, 256])
-@pytest.mark.parametrize("name", sorted(FEKETE_SETS))
+@pytest.mark.parametrize("name, n", [
+    (name, n) for name in sorted(FEKETE_SETS) for n in FEKETE_RUNGS.get(name, (2, 3, 64, 256))
+])
 def test_fekete_matches_reference_loop(name, n):
     s = FEKETE_SETS[name]()
     if name in ("overlapping-union", "repeated-cloud"):
         assert len(np.unique(s)) < len(s)
     _assert_same_fekete(s, n)
+
+
+def _reference_log_capacity(samples):
+    """log_capacity's two-rung extrapolation, from d_128 and d_256 of the
+    reference loop."""
+    l1, l2 = (math.log(transfinite_diameter_of_points(_fekete_reference(samples, n)))
+              for n in (128, 256))
+    t1, t2 = math.log(128) / 128, math.log(256) / 256
+    return (t1 * l2 - t2 * l1) / (t1 - t2)
+
+
+def test_log_capacity_is_reference_two_rung_value():
+    e = _bench_square()
+    assert e.log_capacity == _reference_log_capacity(e.boundary_samples)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_fekete_refuses_non_finite_samples(bad):
+    # a NaN sample gave the points [0, 0, nan] and capacity nan, an inf one
+    # [inf, inf, inf]
+    samples = np.array([0, 1, bad, 2, 3], dtype=complex)
+    with pytest.raises(ValueError, match="must be finite"):
+        fekete_points(samples, 3)
+    with pytest.raises(ValueError, match="must be finite"):
+        capacity_estimate(samples, 3)
 
 
 # aligned grids: every interval has the same length and a dyadic sample step,
@@ -828,7 +872,10 @@ def test_probe_ring_needs_a_ring_kind():
     lambda: CompactSetModel.disk(0, math.nan),
     lambda: CompactSetModel.circle(complex(math.inf, 0), 1.0),
     lambda: CompactSetModel.union_of_intervals([(-2, -1), (1, math.inf)]),
-], ids=["interval-inf", "disk-radius", "circle-center", "union"])
+    lambda: CompactSetModel.polyline_boundary([0, 1, complex(math.nan, 0)]),
+    lambda: CompactSetModel.polyline_boundary([0, 1, complex(0, math.inf)]),
+], ids=["interval-inf", "disk-radius", "circle-center", "union", "polyline-nan",
+        "polyline-inf"])
 def test_catalog_sets_refuse_non_finite_parameters(build):
     # a NaN radius gave capacity nan and an infinite end capacity inf
     with pytest.raises(ValueError, match="must be finite"):
