@@ -70,9 +70,10 @@ def _add_poly_args(sub):
 
 
 def _read_file(path) -> str:
-    """The text of a file; a missing, unreadable or non-UTF-8 one is refused."""
+    """The text of a UTF-8 file, less a leading byte-order mark; a missing,
+    unreadable or non-UTF-8 one is refused."""
     try:
-        return pathlib.Path(path).read_text()
+        return pathlib.Path(path).read_text(encoding="utf-8-sig")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 

@@ -334,11 +334,12 @@ def _set_block(config) -> dict:
 
 def parse_config(path) -> dict:
     """Flat key-value text (`key = value`, `{...}` blocks, `[...]` lists,
-    `#` comments outside quotes); a file whose first non-blank byte is `{`
-    is read as JSON. A file that cannot be read or parsed, repeats a key or
-    leaves a quote open raises ConfigError."""
+    `#` comments outside quotes) in UTF-8, less a leading byte-order mark; a
+    file whose first non-blank character is `{` is read as JSON. A file that
+    cannot be read or parsed, repeats a key or leaves a quote open raises
+    ConfigError."""
     try:
-        text = pathlib.Path(path).read_text()
+        text = pathlib.Path(path).read_text(encoding="utf-8-sig")
         if text.lstrip().startswith("{"):
             return json.loads(text, object_pairs_hook=_pairs)
     except (OSError, ValueError) as exc:

@@ -89,17 +89,7 @@ class CompactSetModel:
 
     @classmethod
     def interval(cls, a: float, b: float, samples: int = DEFAULT_BOUNDARY_SAMPLES):
-        if not b > a:
-            raise ValueError("need b > a")
-        e = cls._segments("interval", {"a": a, "b": b}, [(a, b)], samples,
-                          log_capacity=math.log((b - a) / 4.0),
-                          green_fn=_segment_green(a, b))
-        # the Gauss-Chebyshev nodes: equal atoms whose moments of order
-        # 1..2N-1 are the arcsine law's
-        k = np.arange(EQUILIBRIUM_N)
-        e._measure = DiscreteMeasure(
-            (a + b) / 2 + (b - a) / 2 * np.cos((2 * k + 1) * np.pi / (2 * EQUILIBRIUM_N)))
-        return e
+        return cls.union_of_intervals([(a, b)], samples)
 
     @classmethod
     def disk(cls, center, radius: float, samples: int = DEFAULT_BOUNDARY_SAMPLES):
@@ -147,40 +137,46 @@ class CompactSetModel:
 
     @classmethod
     def union_of_intervals(cls, intervals, samples: int = DEFAULT_BOUNDARY_SAMPLES):
-        ivs = [(float(a), float(b)) for a, b in intervals]
-        if not ivs:
-            raise ValueError("need at least one interval")
-        for a, b in ivs:
+        """Union of real segments [a, b], sorted, with those that overlap or
+        touch merged, and samples points on each; one segment is kind
+        interval. One segment (A = 0) or a mirror pair [c - B, c - A] u
+        [c + A, c + B] is the preimage of [A^2, B^2] under (z - c)^2 and
+        takes closed forms; any other union takes the Fekete path."""
+        ivs = []
+        for a, b in sorted((float(a), float(b)) for a, b in intervals):
             if not b > a:
                 raise ValueError("need b > a in every interval")
-        closed_forms = {}
-        if len(ivs) == 2:
-            # [c - b, c - a] u [c + a, c + b] is the preimage of [a^2, b^2]
-            # under (z - c)^2 (a = 0 gives the interval [c - b, c + b]); the
-            # test a1 + b2 == b1 + a2 is exact, and squared ends that overflow
-            # or coincide leave the union on the Fekete path
-            (a1, b1), (a2, b2) = sorted(ivs)
-            if b1 <= a2 and a1 + b2 == b1 + a2:
-                a, b = (a2 - b1) / 2, (b2 - a1) / 2
-                lo, hi = a * a, b * b
-                if lo < hi < math.inf:
-                    closed_forms = {"log_capacity": math.log((hi - lo) / 4.0) / 2,
-                                    "green_fn": _segment_green(a1, b2, gap=(b1, a2))}
-        return cls._segments("union-of-intervals", {"intervals": ivs}, ivs, samples,
-                             **closed_forms)
-
-    @classmethod
-    def _segments(cls, kind, params, ivs, samples, **closed_forms):
-        """Union of real segments ivs, samples points on each."""
+            if ivs and a <= ivs[-1][1]:
+                ivs[-1] = (ivs[-1][0], max(ivs[-1][1], b))
+            else:
+                ivs.append((a, b))
+        if not ivs:
+            raise ValueError("need at least one interval")
         if not np.isfinite(ivs).all():
             raise ValueError("interval ends must be finite")
-        t = np.concatenate([np.linspace(a, b, samples) for a, b in ivs])
-        pts = t.astype(np.complex128)
+        pts = np.concatenate([np.linspace(a, b, samples) for a, b in ivs]).astype(np.complex128)
         contains, distance, ring = _segments_geometry(ivs, _membership_tol(pts))
-        return cls(
-            kind=kind, params=params, boundary_samples=pts, symmetric=True, contains_fn=contains, distance_fn=distance,
-            ring_fn=ring, **closed_forms,
-        )
+        e = cls(kind="interval" if len(ivs) == 1 else "union-of-intervals",
+                params={"a": ivs[0][0], "b": ivs[0][1]} if len(ivs) == 1 else {"intervals": ivs},
+                boundary_samples=pts, symmetric=True, contains_fn=contains,
+                distance_fn=distance, ring_fn=ring)
+        ends = [x for iv in ivs for x in iv]
+        if len(ivs) == 1:
+            ends[1:1] = [ends[0] / 2 + ends[1] / 2] * 2
+        # halves, whose sums and differences do not overflow
+        h0, h1, h2, h3, *more = (x / 2 for x in ends)
+        if more or h0 + h3 != h1 + h2:  # more than two segments, or no mirror pair
+            return e
+        c, half_gap, half_pair = h1 + h2, h2 - h1, h3 - h0
+        lo, hi = half_pair - half_gap, half_pair + half_gap
+        e._log_capacity = (math.log(lo) + math.log(hi)) / 2 - math.log(2)
+        e._green_fn = _segment_green(ends, 2 / lo, 1 / hi)
+        # the pullbacks of the Gauss-Chebyshev nodes of [A^2, B^2]: equal
+        # atoms whose moments in z - c of order 1..2N-1 are mu_E's
+        theta = (2 * np.arange(EQUILIBRIUM_N // 2) + 1) * np.pi / EQUILIBRIUM_N
+        h = np.hypot(half_gap * np.sin(theta / 2), half_pair * np.cos(theta / 2))
+        e._measure = DiscreteMeasure(np.concatenate([c - h, c + h]))
+        return e
 
     @classmethod
     def polyline_boundary(cls, vertices, samples: int = DEFAULT_BOUNDARY_SAMPLES):
@@ -241,24 +237,23 @@ def _membership_tol(samples: np.ndarray) -> float:
     return _MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(samples - np.mean(samples)))) * 2)
 
 
-def _segment_green(a: float, b: float, gap=None):
-    """Green function of [a, b], log|w + sqrt(w - 1) sqrt(w + 1)| at
-    w = (2z - a - b) / (b - a). With gap = (a', b'), that of the mirror
-    pair [a, a'] u [b', b], the preimage of [A^2, B^2] under (z - c)^2 for
-    its centre c and the half-widths A of the gap and B of the pair: there
-    w is taken at (z - c)^2 on [A^2, B^2] and g halved, and w - 1 and w + 1
-    are 2 / (B^2 - A^2) times (z - a)(z - b) and (z - a')(z - b'), so that
-    no digit cancels near c or the four ends. Overflow gives inf or NaN
-    without a warning, for green_eval_many's far field."""
+def _segment_green(ends, p: float, q: float):
+    """Green function of the mirror pair [e0, e1] u [e2, e3], ends
+    e0 <= e1 <= e2 <= e3 with e0 + e3 = e1 + e2 = 2c, the preimage of
+    [A^2, B^2] under (z - c)^2 for the half-widths A of the gap and B of
+    the pair (e1 = e2 = c and A = 0 for the segment [e0, e3]): half the
+    Green function of [A^2, B^2] at (z - c)^2, log|w + sqrt(w - 1)
+    sqrt(w + 1)| there. w - 1 and w + 1 are 2 / (B^2 - A^2) times
+    (z - e0)(z - e3) and (z - e1)(z - e2), so that no digit cancels near c
+    or the four ends, each factor scaled first by p = 2 / (B - A) or
+    q = 1 / (B + A), so that B^2 may pass the float maximum. Overflow gives
+    inf or NaN without a warning, for green_eval_many's far field."""
+    e0, e1, e2, e3 = ends
 
     def green(z):
         with np.errstate(over="ignore", invalid="ignore"):
-            if gap is None:
-                w = (2 * z - (a + b)) / (b - a)
-                return np.log(np.abs(w + np.sqrt(w - 1) * np.sqrt(w + 1)))
-            half_gap, half_pair = (gap[1] - gap[0]) / 2, (b - a) / 2
-            s = 2 / (half_pair * half_pair - half_gap * half_gap)
-            w_minus, w_plus = s * ((z - a) * (z - b)), s * ((z - gap[0]) * (z - gap[1]))
+            w_minus = ((z - e0) * p) * ((z - e3) * q)
+            w_plus = ((z - e1) * p) * ((z - e2) * q)
             w, r = (w_minus + w_plus) / 2, np.sqrt(w_minus) * np.sqrt(w_plus)
             # w + r and w - r solve t + 1/t = 2w, and g is log|t| at the
             # root with |t| >= 1: formed apart, w - 1 and w + 1 may carry
@@ -424,9 +419,9 @@ def transfinite_diameter_of_points(pts) -> float:
 
 
 def equilibrium_measure(e: CompactSetModel) -> DiscreteMeasure:
-    """The measure a closed-form kind installs (interval, disk, circle), or
-    else equal atoms on the EQUILIBRIUM_N-point Fekete configuration,
-    searched once per model."""
+    """The measure a closed-form set installs (interval, mirror pair of
+    intervals, disk, circle), or else equal atoms on the EQUILIBRIUM_N-point
+    Fekete configuration, searched once per model."""
     if e._measure is None:
         e._measure = DiscreteMeasure(fekete_points(e.boundary_samples, EQUILIBRIUM_N))
     return e._measure

@@ -45,6 +45,22 @@ def test_capacity_set_config(capsys, tmp_path):
     assert float(out.strip()) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("capacity", "--config"), "\ufeffkind = interval\na = -2\nb = 2\n"),
+    (("capacity", "--config"), '\ufeff{"kind": "interval", "a": -2, "b": 2}\n'),
+    (("capacity", "--poly-file"), "\ufeff-2 0 1\n"),
+    (("capacity", "--config"), "kind = union_of_intervals\nintervals = [-2, 1, 0, 2]\n"),
+], ids=["bom-flat-config", "bom-json-config", "bom-poly-file", "overlapping-union"])
+def test_capacity_one_prints_1(capsys, tmp_path, argv, text):
+    # a UTF-8 byte-order mark was read as text: "unknown set kind None",
+    # "expected 'key = value', got '\ufeff{...'" and "invalid literal for
+    # int()"; the overlapping union took the Fekete path and printed 0.9986
+    f = tmp_path / "input.txt"
+    f.write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, *argv, str(f))
+    assert (code, out) == (0, "1\n")
+
+
 def test_capacity_requires_input(capsys):
     with pytest.raises(SystemExit):
         main(["capacity"])
@@ -227,6 +243,7 @@ def test_julia_chebyshev_64_bbox_from_atoms(capsys, tmp_path, cheb64):
     (("capacity", "--poly-file", "{tmp}/missing.txt"), "cannot read"),
     (("capacity", "--poly-file", "{tmp}/bin.txt"), "cannot read"),
     (("capacity", "--poly", "{tmp}/bin.txt"), "cannot read"),
+    (("capacity", "--config", "{tmp}/bin.txt"), "codec can't decode"),
     # a non-finite window wrote a sidecar with "g_max": Infinity
     (("julia", "--poly", "0 0 1", "--bbox", "0,inf,0,1"), "is not finite"),
     (("green", "--poly", "0 0 1", "--at", "nan,0"), "is not finite"),
@@ -261,7 +278,7 @@ def test_julia_chebyshev_64_bbox_from_atoms(capsys, tmp_path, cheb64):
 ], ids=["at", "bbox-part", "bbox-degenerate", "resolution-small",
         "resolution-text", "brolin-n", "green-degree", "capacity-degree",
         "green-max-iter", "julia-max-iter", "height-constant", "poly-file-missing",
-        "poly-file-binary", "poly-binary", "bbox-infinite", "at-nan",
+        "poly-file-binary", "poly-binary", "config-binary", "bbox-infinite", "at-nan",
         "capacity-huge", "dyn-huge", "two-sources", "no-source", "dyn-non-monic",
         "poly-file-path-text", "green-config-max-iter", "weil-set", "canonical-set",
         "weil-dyn", "rumely-dyn", "julia-bbox-seed", "poly-text", "dyn-text",

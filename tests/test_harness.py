@@ -39,6 +39,9 @@ from feketedyn.polyarith import IntPolynomial
 UNIT_DISK = {"kind": "disk", "center": 0, "radius": 1}
 UNIT_CIRCLE = {"kind": "circle", "center": 0, "radius": 1}
 SEGMENT = {"kind": "interval", "a": -2, "b": 2}
+# Q^-1([-2, 2]) for Q = z^2 - 3, a capacity-1 target in closed form
+MIRROR_PAIR = {"kind": "union_of_intervals",
+               "intervals": [[-math.sqrt(5), -1], [1, math.sqrt(5)]]}
 
 
 def _spec(**kw):
@@ -433,10 +436,10 @@ def test_bilu_chebyshev_gamma_zero_on_every_rung():
 
 @pytest.mark.parametrize("family, target, n", [
     ("chebyshev", SEGMENT, 16), ("cyclotomic", UNIT_CIRCLE, 17),
-    ("power_maps", UNIT_DISK, 16),
+    ("power_maps", UNIT_DISK, 16), ("chebyshev", MIRROR_PAIR, 4),
 ])
 def test_bilu_target_measure_in_closed_form(monkeypatch, family, target, n):
-    # the three targets' equilibrium measures need no Fekete search
+    # the targets' equilibrium measures need no Fekete search
     def refuse(*args, **kwargs):
         raise AssertionError("fekete_points called")
     monkeypatch.setattr("feketedyn.potential.fekete_points", refuse)
@@ -449,15 +452,24 @@ def test_bilu_target_measure_in_closed_form(monkeypatch, family, target, n):
     {"kind": "interval", "a": 0, "b": 4},
     {"kind": "circle", "center": 3, "radius": 1},
     {"kind": "disk", "center": -1.5, "radius": 1},
-    # Q^-1([-2, 2]) for Q = z^2 - 3, whose equilibrium measure is searched
-    {"kind": "union_of_intervals",
-     "intervals": [[-math.sqrt(5), -1], [1, math.sqrt(5)]]},
+    MIRROR_PAIR,
 ], ids=["interval-0-4", "circle-at-3", "disk-at-minus-1.5", "mirror-pair"])
 def test_bilu_takes_every_symmetric_target_of_capacity_one(target):
     rep = run_bilu_rumely(_spec(family="chebyshev", set_config=target,
                                 checkpoints=(4,), n_atoms=256))
     assert len(rep.rows) == 1
     assert rep.notes["capacity"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("runner", [run_bilu_rumely, run_dynamical_fs],
+                         ids=["bilu_rumely", "dynamical_fs"])
+def test_runners_take_the_interval_written_as_a_union(runner):
+    # it took the Fekete path, read capacity 0.988929 and was refused
+    kw = dict(family="chebyshev", checkpoints=(4, 8), n_atoms=256, seed=1)
+    want = runner(_spec(set_config=SEGMENT, **kw))
+    rep = runner(_spec(set_config={"kind": "union_of_intervals", "intervals": [-2, 2]}, **kw))
+    assert rep.rows == want.rows
+    assert rep.notes == want.notes
 
 
 @pytest.mark.parametrize("target, needle", [

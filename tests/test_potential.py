@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from feketedyn import potential
+from feketedyn.harness import build_set
 from feketedyn.heights import AlgebraicNumber, rumely_height
 from feketedyn.metric import pullback
 from feketedyn.polyarith import IntPolynomial
@@ -182,6 +184,12 @@ def _assert_same_fekete(samples, n):
     assert got.tobytes() == want.tobytes()
 
 
+def _segment_samples(intervals, samples):
+    # samples points on each segment, in the order given: segments that
+    # overlap share points, which union_of_intervals would merge away
+    return np.concatenate([np.linspace(a, b, samples) for a, b in intervals]).astype(complex)
+
+
 def _repeated_cloud():
     # 600 points rounded to a 0.05 grid, so many coincide
     rng = np.random.default_rng(7)
@@ -205,8 +213,7 @@ FEKETE_SETS = {
     "union": lambda: CompactSetModel.union_of_intervals(
         [(-2, -1), (1, 2)], samples=1024).boundary_samples,
     # the two sample grids share points where the intervals overlap
-    "overlapping-union": lambda: CompactSetModel.union_of_intervals(
-        [(-1, 1), (0.5, 2)]).boundary_samples,
+    "overlapping-union": lambda: _segment_samples([(-1, 1), (0.5, 2)], 4096),
     "interval": lambda: CompactSetModel.interval(-1.5, 2.5, samples=1024).boundary_samples,
     "disk": lambda: CompactSetModel.disk(0.3 + 0.2j, 1.7, samples=1024).boundary_samples,
     "rotated-polyline": lambda: CompactSetModel.polyline_boundary(
@@ -261,14 +268,12 @@ def test_fekete_refuses_non_finite_samples(bad):
 aligned_unions = st.tuples(
     st.integers(2, 4), st.integers(2, 64),
     st.lists(st.integers(-40, 40), min_size=1, max_size=3),
-).map(lambda t: CompactSetModel.union_of_intervals(
-    [(k * 2.0 ** -t[0], (k + t[1]) * 2.0 ** -t[0]) for k in t[2]],
-    samples=t[1] + 1).boundary_samples)
+).map(lambda t: _segment_samples(
+    [(k * 2.0 ** -t[0], (k + t[1]) * 2.0 ** -t[0]) for k in t[2]], t[1] + 1))
 free_unions = st.lists(
     st.tuples(st.floats(-4, 4), st.floats(0.05, 3)), min_size=1, max_size=3,
 ).flatmap(lambda ivs: st.integers(2, 600 // len(ivs)).map(
-    lambda k: CompactSetModel.union_of_intervals(
-        [(a, a + w) for a, w in ivs], samples=k).boundary_samples))
+    lambda k: _segment_samples([(a, a + w) for a, w in ivs], k)))
 # points of a coarse grid drawn with repetition; at least two distinct
 grid_clouds = st.integers(2, 600).flatmap(lambda k: st.lists(
     st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=k, max_size=k),
@@ -351,9 +356,9 @@ def test_mirror_union_is_the_square_preimage_of_an_interval(monkeypatch):
     z = _mirror_probes(e)
     want = green_eval_many(image, (z - 2) ** 2) / 2
     assert np.max(np.abs(green_eval_many(e, z) - want)) <= 1e-15
-    # samples and params keep the order the intervals were given in
-    assert e.params == {"intervals": [(3.0, 4.0), (0.0, 1.0)]}
-    assert e.boundary_samples[0] == 3.0 and e.boundary_samples[-1] == 1.0
+    # samples and params are sorted
+    assert e.params == {"intervals": [(0.0, 1.0), (3.0, 4.0)]}
+    assert e.boundary_samples[0] == 0.0 and e.boundary_samples[-1] == 4.0
 
 
 def test_touching_mirror_union_is_the_interval(monkeypatch):
@@ -366,15 +371,84 @@ def test_touching_mirror_union_is_the_interval(monkeypatch):
     assert np.max(np.abs(green_eval_many(e, z) - green_eval_many(seg, z))) <= 1e-15
 
 
+@pytest.mark.parametrize("build", [
+    lambda: CompactSetModel.union_of_intervals([(-2, 2)]),
+    lambda: CompactSetModel.union_of_intervals([(-2, 1), (0, 2)]),
+    lambda: CompactSetModel.union_of_intervals([(-2, 0), (0, 2)]),
+    lambda: build_set({"kind": "union_of_intervals", "intervals": [-2, 2]}),
+    lambda: build_set({"kind": "union_of_intervals", "intervals": [-2, 1, 0, 2]}),
+    lambda: build_set({"kind": "union_of_intervals", "intervals": [[0, 2], [-2, 0]]}),
+], ids=["one", "overlapping", "touching", "block-one", "block-overlapping",
+        "block-touching"])
+def test_a_union_that_is_one_segment_is_the_interval(build):
+    # [-2, 2] written as a union took the Fekete path: capacity 0.998
+    e, seg = build(), CompactSetModel.interval(-2, 2)
+    assert (e.kind, e.params) == (seg.kind, seg.params) == ("interval", {"a": -2.0, "b": 2.0})
+    assert e.boundary_samples.tobytes() == seg.boundary_samples.tobytes()
+    assert e.log_capacity == seg.log_capacity == 0.0
+    z = _mirror_probes(seg)
+    assert green_eval_many(e, z).tobytes() == green_eval_many(seg, z).tobytes()
+    assert equilibrium_measure(e).points.tobytes() == equilibrium_measure(seg).points.tobytes()
+
+
 @pytest.mark.parametrize("intervals", [
-    [(-2, 0), (0, 2)], [(-2, -1), (1, 2)], [(1, 2.5), (3.5, 5)],
-], ids=["touching", "centred", "shifted"])
+    [(-3, -2.5), (-1, 0.5), (1, 2)], [(-2, -1), (1, 2)], [(-1, 1), (0.5, 2), (3, 4)],
+], ids=["sampled", "mirror-pair", "overlapping"])
+def test_a_union_does_not_depend_on_the_order_of_its_intervals(intervals):
+    want = CompactSetModel.union_of_intervals(intervals, samples=256)
+    z = _mirror_probes(want)
+    for order in itertools.permutations(intervals):
+        e = CompactSetModel.union_of_intervals(order, samples=256)
+        assert (e.kind, e.params) == (want.kind, want.params)
+        assert e.boundary_samples.tobytes() == want.boundary_samples.tobytes()
+        assert e.log_capacity == want.log_capacity
+        assert green_eval_many(e, z).tobytes() == green_eval_many(want, z).tobytes()
+        assert (equilibrium_measure(e).points.tobytes()
+                == equilibrium_measure(want).points.tobytes())
+
+
+@pytest.mark.parametrize("intervals", [
+    [(-math.sqrt(5), -1), (1, math.sqrt(5))], [(0, 1), (3, 4)], [(-2, 0), (0, 2)],
+    [(-1e200, -1e199), (1e199, 1e200)],
+], ids=["sqrt5", "shifted", "touching", "past-float-max-squares"])
+def test_mirror_pair_atoms_have_the_moments_of_its_equilibrium_measure(monkeypatch, intervals):
+    # mu_E is the arcsine law on [A^2, B^2] pulled back under (z - c)^2,
+    # half to each square root: the mean of (z - c)^2j is the law's j-th
+    # moment, and odd moments vanish. The pair's atoms were a Fekete search,
+    # E[z] 1.3e-3 and E[z^2] 6.6e-3 off on [-sqrt 5, -1] u [1, sqrt 5] at
+    # 1,024 samples
+    monkeypatch.setattr(potential, "fekete_points", _no_fekete_search)
+    (a1, b1), (a2, b2) = intervals
+    c, half_gap, half_pair = (a1 + b2) / 2, (a2 - b1) / 2, (b2 - a1) / 2
+    x = (equilibrium_measure(CompactSetModel.union_of_intervals(intervals)).points - c) / half_pair
+    # in units of B the law lives on [alpha, 1], and its j-th moment is the
+    # sum over even k of C(j, k) m^(j - k) r^k C(k, k/2) / 2^k, for its
+    # centre m and half-width r
+    alpha = (half_gap / half_pair) ** 2
+    m, r = (1 + alpha) / 2, (1 - alpha) / 2
+    eps = np.finfo(float).eps * (1 + abs(c) / half_pair)
+    for j in range(1, potential.EQUILIBRIUM_N):
+        want = sum(math.comb(j, k) * m ** (j - k) * r ** k * math.comb(k, k // 2) / 2 ** k
+                   for k in range(0, j + 1, 2))
+        assert abs(np.mean(x ** (2 * j)) - want) <= 8 * j * eps * want, j
+        assert abs(np.mean(x ** (2 * j - 1))) <= 8 * j * eps, j
+
+
+@pytest.mark.parametrize("intervals", [
+    [(-2, 0), (0, 2)], [(-2, -1), (1, 2)], [(1, 2.5), (3.5, 5)], [(1, 4)], [(-3, 0.5)],
+], ids=["touching", "centred", "shifted", "interval-1-4", "interval-minus-3-0.5"])
 def test_mirror_union_green_keeps_its_digits_near_the_centre_and_ends(intervals):
     # against 50 digits: g = |log|t|| / 2 for t + 1/t = 2W, W the image of
-    # (z - c)^2 in [A^2, B^2] mapped to [-1, 1]; with W formed in floats from
-    # (z - c)^2, g is 2.2e-11 off at 1e-6 i on [-2, 0] u [0, 2]
+    # (z - c)^2 in [A^2, B^2] mapped to [-1, 1] (A = 0 for one interval);
+    # with W formed in floats from (z - c)^2, g is 2.2e-11 off at 1e-6 i on
+    # [-2, 0] u [0, 2], and with w = (2z - a - b) / (b - a) 6.3e-13 off near
+    # the ends of [1, 4] and [-3, 0.5]
     import mpmath
-    (a1, b1), (a2, b2) = intervals
+    if len(intervals) == 1:
+        (a1, b2), = intervals
+        b1 = a2 = (a1 + b2) / 2
+    else:
+        (a1, b1), (a2, b2) = intervals
     c, half_gap, half_pair = (a1 + b2) / 2, (a2 - b1) / 2, (b2 - a1) / 2
     e = CompactSetModel.union_of_intervals(intervals)
     z = np.array([base + r * cmath.exp(1j * (k * math.pi / 6 + 0.1))
@@ -391,12 +465,29 @@ def test_mirror_union_green_keeps_its_digits_near_the_centre_and_ends(intervals)
     assert np.max(np.abs(green_eval_many(e, z) - want)) <= 1e-15
 
 
-def test_mirror_union_with_overflowing_squares_keeps_the_fekete_path():
-    # B^2 = 1e400 is past the float range, where the closed form would give
-    # log cap NaN; cap = sqrt(B^2 - A^2) / 2 with A = 1e199, B = 1e200
+def test_mirror_union_with_overflowing_squares_takes_its_closed_form(monkeypatch):
+    # B^2 = 1e400 is past the float range, where the closed form in B^2 - A^2
+    # gave log cap NaN; cap = sqrt(B^2 - A^2) / 2 with A = 1e199, B = 1e200
+    monkeypatch.setattr(potential, "fekete_points", _no_fekete_search)
     e = CompactSetModel.union_of_intervals([(-1e200, -1e199), (1e199, 1e200)], samples=256)
     exact = math.log(1e200) + 0.5 * math.log1p(-0.01) - math.log(2)
-    assert e.log_capacity == pytest.approx(exact, abs=0.1)
+    assert e.log_capacity == pytest.approx(exact, rel=1e-15, abs=0)
+
+
+def test_segment_sets_whose_end_sums_overflow(monkeypatch):
+    # a + b overflows: the interval keeps its exact capacity, and its atoms
+    # are finite (they were inf)
+    monkeypatch.setattr(potential, "fekete_points", _no_fekete_search)
+    # the mean of the samples, which sets the membership tolerance, overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = CompactSetModel.interval(1e308, 1.7e308)
+        # e0 + e3 and e1 + e2 both overflow, but this is no mirror pair
+        pair = CompactSetModel.union_of_intervals(
+            [(1e308, 1.1e308), (1.5e308, 1.7e308)], samples=64)
+    assert e.log_capacity == pytest.approx(math.log(0.7e308 / 4), rel=1e-15, abs=0)
+    assert np.isfinite(equilibrium_measure(e).points).all()
+    with pytest.raises(AssertionError, match="fekete_points called"):
+        pair.log_capacity
 
 
 def _reference_polyline_samples(vertices, samples):
@@ -683,7 +774,7 @@ def test_green_zero_exactly_on_the_hull(name, at, theta, offset):
 
 @pytest.mark.xfail(strict=True, reason="a sampled Green function reads 0 up to "
                    "about 0.1 off the hull, where its Fekete potential falls "
-                   "below the sampled log capacity (ROADMAP item 14)")
+                   "below the sampled log capacity (ROADMAP item 2)")
 @pytest.mark.parametrize("name", sorted(SAMPLED_HULL_KINDS))
 def test_sampled_green_positive_off_the_hull(name):
     # points 1e-3 outside the hull, off each boundary sample: the union's
