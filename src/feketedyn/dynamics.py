@@ -7,7 +7,7 @@ orbit leaves the escape radius; the remaining contribution is the telescoped
 series u + sum_j d^{-(j+1)} (log|a_d| + log|1+eps_j|) over the continued orbit,
 accumulated on the reciprocal coordinate v = 1/w so nothing overflows. Integer
 polynomials whose coefficient mass defeats float Horner step with exact
-big-integer evaluation instead.
+big-integer evaluation; 2 T_d(z/2) takes the Green function of [-2, 2].
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .polyarith import (
     horner,
     roots,
 )
-from .potential import DiscreteMeasure, log_abs
+from .potential import CompactSetModel, DiscreteMeasure, green_eval_many, log_abs
 
 DEFAULT_MAX_ITER = 256
 
@@ -61,10 +61,9 @@ class DynGreenEvaluator:
     """Escape-rate Green function of a degree >= 2 polynomial map."""
 
     def __init__(self, poly: IntPolynomial, max_iter: int = DEFAULT_MAX_ITER):
-        d = map_degree(poly)
+        self.degree = map_degree(poly)
         self.poly = poly
         self.coeffs = c = poly.complex_coeffs
-        self.degree = d
         self.leading_abs = float(abs(c[-1]))
         self.escape_radius = max(2.0, (1.0 + float(np.sum(np.abs(c[:-1])))) / self.leading_abs)
         self.max_iter = int(max_iter)
@@ -77,11 +76,9 @@ class DynGreenEvaluator:
                                           dtype=np.complex128))
                       if self._exact else lambda z: horner(c, z))
         self.closed_form = _closed_form(poly)
-        # the points certified in K at step 0, which skip the loop: 2 T_n(x/2)
-        # maps [-2, 2] into itself whatever the plan (float Horner would round
-        # some of these orbits out of [-2, 2] and let them escape)
-        self._in_k = ((lambda za: (za.imag == 0.0) & (np.abs(za.real) <= 2.0))
-                      if self.closed_form == "chebyshev" else None)
+        # K = [-2, 2] for 2 T_d(z/2); two samples give its band and centre
+        self._segment = (CompactSetModel.interval(-2.0, 2.0, samples=2)
+                         if self.closed_form == "chebyshev" else None)
 
     def _eps(self, v):
         # (c_{d-1} v + c_{d-2} v^2 + ... + c_0 v^d) / a_d  on v = 1/w
@@ -109,28 +106,25 @@ class DynGreenEvaluator:
         return np.maximum(g_acc * np.exp(-k * math.log(d)), 0.0)
 
     def green_many(self, zs):
-        """Green values and the per-point never-escaped flag: certified in K,
-        a NaN part (value NaN), or still inside the escape radius at
-        max_iter. The loop steps only the live orbits."""
+        """Green values and the per-point never-escaped flag: a NaN part
+        (value NaN), or still inside the escape radius at max_iter. 2 T_d(z/2)
+        takes green_eval_many of [-2, 2], flagged at NaN parts only."""
         zin = np.asarray(zs, dtype=np.complex128)
+        if self._segment is not None:
+            return green_eval_many(self._segment, zin), np.isnan(zin)
         flat = zin.ravel()
         n = len(flat)
-        esc_u = np.zeros(n)
+        esc_u, esc_k = np.zeros(n), np.full(n, -1.0)  # esc_k: escape step, or -1
         esc_v = np.zeros(n, dtype=np.complex128)
-        esc_k = np.zeros(n)
-        escaped = np.zeros(n, dtype=bool)
-        # the live orbits: their indices, points and moduli
-        idx = np.arange(n) if self._in_k is None else np.flatnonzero(~self._in_k(flat))
-        z = flat[idx]
-        with np.errstate(over="ignore"):
-            mag = np.abs(z)
         # an input with a NaN part (its modulus may still be inf) never
         # escapes: its orbit stays NaN to max_iter, and its value is NaN
         lost = np.isnan(flat)
-        mag[lost[idx]] = np.nan
-        r = self.escape_radius
+        # the live orbits: their indices, points and moduli
+        idx, z = np.arange(n), flat
+        with np.errstate(over="ignore"):
+            mag = np.where(lost, np.nan, np.abs(z))
         for k in range(self.max_iter + 1):
-            out = mag > r
+            out = mag > self.escape_radius
             if out.any():
                 ie = idx[out]
                 esc_u[ie] = log_abs(z[out], mag[out])
@@ -138,7 +132,6 @@ class DynGreenEvaluator:
                 with np.errstate(over="ignore"):
                     esc_v[ie] = 1.0 / z[out]
                 esc_k[ie] = k
-                escaped[ie] = True
                 idx, z, mag = idx[~out], z[~out], mag[~out]
             if k == self.max_iter or len(idx) == 0:
                 break
@@ -156,10 +149,9 @@ class DynGreenEvaluator:
                              + self.degree * np.log(mag[blown])
                              + np.log(np.abs(1.0 + eps)))
                 esc_k[ib] = k + 1
-                escaped[ib] = True
                 idx, znew, znew_abs = idx[~blown], znew[~blown], znew_abs[~blown]
             z, mag = znew, znew_abs
-        vals = np.zeros(n)
+        vals, escaped = np.zeros(n), esc_k >= 0
         vals[escaped] = self._tail(esc_u[escaped], esc_v[escaped], esc_k[escaped])
         vals[lost] = np.nan
         return vals.reshape(zin.shape), ~escaped.reshape(zin.shape)
@@ -201,8 +193,7 @@ def raster(poly, bbox, resolution, max_iter: int = DEFAULT_MAX_ITER) -> JuliaRas
     xs = _centres(re_min, re_max, w)
     ys = _centres(im_min, im_max, h)
     grid = xs[None, :] + 1j * ys[:, None]
-    ev = DynGreenEvaluator(poly, max_iter=max_iter)
-    vals, und = ev.green_many(grid)
+    vals, und = DynGreenEvaluator(poly, max_iter=max_iter).green_many(grid)
     return JuliaRaster(bbox=(re_min, re_max, im_min, im_max), resolution=(w, h),
                        values=vals, undecided=und)
 

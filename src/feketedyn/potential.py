@@ -6,9 +6,9 @@ membership its constructor states, and closed forms where available
 (distance, capacity). Green values come from a closed form where
 one is installed, else from the stored discrete equilibrium measure, and are
 zero wherever contains_many puts z in the polynomially convex hull.
-One overflow rule serves every kind: a Green value that is not finite at a
-finite z becomes log_abs(z - c) - log cap, c the mean of the boundary
-samples, within -log(1 - R/|z - c|) of the truth when E lies in D(c, R).
+One overflow rule serves every kind: a non-finite Green value at a z with no
+NaN part becomes log_abs(z - c) - log cap, c the mean of the boundary samples,
+within -log(1 - R/|z - c|) of the truth when E lies in D(c, R).
 """
 
 from __future__ import annotations
@@ -234,7 +234,16 @@ class CompactSetModel:
 
 def _membership_tol(samples: np.ndarray) -> float:
     # relative to twice the largest sample deviation from the samples' mean
-    return _MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(samples - np.mean(samples)))) * 2)
+    return _MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(samples - _mean(samples)))) * 2)
+
+
+def _mean(samples: np.ndarray) -> complex:
+    # np.mean, or where the sum overflows, that mean taken at scale 2^-b with
+    # 2^b above the count: scaling by a power of two adds no rounding
+    s = 2.0 ** -len(samples).bit_length()
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.mean(samples)
+    return c if np.isfinite(c) else np.mean(samples * s) / s
 
 
 def _segment_green(ends, p: float, q: float):
@@ -457,7 +466,7 @@ def green_eval_many(e: CompactSetModel, z) -> np.ndarray:
         vals = pot - e.log_capacity
     # an array even for a 0-d z
     vals = np.array(np.where(e.contains_many(z), 0.0, np.maximum(vals, 0.0)))
-    far = ~np.isfinite(vals) & np.isfinite(z)
+    far = ~np.isfinite(vals) & ~np.isnan(z)
     if far.any():
-        vals[far] = log_abs(z[far] - np.mean(e.boundary_samples)) - e.log_capacity
+        vals[far] = log_abs(z[far] - _mean(e.boundary_samples)) - e.log_capacity
     return vals

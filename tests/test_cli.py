@@ -217,6 +217,22 @@ def test_brolin_chebyshev_64(capsys, tmp_path, cheb64):
     assert float(np.max(np.abs(rows[:, 1]))) <= 1e-9
 
 
+@pytest.mark.parametrize("degree, at, want", [
+    (2, "0", 0.0), (64, "0.5", 0.0), (1024, "2.5", math.log(2)), (1024, "3", 0.9624236501192069),
+])
+def test_green_chebyshev_is_the_segment_green(capsys, tmp_path, degree, at, want):
+    # 2T_d(z/2) reads the Green function of [-2, 2]: on the segment it
+    # printed undecided with exit 3, and at degree 1,024 the overflow branch
+    # printed 1.0076515432127651 at 2.5 and 1.1560813691402709 at 3
+    path = tmp_path / "cheb.txt"
+    path.write_text(chebyshev_monic(degree).to_text() + "\n")
+    code, out, _ = run(capsys, "green", "--poly-file", str(path), "--at", at)
+    assert code == 0
+    if want == 0.0:
+        assert out == "0\n"
+    assert float(out) == pytest.approx(want, abs=1e-15)
+
+
 def test_julia_chebyshev_64_bbox_from_atoms(capsys, tmp_path, cheb64):
     out_dir = tmp_path / "img"
     code, _, _ = run(capsys, "julia", "--poly-file", str(cheb64),

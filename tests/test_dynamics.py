@@ -46,6 +46,9 @@ def _interval_green(z):
 Z2 = IntPolynomial((0, 0, 1))
 Z2M1 = IntPolynomial((-1, 0, 1))
 Z2M2 = IntPolynomial((-2, 0, 1))
+# 2T_64(z/2) + 1: coefficient mass above 2^30 and no closed form, so the
+# exact plan steps it
+NEAR = IntPolynomial((chebyshev_monic(64).coeffs[0] + 1,) + chebyshev_monic(64).coeffs[1:])
 
 
 def _green_at(poly, z):
@@ -54,11 +57,12 @@ def _green_at(poly, z):
 
 
 def _plan(ev) -> str:
-    # how the evaluator steps: numpy Horner ("float"), or exact eval_intpoly,
-    # with the step-0 certificate of [-2, 2] ("chebyshev") or without it
-    if not ev._exact:
-        return "float"
-    return "horner" if ev._in_k is None else "chebyshev"
+    # how the evaluator reads g: the Green function of [-2, 2] for
+    # 2T_d(z/2) ("chebyshev"), else the escape loop stepped by numpy Horner
+    # ("float") or by exact eval_intpoly ("exact")
+    if ev.closed_form == "chebyshev":
+        return "chebyshev"
+    return "exact" if ev._exact else "float"
 
 
 # ----------------------------------------------------------- green evaluator
@@ -193,97 +197,86 @@ def test_green_exact_eval_big_chebyshev():
     assert ev.green_many([2.5])[0][0] == pytest.approx(_interval_green(2.5), abs=1e-8)
 
 
-def test_green_exact_chebyshev_matches_horner_reference():
-    # the step-0 certificate changes no output: with it switched off, every
-    # point runs the exact Horner loop, and the target samples of the
-    # interval stay below the escape radius for all 48 steps (value 0, flag
-    # set), while the off-segment probes escape with the same values
-    seg = CompactSetModel.interval(-2.0, 2.0, samples=1024)
-    probes = np.array([3, 2.5, 2 + 1e-7, -2.01, 1.5 + 0.3j])
-    zs = np.concatenate([seg.boundary_samples, probes])
-    p = chebyshev_monic(64)
-    ev = DynGreenEvaluator(p, max_iter=48)
-    assert _plan(ev) == "chebyshev"
-    vals, und = ev.green_many(zs)
-    assert und[:1024].all() and not vals[:1024].any()
-    assert not und[1024:].any() and np.all(vals[1024:] > 0)
-    ev._in_k = None
-    ref_vals, ref_und = ev.green_many(zs)
-    assert vals.tobytes() == ref_vals.tobytes()
-    assert np.array_equal(und, ref_und)
+def _escape_reference(poly, z) -> float:
+    # g_P(z) = d^-k log|P^k(z)| for a monic P, up to O(|P^k(z)|^-2) once
+    # |P^k(z)| > 10^60: the orbit in 60-digit arithmetic
+    import mpmath
+    with mpmath.workdps(60):
+        w, k, coeffs = mpmath.mpc(z), 0, [mpmath.mpf(c) for c in poly.coeffs[::-1]]
+        while abs(w) <= mpmath.mpf(10) ** 60:
+            w, k = mpmath.polyval(coeffs, w), k + 1
+        return float(mpmath.log(abs(w)) / mpmath.mpf(poly.degree) ** k)
 
 
-def test_green_float_chebyshev_certifies_segment():
-    # the certificate is a fact about the map, so the float plan has it too:
-    # there, Horner would round some [-2, 2] orbits outward and let them
-    # escape with a small positive value (5.1e-6 at n = 32)
-    seg = CompactSetModel.interval(-2.0, 2.0, samples=1024).boundary_samples
-    for n in range(2, 44):
-        ev = DynGreenEvaluator(chebyshev_monic(n))
-        assert _plan(ev) == "float" and ev._in_k is not None, n
-        vals, und = ev.green_many(seg)
-        assert not vals.any() and und.all(), n
+@pytest.mark.parametrize("d", [2, 3, 64, 1024])
+def test_chebyshev_green_is_the_segment_green(d):
+    # K = [-2, 2] for 2T_d(z/2), so green_many returns the bits of that
+    # segment's Green function: 0 on [-2, 2], the closed form near +-2 and
+    # elsewhere, the far field at |z| >= 1e154, inf at infinity. Only a NaN
+    # part sets the flag: no point of the plane is undecided
+    seg = CompactSetModel.interval(-2.0, 2.0)
+    samples = seg.boundary_samples
+    ends = np.array([[2.0], [-2.0]])
+    steps = np.array([1e-12, 4e-9, 1e-8, 1e-6, 1e-3])
+    near = np.concatenate([(ends + np.sign(ends) * steps).ravel(),
+                           (ends + 1j * steps).ravel(), ends.ravel() + 1e-300j,
+                           [math.nextafter(2.0, 3.0), math.nextafter(-2.0, -3.0)]])
+    far = np.array([1e154, -1e154j, 3e200 + 1e200j, 1.7e308 + 1.7e308j, -1.7e308 + 1e308j,
+                    math.inf, -math.inf, complex(0.0, math.inf), complex(math.inf, math.inf)])
+    nans = np.array([math.nan, complex(math.nan, 1.0), complex(0.5, math.nan),
+                     complex(math.inf, math.nan)])
+    rng = np.random.default_rng(d)
+    grid = rng.uniform(-4, 4, 256) + 1j * rng.uniform(-3, 3, 256)
+    zs = np.concatenate([samples, near, far, nans, grid])
+    ev = DynGreenEvaluator(chebyshev_monic(d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, und = ev.green_many(zs)
+    assert vals.tobytes() == green_eval_many(seg, zs).tobytes()
+    assert np.array_equal(und, np.isnan(zs))
+    assert not vals[:len(samples)].any()
+    assert np.all(ev.green_many(far[-4:])[0] == math.inf)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.floats(-2.0, 2.0), st.integers(44, 200))
-def test_chebyshev_exact_steps_stay_on_segment(x, n):
-    # the certificate's premise: on the "chebyshev" plan, each exact step of
-    # a real point of [-2, 2] rounds back into [-2, 2], through the shifted
-    # conversion of integers past 1,000 bits too
-    p = chebyshev_monic(n)
-    assert _plan(DynGreenEvaluator(p)) == "chebyshev"
-    w = complex(x)
-    for _ in range(48):
-        w = eval_intpoly(p, w)
-        assert w.imag == 0.0 and -2.0 <= w.real <= 2.0, (x, n)
+@pytest.mark.parametrize("n", [2, 64, 128])
+def test_chebyshev_green_takes_no_step(monkeypatch, n):
+    # 2T_n(z/2) never enters the escape loop, on either plan: with both
+    # steps raising, green_many still gives log 2 at 5/2 and g(3), 0 with
+    # the flag clear on [-2, 2] and just off it, and NaN flagged at NaN
+    def refuse(*args):
+        raise AssertionError("a Chebyshev map was stepped")
 
-
-@pytest.mark.parametrize("n", [64, 128])
-def test_green_chebyshev_certifies_segment_at_step_0(monkeypatch, n):
-    # real points of [-2, 2] leave before the loop: no eval_intpoly call,
-    # value 0 and the never-escaped flag. Points just off the segment, and
-    # NaN, still enter the loop and call the step
-    certified = [2.0, -2.0, complex(1.5, -0.0)]
-    stepped = [math.nextafter(2.0, 3.0), -2.01, 1.5 + 1e-300j, math.nan]
+    monkeypatch.setattr(dynamics, "eval_intpoly", refuse)
+    monkeypatch.setattr(dynamics, "horner", refuse)
     ev = DynGreenEvaluator(chebyshev_monic(n), max_iter=48)
-    vals, und = ev.green_many(stepped[:3])
-    assert np.all(vals[:2] > 0) and not und[:2].any()
-    assert vals[2] == 0.0 and und[2]
-    calls = []
-
-    def counting(p, w):
-        calls.append(w)
-        return w
-
-    monkeypatch.setattr(dynamics, "eval_intpoly", counting)
-    for z in certified:
-        vals, und = ev.green_many([z])
-        assert vals[0] == 0.0 and und[0] and not calls, z
-    seg = CompactSetModel.interval(-2.0, 2.0, samples=1024).boundary_samples
-    vals, und = ev.green_many(seg)
-    assert und.all() and not vals.any() and not calls
-    for z in stepped:
-        calls.clear()
-        ev.green_many([z])
-        assert calls, z
+    zs = np.array([2.5, 3, -2.01, 1e6, 2.0, -2.0, 0.5, math.nextafter(2.0, 3.0),
+                   1.5 + 1e-300j, math.nan])
+    vals, und = ev.green_many(zs)
+    assert vals[:2] == pytest.approx([math.log(2), 0.9624236501192069], rel=1e-15)
+    assert np.all(vals[2:4] > 0) and not vals[4:9].any() and math.isnan(vals[9])
+    assert np.array_equal(und, np.isnan(zs))
 
 
 def test_green_exact_plan_escape_overflow_undecided():
-    # the exact plan through each exit of the escape loop: the radius test,
-    # overflow of the first step, and max_iter with the orbit still bounded
-    seg = CompactSetModel.interval(-2.0, 2.0, samples=1024)
-    by_radius = np.array([3, 2.5, 0.5 + 1e-3j])
+    # the exact plan through each exit of the escape loop, on a heavy map
+    # with no closed form: the radius test at step 0 and after steps,
+    # overflow of the first step, and max_iter with the orbit still
+    # bounded. -1 -> 0 -> 3 is an integer orbit (P(-1) = 2 cos(128 pi/3) + 1
+    # = 0, P(0) = 2 cos(32 pi) + 1 = 3), so 0 escapes at step 2 and -1 is
+    # still bounded there
+    ev = DynGreenEvaluator(NEAR, max_iter=2)
+    assert _plan(ev) == "exact"
+    by_radius = np.array([3e13, 3, 2.5, 0])
     by_overflow = np.array([1e6, 1e6 + 3e5j, 5e12, -2e9j])
-    zs = np.concatenate([by_radius, by_overflow, seg.boundary_samples])
-    ev = DynGreenEvaluator(chebyshev_monic(64), max_iter=48)
-    assert ev._exact
+    bounded = np.array([-1, 0.5 + 1e-3j])
+    assert abs(by_radius[0]) > ev.escape_radius
     assert np.all(np.abs(by_overflow) <= ev.escape_radius)
+    zs = np.concatenate([by_radius, by_overflow, bounded])
     vals, und = ev.green_many(zs)
-    want = green_eval_many(seg, zs)
-    assert np.max(np.abs(vals - want)) <= 1e-13
-    assert not und[:7].any() and und[7:].all()
-    assert np.all(vals[:7] > 0) and np.all(vals[7:] == 0.0)
+    want = [_escape_reference(NEAR, z) for z in zs[:8]]
+    assert vals[:8] == pytest.approx(want, rel=1e-14)
+    assert not und[:8].any() and und[8:].all()
+    assert np.all(vals[:8] > 0) and np.all(vals[8:] == 0.0)
 
 
 @pytest.mark.parametrize("c0", [10 ** 8, 2 ** 31], ids=["float", "exact"])
@@ -303,8 +296,7 @@ def test_green_step_overflowing_in_modulus_only(c0):
     assert vals[0] == pytest.approx(math.log(abs(z)), rel=1e-12)
 
 
-@pytest.mark.parametrize("poly", [IntPolynomial((0, 0, 1)), chebyshev_monic(64)],
-                         ids=["float", "exact"])
+@pytest.mark.parametrize("poly", [IntPolynomial((0, 0, 1)), NEAR], ids=["float", "exact"])
 def test_green_input_overflowing_in_modulus(poly):
     # inputs with finite parts whose modulus is past the largest float escape
     # at step 0 with log|z| = log s + log|z/s|, s = max(|Re z|, |Im z|)
@@ -326,10 +318,11 @@ def test_green_input_overflowing_in_modulus(poly):
 
 
 @pytest.mark.parametrize("poly, plan", [
-    (IntPolynomial((-2, 0, 1)), "float"),
-    (IntPolynomial((2 ** 31, 0, 1)), "horner"),
+    (Z2M1, "float"),
+    (IntPolynomial((2 ** 31, 0, 1)), "exact"),
+    (NEAR, "exact"),
     (chebyshev_monic(64), "chebyshev"),
-], ids=["float", "horner", "chebyshev"])
+], ids=["float", "horner", "near", "chebyshev"])
 def test_green_nan_input_is_undecided(poly, plan):
     # a NaN part gives no Green value: NaN with the never-escaped flag, not
     # an escape (flag False) and not a plausible zero (value 0)
@@ -357,7 +350,7 @@ _edge_points = [math.nan, complex(math.nan, 1.0), complex(math.inf, math.nan), m
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.one_of(st.tuples(random_int_maps, st.sampled_from(["float", "exact"])),
-                 st.just((chebyshev_monic(64), "chebyshev"))),
+                 st.sampled_from([(NEAR, "exact"), (chebyshev_monic(64), "chebyshev")])),
        st.lists(st.one_of(
            st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-3, 1)),
            st.floats(-2, 2).map(complex),
@@ -368,13 +361,14 @@ def test_green_many_point_ignores_its_batch(map_plan, points, data):
     # batch: any permutation or subset of a batch that mixes escaping,
     # bounded, NaN, overflowing and huge inputs reads the same bits. Tuples
     # are points inside, near and up to ten times past the escape radius;
-    # the exact plan is forced by a zero coefficient-mass threshold
+    # the exact plan is forced by a zero coefficient-mass threshold, and a
+    # random map that is 2T_d(z/2) takes the Green function of [-2, 2]
     p, plan = map_plan
     with pytest.MonkeyPatch.context() as mp:
         if plan == "exact":
             mp.setattr(dynamics, "EXACT_EVAL_COEFF_SUM", 0)
         ev = DynGreenEvaluator(p)
-    assert _plan(ev) == {"float": "float", "exact": "horner"}.get(plan, plan)
+    assert _plan(ev) == ("chebyshev" if ev.closed_form == "chebyshev" else plan)
     zs = np.array([ev.escape_radius * 10.0 ** z[2] * complex(z[0], z[1])
                    if isinstance(z, tuple) else z for z in points])
     vals, und = ev.green_many(zs)

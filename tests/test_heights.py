@@ -341,6 +341,16 @@ def test_height_gap_chebyshev_interval():
         assert gap <= gamma + HEIGHT_GAP_TOL
 
 
+def test_canonical_height_under_2t_1024_is_the_rumely_height():
+    # K = [-2, 2] for 2T_1024(z/2), so the two heights agree: the escape
+    # loop's overflow branch gave 1.1561 at 3, where both are 0.9624
+    seg = CompactSetModel.interval(-2.0, 2.0)
+    p = chebyshev_monic(1024)
+    for alpha in (Fraction(3), Fraction(5, 2)):
+        want = rumely_height(AlgebraicNumber.of(alpha), seg).total
+        assert canonical_height(p, alpha).total == pytest.approx(want, abs=1e-15), alpha
+
+
 def test_height_gap_surrogates_towards_disk():
     # z^n + z
     disk = CompactSetModel.disk(0.0, 1.0)

@@ -434,23 +434,26 @@ def test_exact_eval_matches_big_integer_oracle(coeffs, x, y):
 
 def test_exact_plan_by_mass_and_chebyshev_coefficients():
     def plan(p):
-        # how DynGreenEvaluator steps p: numpy Horner ("float"), or exact
-        # eval_intpoly with the step-0 certificate of [-2, 2] ("chebyshev")
-        # or without it
+        # how DynGreenEvaluator reads g for p: the Green function of
+        # [-2, 2] for 2T_d(z/2) ("chebyshev"), else the escape loop stepped
+        # by numpy Horner ("float") or by exact eval_intpoly ("exact")
         ev = DynGreenEvaluator(p)
-        if not ev._exact:
-            return "float"
-        return "horner" if ev._in_k is None else "chebyshev"
+        if ev.closed_form == "chebyshev":
+            return "chebyshev"
+        return "exact" if ev._exact else "float"
 
     assert plan(IntPolynomial((1, 2, 3))) == "float"
-    assert plan(chebyshev_monic(20)) == "float"  # mass 15127
+    # 2T_d(z/2) whatever its mass: 15127 at d = 20, past 2^30 at d = 64
+    assert plan(chebyshev_monic(20)) == "chebyshev"
     assert plan(chebyshev_monic(64)) == "chebyshev"
     # a property of the coefficients, not of where they came from
     typed = IntPolynomial(tuple(int(c) for c in chebyshev_monic(64).to_text().split()))
     assert plan(typed) == "chebyshev"
-    near = list(typed.coeffs)
-    near[0] += 1
-    assert plan(IntPolynomial(tuple(near))) == "horner"
+    # one coefficient off, it has no closed form, and its mass picks the plan
+    for n, want in ((20, "float"), (64, "exact")):
+        near = list(chebyshev_monic(n).coeffs)
+        near[0] += 1
+        assert plan(IntPolynomial(tuple(near))) == want, n
     assert chebyshev_monic(64) is chebyshev_monic(64)
 
 

@@ -710,6 +710,41 @@ def test_green_far_field_bound_past_float_max(name, point):
     assert abs(g - far) <= bound + 4 * np.spacing(abs(far)), (name, z, g, far)
 
 
+@pytest.mark.parametrize("name", sorted(FAR_FIELD_KINDS) + ["mirror-pair"])
+def test_green_is_infinite_at_infinity(name):
+    # g_E = inf at every infinite point, for every kind: the interval, the
+    # mirror pair and the pullback gave NaN there, where their closed forms
+    # meet inf - inf. A point with a NaN part still reads NaN
+    e = (CompactSetModel.union_of_intervals([(-2.5, -1.0), (1.0, 2.5)])
+         if name == "mirror-pair" else FAR_FIELD_KINDS[name][0])
+    infs = [math.inf, -math.inf, complex(0.0, math.inf), complex(math.inf, math.inf)]
+    nans = [math.nan, complex(math.nan, 1.0), complex(0.5, math.nan)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = green_eval_many(e, infs + nans)
+    assert np.all(g[:4] == math.inf), (name, g)
+    assert np.isnan(g[4:]).all(), (name, g)
+
+
+def test_sample_mean_past_the_float_maximum():
+    # the mean of these samples overflowed, so the membership tolerance was
+    # inf: contains_many put 0 and -1e308 in the hull, and g read 0 at 0,
+    # where it is arccosh((a + b) / (b - a)) = arccosh(27/7) = 2.026
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = CompactSetModel.interval(1e308, 1.7e308)
+        assert not e.contains_many(np.array([0.0, -1e308])).any()
+        assert e.contains_many(np.array([1e308, 1.35e308, 1.7e308])).all()
+        g = green_eval_many(e, [0.0])[0]
+    assert g == e._green_fn(np.array([0j]))[0] == pytest.approx(math.acosh(27 / 7), rel=1e-14)
+    assert potential._mean(e.boundary_samples) == pytest.approx(1.35e308, rel=1e-15)
+    # a sum that fits keeps np.mean's bits, down to a disk of radius 1e-306
+    for f in (FAR_FIELD_KINDS[k][0] for k in sorted(FAR_FIELD_KINDS)):
+        assert potential._mean(f.boundary_samples) == np.mean(f.boundary_samples)
+    tiny = CompactSetModel.disk(3e-306, 1e-306).boundary_samples
+    assert potential._mean(tiny) == np.mean(tiny)
+
+
 def test_log_abs():
     z = np.array([3 + 4j, 0.5, -1e-300j, 1.7e308 + 1.7e308j, -1.7e308 + 1e308j,
                   complex(math.inf, 1), complex(math.nan, 1)])
